@@ -3,14 +3,17 @@
 //! per-sample monitoring cost and consistency-engine scaling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use omg_bench::highway::{shared_pretrained_primary, HighwayScenario, FUSION_WINDOW_HALF};
 use omg_bench::video::monitor_windows;
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::StreamMonitor;
+use omg_core::stream::{Prepare, StreamMonitor};
 use omg_core::Monitor;
+use omg_domains::fusion::FusionWindow;
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
-use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
+use omg_domains::{video_assertion_set, video_prepared_assertion_set, FusionPrepare, VideoPrepare};
 use omg_geom::BBox2D;
+use omg_scenario::Scenario;
 
 fn make_windows(n: usize) -> Vec<omg_domains::VideoWindow> {
     monitor_windows(n, 3)
@@ -127,9 +130,48 @@ fn tracker_cost(c: &mut Criterion) {
     });
 }
 
+/// `n` highway fusion windows, cut from the scenario's stream the way
+/// the scoring drivers cut them.
+fn fusion_windows(n: usize) -> Vec<FusionWindow> {
+    let scenario = HighwayScenario::highway(3, n, 1);
+    let items = scenario.run_model(shared_pretrained_primary());
+    (0..items.len())
+        .map(|i| {
+            let lo = i.saturating_sub(FUSION_WINDOW_HALF);
+            let hi = (i + FUSION_WINDOW_HALF + 1).min(items.len());
+            scenario.make_sample(&items[lo..hi], i - lo)
+        })
+        .collect()
+}
+
+/// Per-window cost of each tracked scenario's `Prepare` (tracker run
+/// plus temporal consistency pass), the layer that dominates a video or
+/// fusion window: 100 windows per iteration.
+fn prepare_cost(c: &mut Criterion) {
+    let video = make_windows(100);
+    let prepare = VideoPrepare::new(0.45);
+    c.bench_function("prepare/video_window", |b| {
+        b.iter(|| {
+            for w in &video {
+                criterion::black_box(prepare.prepare(w));
+            }
+        });
+    });
+    let fusion = fusion_windows(100);
+    let prepare = FusionPrepare::new(0.45);
+    c.bench_function("prepare/fusion_window", |b| {
+        b.iter(|| {
+            for w in &fusion {
+                criterion::black_box(prepare.prepare(w));
+            }
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = monitor_throughput, stream_monitor_throughput, consistency_scaling, tracker_cost
+    targets = monitor_throughput, stream_monitor_throughput, consistency_scaling, tracker_cost,
+        prepare_cost
 }
 criterion_main!(benches);

@@ -63,6 +63,11 @@
 //! per scenario — the persistent worker pool's headline artifact
 //! (threads are supposed to *help* a single stream, not just not hurt
 //! it).
+//!
+//! In both ladders, an entry whose pool clamps to the same fanout as an
+//! earlier entry's (`x8` on a 2-core host) runs that entry's schedule;
+//! it is not measured again and its archive row reads
+//! `{"id": "stream x8", "clamped_to": 2}` instead of a rate.
 
 use std::time::Instant;
 
@@ -86,26 +91,87 @@ fn best_secs<F: FnMut()>(reps: usize, mut run: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Writes one scenario's rows as `BENCH_stream_<scenario>.json`. A
-/// write failure is fatal: the archive is the contract CI enforces
-/// (`--check-stream-archive`), so a missing file must fail the run, not
-/// scroll by as a warning.
-fn write_stream_json(scenario: &str, windows: usize, rows: &[(String, f64)]) {
+/// One archived row's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rate {
+    /// Measured windows per second.
+    Measured(f64),
+    /// A ladder entry whose pool clamped to the same fanout as an
+    /// earlier entry's, so it shares that entry's schedule and was not
+    /// measured on its own.
+    ClampedTo(usize),
+}
+
+impl Rate {
+    /// The row's JSON fields after its `id`.
+    fn json(self) -> String {
+        match self {
+            Rate::Measured(wps) => format!("\"windows_per_sec\": {wps:.1}"),
+            Rate::ClampedTo(fanout) => format!("\"clamped_to\": {fanout}"),
+        }
+    }
+}
+
+/// Writes `rows` as `BENCH_<bench>.json` in the committed archive
+/// directory. A write failure is fatal: the archives are the contract
+/// CI enforces (`--check-stream-archive`), so a missing file must fail
+/// the run, not scroll by as a warning.
+fn write_archive(bench: &str, windows: usize, rows: &[(String, Rate)]) {
     let json_rows: Vec<String> = rows
         .iter()
-        .map(|(label, wps)| format!("    {{\"id\": \"{label}\", \"windows_per_sec\": {wps:.1}}}"))
+        .map(|(label, rate)| format!("    {{\"id\": \"{label}\", {}}}", rate.json()))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"stream_{scenario}\",\n  \"windows\": {windows},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"{bench}\",\n  \"windows\": {windows},\n  \"results\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     let dir = criterion::bench_output_dir();
-    let path = dir.join(format!("BENCH_stream_{scenario}.json"));
+    let path = dir.join(format!("BENCH_{bench}.json"));
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: could not write {}: {e}", path.display());
             std::process::exit(1);
+        }
+    }
+}
+
+/// The ladder's archived rates: a measured rate for each entry that
+/// owns its distinct-fanout slot, and `ClampedTo` for each entry that
+/// [`dedupe_by_fanout`] merged into an earlier one.
+fn ladder_rates(
+    pools: &[ThreadPool],
+    distinct: &[usize],
+    measure_of: &[usize],
+    slot_wps: impl Fn(usize) -> f64,
+) -> Vec<Rate> {
+    measure_of
+        .iter()
+        .zip(pools)
+        .enumerate()
+        .map(|(i, (&slot, pool))| {
+            if distinct[slot] == i {
+                Rate::Measured(slot_wps(slot))
+            } else {
+                Rate::ClampedTo(pool.fanout())
+            }
+        })
+        .collect()
+}
+
+/// Prints one table row: the rate and its speedup over `base_wps`, or
+/// the fanout a clamped entry shares.
+fn print_row(label: &str, rate: Rate, base_wps: f64) {
+    match rate {
+        Rate::Measured(wps) => {
+            println!("  {label:<22} {wps:>12.0} {:>9.2}x", wps / base_wps);
+        }
+        Rate::ClampedTo(fanout) => {
+            println!(
+                "  {label:<22} {:>12} {:>10}",
+                format!("= x{fanout}"),
+                "clamped"
+            );
         }
     }
 }
@@ -236,7 +302,7 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
         "== crowded-scene matchers: grid-indexed vs O(n²) reference, \
          {n_windows} windows per density ==\n"
     );
-    let mut rows: Vec<(String, f64)> = Vec::new();
+    let mut rows: Vec<(String, Rate)> = Vec::new();
     for &size in &omg_bench::crowd::CROWD_SIZES {
         let windows = omg_bench::crowd::crowd_windows(size, n_windows, 3);
         let score = || -> Vec<_> { windows.iter().map(|w| set.check_all(w)).collect() };
@@ -289,27 +355,11 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
             indexed_wps,
             indexed_wps / reference_wps
         );
-        rows.push((format!("indexed x{size}"), indexed_wps));
-        rows.push((format!("reference x{size}"), reference_wps));
+        rows.push((format!("indexed x{size}"), Rate::Measured(indexed_wps)));
+        rows.push((format!("reference x{size}"), Rate::Measured(reference_wps)));
     }
     println!("  (severities verified bit-for-bit across backends at every density)");
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(label, wps)| format!("    {{\"id\": \"{label}\", \"windows_per_sec\": {wps:.1}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"crowded\",\n  \"windows\": {n_windows},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let dir = criterion::bench_output_dir();
-    let path = dir.join("BENCH_crowded.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_archive("crowded", n_windows, &rows);
 }
 
 /// Deduplicates a pool ladder by **effective fanout**. `ThreadPool::new`
@@ -317,8 +367,9 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
 /// that run instruction-for-instruction identical schedules; measuring
 /// them separately would report scheduler noise as a scaling
 /// difference. Returns `(distinct, measure_of)`: indices of the pools
-/// to actually time, and for each ladder entry the slot in `distinct`
-/// whose measurement it shares.
+/// to actually time, and for each ladder entry its fanout's slot in
+/// `distinct`. An entry that is not its slot's first is archived as
+/// `clamped_to` that fanout, with no rate of its own.
 fn dedupe_by_fanout(pools: &[ThreadPool]) -> (Vec<usize>, Vec<usize>) {
     let mut distinct: Vec<usize> = Vec::new();
     let measure_of = pools
@@ -401,16 +452,18 @@ fn stream_scenario(scenario: &dyn DynScenario, reps: usize) {
     let batch_wps = n_windows as f64 / best_round[0];
     println!("{name}: {n_windows} windows (quietest of {reps} rounds):");
     println!("  {:<22} {:>12} {:>10}", "path", "windows/sec", "speedup");
-    println!("  {:<22} {:>12.0} {:>9.2}x", "batch x1", batch_wps, 1.0);
-    let mut rows = vec![("batch x1".to_string(), batch_wps)];
-    for (&threads, &slot) in STREAM_THREADS.iter().zip(&measure_of) {
-        let wps = n_windows as f64 / best_round[1 + slot];
-        let label = format!("stream x{threads}");
-        println!("  {:<22} {:>12.0} {:>9.2}x", label, wps, wps / batch_wps);
-        rows.push((label, wps));
+    let mut rows = vec![("batch x1".to_string(), Rate::Measured(batch_wps))];
+    let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
+        n_windows as f64 / best_round[1 + slot]
+    });
+    for (&threads, rate) in STREAM_THREADS.iter().zip(rates) {
+        rows.push((format!("stream x{threads}"), rate));
+    }
+    for (label, rate) in &rows {
+        print_row(label, *rate, batch_wps);
     }
     println!("  (streaming severities verified bit-for-bit against batch)");
-    write_stream_json(name, n_windows, &rows);
+    write_archive(&format!("stream_{name}"), n_windows, &rows);
 }
 
 /// Parses the `--sweep-threads` value: a non-empty comma-separated
@@ -444,8 +497,9 @@ fn parse_thread_ladder(raw: &str) -> Result<Vec<usize>, String> {
 /// fanout**: `ThreadPool::new` clamps its fanout to the machine's
 /// cores, so e.g. `x4` and `x8` on a 2-core host run instruction-for-
 /// instruction identical schedules — measuring them separately would
-/// report scheduler noise as if it were a scaling difference, so they
-/// share one measurement. Second, the distinct configs are timed
+/// report scheduler noise as if it were a scaling difference, so only
+/// the first is measured and the others are archived as `clamped_to`
+/// its fanout, with no rate. Second, the distinct configs are timed
 /// **round-robin** (rep 1 of every config, then rep 2, …) and the
 /// quietest whole round is archived, so every point on the curve is
 /// measured under the same machine-load epoch.
@@ -499,32 +553,20 @@ fn sweep_scenario(scenario: &dyn DynScenario, ladder: &[usize], reps: usize) {
         if distinct.len() == 1 { "" } else { "s" }
     );
     println!("  {:<22} {:>12} {:>10}", "path", "windows/sec", "speedup");
-    let mut rows: Vec<(String, f64)> = Vec::new();
     let base_wps = n_windows as f64 / best_round[measure_of[0]];
-    for (&threads, &slot) in ladder.iter().zip(&measure_of) {
-        let wps = n_windows as f64 / best_round[slot];
-        let label = format!("stream x{threads}");
-        println!("  {:<22} {:>12.0} {:>9.2}x", label, wps, wps / base_wps);
-        rows.push((label, wps));
+    let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
+        n_windows as f64 / best_round[slot]
+    });
+    let rows: Vec<(String, Rate)> = ladder
+        .iter()
+        .zip(rates)
+        .map(|(&threads, rate)| (format!("stream x{threads}"), rate))
+        .collect();
+    for (label, rate) in &rows {
+        print_row(label, *rate, base_wps);
     }
     println!("  (all runs verified bit-for-bit against the sequential batch reference)");
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(label, wps)| format!("    {{\"id\": \"{label}\", \"windows_per_sec\": {wps:.1}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"scaling_{name}\",\n  \"windows\": {n_windows},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let dir = criterion::bench_output_dir();
-    let path = dir.join(format!("BENCH_scaling_{name}.json"));
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_archive(&format!("scaling_{name}"), n_windows, &rows);
 }
 
 /// The `--sweep-threads` mode: the single-stream scaling curve on every
@@ -713,18 +755,42 @@ fn main() {
     println!("  (parallel output verified bit-for-bit against sequential)");
 
     // Machine-readable trajectory, alongside the criterion JSONs.
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(label, wps)| format!("    {{\"id\": \"{label}\", \"windows_per_sec\": {wps:.1}}}"))
+    let rows: Vec<(String, Rate)> = rows
+        .into_iter()
+        .map(|(label, wps)| (label, Rate::Measured(wps)))
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"throughput\",\n  \"windows\": {n_windows},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let dir = criterion::bench_output_dir();
-    let path = dir.join("BENCH_throughput.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    write_archive("throughput", n_windows, &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clamped_ladder_entries_archive_no_rate() {
+        // Fanouts 1, 2, 2, 1: the last two repeat earlier entries'.
+        let pools: Vec<ThreadPool> = [1, 2, 2, 1].into_iter().map(ThreadPool::exact).collect();
+        let (distinct, measure_of) = dedupe_by_fanout(&pools);
+        let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
+            100.0 * (slot + 1) as f64
+        });
+        assert_eq!(
+            rates,
+            [
+                Rate::Measured(100.0),
+                Rate::Measured(200.0),
+                Rate::ClampedTo(2),
+                Rate::ClampedTo(1)
+            ]
+        );
+        let rows: Vec<String> = rates.iter().map(|r| r.json()).collect();
+        assert_eq!(rows[1], "\"windows_per_sec\": 200.0");
+        assert_eq!(rows[2], "\"clamped_to\": 2");
+        let json = format!(
+            "{{\"id\": \"stream x2\", {}}},\n{{\"id\": \"stream x4\", {}}}",
+            rows[1], rows[2]
+        );
+        assert_eq!(archived_rate(&json, "stream x2"), Some(200.0));
+        assert_eq!(archived_rate(&json, "stream x4"), None);
     }
 }

@@ -108,15 +108,14 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
             return out;
         };
         for (id, positions) in &occurrences {
-            let present = Self::presence(window.len(), positions);
-            for (start, end) in interior_runs(&present) {
+            interior_runs(window.len(), positions, |start, end, present| {
                 // Transition into the run happens at `start`, out of it at
                 // `end + 1`; the run's duration is the time between them.
                 let duration = window.time(end + 1) - window.time(start);
                 if duration >= t_thresh {
-                    continue;
+                    return;
                 }
-                if present[start] {
+                if present {
                     // A blip: remove this id's outputs in the run.
                     for &(ti, oi) in positions {
                         if ti >= start && ti <= end {
@@ -139,7 +138,7 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
                         }
                     }
                 }
-            }
+            });
         }
         out
     }
@@ -184,16 +183,27 @@ mod tests {
 
     #[test]
     fn interior_runs_basic() {
-        assert_eq!(interior_runs(&[true, false, true]), vec![(1, 1)]);
+        // Runs of the presence pattern whose present invocations are the
+        // first components of `positions`, in a window of `n`.
+        let runs = |n: usize, positions: &[(usize, usize)]| {
+            let mut runs = Vec::new();
+            interior_runs(n, positions, |s, e, p| runs.push((s, e, p)));
+            runs
+        };
+        // [present, absent, present]
+        assert_eq!(runs(3, &[(0, 0), (2, 0)]), vec![(1, 1, false)]);
+        // [P, A, A, P, P]: the final present run touches the edge.
+        assert_eq!(runs(5, &[(0, 0), (3, 0), (4, 0)]), vec![(1, 2, false)]);
+        // [A, P, P, A] with two outputs at one invocation: one blip.
+        assert_eq!(runs(4, &[(1, 0), (1, 1), (2, 0)]), vec![(1, 2, true)]);
+        // [P, A, P, A, P]
         assert_eq!(
-            interior_runs(&[true, false, false, true, true]),
-            vec![(1, 2), (3, 4)]
-                .into_iter()
-                .filter(|&(_, e)| e < 4)
-                .collect::<Vec<_>>()
+            runs(5, &[(0, 0), (2, 0), (4, 0)]),
+            vec![(1, 1, false), (2, 2, true), (3, 3, false)]
         );
-        assert!(interior_runs(&[true, true]).is_empty());
-        assert!(interior_runs(&[]).is_empty());
+        assert!(runs(2, &[(0, 0), (1, 0)]).is_empty());
+        assert!(runs(0, &[]).is_empty());
+        assert!(runs(3, &[]).is_empty());
     }
 
     #[test]

@@ -115,13 +115,29 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         occ
     }
 
-    /// Checks the window and returns all violations.
+    /// Checks the window and returns all violations: attribute
+    /// mismatches first, then temporal transitions.
     pub fn check(&self, window: &ConsistencyWindow<P::Output>) -> Vec<Violation<P::Id>> {
         let mut violations = Vec::new();
         let occurrences = self.occurrences(window);
         self.check_attributes(window, &occurrences, &mut violations);
-        if self.temporal_threshold.is_some() {
-            self.check_temporal(window, &occurrences, &mut violations);
+        if let Some(t) = self.temporal_threshold {
+            Self::check_temporal(window, &occurrences, t, &mut violations);
+        }
+        violations
+    }
+
+    /// Exactly the [`Violation::TemporalTransition`] entries of
+    /// [`check`](Self::check), in the same order, without the attribute
+    /// pass: for callers that only read presence transitions. Empty when
+    /// no temporal threshold is set.
+    pub fn temporal_violations(
+        &self,
+        window: &ConsistencyWindow<P::Output>,
+    ) -> Vec<Violation<P::Id>> {
+        let mut violations = Vec::new();
+        if let Some(t) = self.temporal_threshold {
+            Self::check_temporal(window, &self.occurrences(window), t, &mut violations);
         }
         violations
     }
@@ -179,66 +195,67 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         }
     }
 
-    /// Presence vector of one identifier across the window's invocations.
-    pub(super) fn presence(window_len: usize, positions: &[(usize, usize)]) -> Vec<bool> {
-        let mut present = vec![false; window_len];
-        // PANIC: positions index invocations of a window of window_len.
-        for &(ti, _) in positions {
-            present[ti] = true;
-        }
-        present
-    }
-
+    /// Pushes a temporal violation for every interior presence run of
+    /// each identifier shorter than `t_thresh`. Two consecutive
+    /// transitions always bound a maximal constant run, so "two
+    /// transitions within T" is equivalent to "an interior run shorter
+    /// than T"; the run's state tells flicker gaps (absent) apart from
+    /// spurious blips (present).
     fn check_temporal(
-        &self,
         window: &ConsistencyWindow<P::Output>,
         occurrences: &BTreeMap<P::Id, Vec<(usize, usize)>>,
+        t_thresh: f64,
         violations: &mut Vec<Violation<P::Id>>,
     ) {
-        // PANIC: check() only dispatches here when the threshold is set.
-        let t_thresh = self.temporal_threshold.expect("checked by caller");
         for (id, positions) in occurrences {
-            let present = Self::presence(window.len(), positions);
-            // Two consecutive transitions always bound a maximal constant
-            // run, so "two transitions within T" is equivalent to "an
-            // interior run shorter than T". The run's state tells flicker
-            // gaps (absent) apart from spurious blips (present).
-            // PANIC: interior_runs returns positions inside `present`.
-            for (start, end) in interior_runs(&present) {
-                let first = window.time(start);
-                let second = window.time(end + 1);
+            interior_runs(window.len(), positions, |start, end, present| {
+                let (first, second) = (window.time(start), window.time(end + 1));
                 if second - first < t_thresh {
                     violations.push(Violation::TemporalTransition {
                         id: id.clone(),
                         first,
                         second,
-                        gap: !present[start],
+                        gap: !present,
                     });
                 }
-            }
+            });
         }
     }
 }
 
-/// Maximal constant runs `[start, end]` of `xs` that do not touch either
-/// boundary (so both surrounding transitions are inside the window).
-pub(super) fn interior_runs(xs: &[bool]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let n = xs.len();
-    if n < 3 {
-        return runs;
-    }
-    let mut start = 0;
-    // PANIC: xs[i] is guarded by the i == n short-circuit; start < n.
-    for i in 1..=n {
-        if i == n || xs[i] != xs[start] {
-            if start > 0 && i < n {
-                runs.push((start, i - 1));
+/// Calls `f(start, end, present)`, in position order, for every maximal
+/// run `[start, end]` of one identifier's presence across a window of
+/// `n` invocations that touches neither edge (so both transitions that
+/// bound it are inside the window): `present` runs where it was
+/// observed, absent runs where it was not. `positions` are its
+/// occurrences in time order, possibly several per invocation.
+pub(super) fn interior_runs(
+    n: usize,
+    positions: &[(usize, usize)],
+    mut f: impl FnMut(usize, usize, bool),
+) {
+    // The present run being extended, as `(start, end)`.
+    let mut present: Option<(usize, usize)> = None;
+    for &(ti, _) in positions {
+        present = match present {
+            None => Some((ti, ti)),
+            Some((a, b)) if ti <= b + 1 => Some((a, ti)),
+            Some((a, b)) => {
+                // `ti > b + 1`: the present run `[a, b]` ends before the
+                // absent run `[b + 1, ti - 1]`, both short of the end.
+                if a > 0 {
+                    f(a, b, true);
+                }
+                f(b + 1, ti - 1, false);
+                Some((ti, ti))
             }
-            start = i;
+        };
+    }
+    if let Some((a, b)) = present {
+        if a > 0 && b + 1 < n {
+            f(a, b, true);
         }
     }
-    runs
 }
 
 impl<P> ConsistencyEngine<P>

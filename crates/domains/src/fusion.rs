@@ -14,10 +14,9 @@
 //!   the primary channel: a tracked object that disappears and
 //!   reappears within `T` seconds indicates missed detections.
 //!
-//! The shared per-window preparation is the primary channel's tracked
-//! window plus its consistency violations — exactly the artifact the
-//! video set shares — so the streaming engine runs the tracker once per
-//! window for the whole set.
+//! The shared per-window preparation is the primary channel's temporal
+//! consistency violations — the same pass the video set shares — so the
+//! streaming engine runs the tracker once per window for the whole set.
 
 use omg_core::consistency::{ConsistencyEngine, Violation};
 use omg_core::stream::Prepare;
@@ -135,19 +134,24 @@ pub fn fusion_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow> {
 }
 
 /// The fusion set's shared per-window artifact: the primary channel's
-/// consistency violations at the preparer's temporal threshold (the
+/// temporal-consistency violations at the preparer's threshold (the
 /// tracked window itself is only needed to compute them).
 #[derive(Debug, Clone)]
 pub struct FusionPrep {
     /// The temporal threshold the violations were computed at; carried
     /// so prepared checks can reject a preparer/set mismatch.
     pub t: f64,
-    /// Consistency violations of the tracked primary channel.
+    /// The temporal-transition violations of the tracked primary
+    /// channel, in [`ConsistencyEngine::check`] order
+    /// ([`ConsistencyEngine::temporal_violations`]). Attribute
+    /// mismatches are not computed: `fusion-flicker` reads only gaps,
+    /// and the self-contained reference assertion still runs the full
+    /// `check`.
     pub violations: Vec<Violation<u64>>,
 }
 
-/// Prepares a [`FusionWindow`]: one IoU-tracker run plus one consistency
-/// check over the primary channel.
+/// Prepares a [`FusionWindow`]: one IoU-tracker run plus one temporal
+/// consistency pass over the primary channel.
 #[derive(Debug, Clone, Copy)]
 pub struct FusionPrepare {
     t: f64,
@@ -167,7 +171,7 @@ impl Prepare<FusionWindow> for FusionPrepare {
     fn prepare(&self, window: &FusionWindow) -> FusionPrep {
         let tracked = track_window(&primary_view(window));
         let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(self.t);
-        let violations = engine.check(&tracked);
+        let violations = engine.temporal_violations(&tracked);
         FusionPrep {
             t: self.t,
             violations,

@@ -38,7 +38,8 @@ pub type TrackedWindow = ConsistencyWindow<TrackedBox>;
 /// the temporal-consistency violations at the set's threshold. `flicker`
 /// and `appear` filter *opposite* transition types out of the same
 /// violation list, so sharing it runs both the tracker and the
-/// consistency engine once per window instead of once per assertion.
+/// consistency engine's temporal pass once per window instead of once
+/// per assertion.
 #[derive(Debug, Clone)]
 pub struct VideoPrep {
     /// The temporal threshold the violations were computed at. Carried
@@ -47,13 +48,17 @@ pub struct VideoPrep {
     pub t: f64,
     /// The tracked window.
     pub tracked: TrackedWindow,
-    /// Consistency violations of the tracked window at the preparer's
-    /// temporal threshold.
+    /// The temporal-transition violations of the tracked window at the
+    /// preparer's temporal threshold, in [`ConsistencyEngine::check`]
+    /// order ([`ConsistencyEngine::temporal_violations`]). Attribute
+    /// mismatches are not computed: no prepared check reads them, and
+    /// the self-contained reference assertions still run the full
+    /// `check`.
     pub violations: Vec<Violation<u64>>,
 }
 
-/// Prepares a [`VideoWindow`]: one IoU-tracker run plus one consistency
-/// check (at temporal threshold `t`) over the window.
+/// Prepares a [`VideoWindow`]: one IoU-tracker run plus one temporal
+/// consistency pass (at threshold `t`) over the window.
 #[derive(Debug, Clone, Copy)]
 pub struct VideoPrepare {
     t: f64,
@@ -78,7 +83,7 @@ impl Prepare<VideoWindow> for VideoPrepare {
     fn prepare(&self, window: &VideoWindow) -> VideoPrep {
         let tracked = track_window(window);
         let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(self.t);
-        let violations = engine.check(&tracked);
+        let violations = engine.temporal_violations(&tracked);
         VideoPrep {
             t: self.t,
             tracked,

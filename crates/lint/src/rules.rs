@@ -157,8 +157,9 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/core/src/consistency/engine.rs",
-        7,
-        "occurrence positions index the window they were collected from",
+        2,
+        "occurrence positions index the window they were collected from; \
+         a multi-valued attribute count has a maximum",
     ),
     (
         "crates/core/src/consistency/window.rs",
@@ -291,14 +292,9 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "positively-sampled clutter box the constructor accepts",
     ),
     (
-        "crates/track/src/track.rs",
-        2,
-        "tracks hold at least the observation they were created with",
-    ),
-    (
         "crates/track/src/tracker.rs",
-        9,
-        "iou_pairs indices are in range; live ids are always tracked",
+        2,
+        "live indices address tracks: both are pushed together and tracks are never removed",
     ),
 ];
 

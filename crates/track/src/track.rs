@@ -23,20 +23,32 @@ pub struct Observation {
     pub score: f64,
 }
 
-/// The lifetime of one tracked object: a sparse map from frame index to
-/// observation.
+/// The lifetime of one tracked object: its observations in frame order,
+/// at most one per frame.
+///
+/// The first observation is held apart from the rest, so a track can
+/// never be empty and the lifetime accessors need no fallible lookup.
+/// A track that is recorded in frame order, as [`IouTracker`] does,
+/// only ever appends.
+///
+/// [`IouTracker`]: crate::IouTracker
 #[derive(Debug, Clone, PartialEq)]
 pub struct Track {
     id: TrackId,
-    observations: BTreeMap<usize, Observation>,
+    /// The observation at the earliest frame.
+    first: (usize, Observation),
+    /// The later observations, sorted by strictly increasing frame.
+    rest: Vec<(usize, Observation)>,
 }
 
 impl Track {
     /// Creates a track with a single initial observation.
     pub fn new(id: TrackId, frame: usize, obs: Observation) -> Self {
-        let mut observations = BTreeMap::new();
-        observations.insert(frame, obs);
-        Self { id, observations }
+        Self {
+            id,
+            first: (frame, obs),
+            rest: Vec::new(),
+        }
     }
 
     /// The track's identifier.
@@ -46,68 +58,78 @@ impl Track {
 
     /// Records an observation at `frame`, replacing any existing one.
     pub fn record(&mut self, frame: usize, obs: Observation) {
-        self.observations.insert(frame, obs);
+        if frame <= self.first.0 {
+            let old = std::mem::replace(&mut self.first, (frame, obs));
+            if old.0 != frame {
+                self.rest.insert(0, old);
+            }
+            return;
+        }
+        let at = self.rest.partition_point(|&(f, _)| f < frame);
+        match self.rest.get_mut(at) {
+            Some(slot) if slot.0 == frame => slot.1 = obs,
+            _ => self.rest.insert(at, (frame, obs)),
+        }
+    }
+
+    /// The most recent `(frame, observation)` pair.
+    fn last(&self) -> &(usize, Observation) {
+        self.rest.last().unwrap_or(&self.first)
     }
 
     /// First frame the object was observed in.
     pub fn first_frame(&self) -> usize {
-        *self
-            .observations
-            .keys()
-            .next()
-            .expect("track is never empty")
+        self.first.0
     }
 
     /// Last frame the object was observed in.
     pub fn last_frame(&self) -> usize {
-        // PANIC: Track::new records the first observation, and nothing
-        // ever removes one, so the map is never empty.
-        *self
-            .observations
-            .keys()
-            .next_back()
-            .expect("track is never empty")
+        self.last().0
     }
 
     /// Number of frames with observations.
     pub fn len(&self) -> usize {
-        self.observations.len()
+        1 + self.rest.len()
     }
 
     /// Tracks always hold at least one observation, so this is always
     /// `false`; provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
+        false
     }
 
     /// Observation at `frame`, if any.
     pub fn at(&self, frame: usize) -> Option<&Observation> {
-        self.observations.get(&frame)
+        if frame == self.first.0 {
+            return Some(&self.first.1);
+        }
+        let at = self.rest.binary_search_by_key(&frame, |&(f, _)| f).ok()?;
+        self.rest.get(at).map(|(_, o)| o)
+    }
+
+    /// Every `(frame, observation)` pair in frame order.
+    fn observations(&self) -> impl Iterator<Item = &(usize, Observation)> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
     /// Iterator over `(frame, observation)` in frame order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Observation)> {
-        self.observations.iter().map(|(&f, o)| (f, o))
+        self.observations().map(|(f, o)| (*f, o))
     }
 
     /// The most recent observation.
     pub fn latest(&self) -> &Observation {
-        // PANIC: same non-empty invariant as last_frame.
-        self.observations
-            .values()
-            .next_back()
-            .expect("track is never empty")
+        &self.last().1
     }
 
     /// Frame indices strictly inside the track's lifetime with no
     /// observation — the "flickered-out" frames.
     pub fn gap_frames(&self) -> Vec<usize> {
         let mut gaps = Vec::new();
-        let frames: Vec<usize> = self.observations.keys().copied().collect();
-        for w in frames.windows(2) {
-            for f in (w[0] + 1)..w[1] {
-                gaps.push(f);
-            }
+        let mut prev = self.first.0;
+        for &(f, _) in &self.rest {
+            gaps.extend(prev + 1..f);
+            prev = f;
         }
         gaps
     }
@@ -117,19 +139,26 @@ impl Track {
     /// rule of §4.2.
     pub fn majority_class(&self) -> usize {
         let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-        for obs in self.observations.values() {
+        for (_, obs) in self.observations() {
             *counts.entry(obs.class).or_insert(0) += 1;
         }
+        // Classes arrive in ascending order and only a strictly larger
+        // count replaces the best, so ties stay on the smaller class.
         counts
             .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(c, _)| c)
-            .expect("track is never empty")
+            .fold((self.first.1.class, 0), |best, (c, n)| {
+                if n > best.1 {
+                    (c, n)
+                } else {
+                    best
+                }
+            })
+            .0
     }
 
     /// Number of distinct classes observed.
     pub fn distinct_classes(&self) -> usize {
-        let mut classes: Vec<usize> = self.observations.values().map(|o| o.class).collect();
+        let mut classes: Vec<usize> = self.observations().map(|(_, o)| o.class).collect();
         classes.sort_unstable();
         classes.dedup();
         classes.len()

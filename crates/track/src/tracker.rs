@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use omg_geom::BBox2D;
 
 use crate::track::{Observation, Track, TrackId};
 
@@ -13,14 +13,19 @@ use crate::track::{Observation, Track, TrackId};
 /// Association is class-agnostic on purpose: the paper's assertions are
 /// precisely about objects whose *class labels* are inconsistent over
 /// time, so the tracker must not use the class to decide identity.
+///
+/// Track ids are issued as 0, 1, 2, … in creation order, so tracks are
+/// stored densely: a track's id is its index.
 #[derive(Debug, Clone)]
 pub struct IouTracker {
     iou_threshold: f64,
     max_age: usize,
-    next_id: u64,
-    tracks: BTreeMap<TrackId, Track>,
-    /// Tracks still eligible for association.
-    live: Vec<TrackId>,
+    /// Every track ever created, indexed by id.
+    tracks: Vec<Track>,
+    /// Indices of the tracks still eligible for association, ascending.
+    live: Vec<usize>,
+    /// The latest frame any track was observed in.
+    latest: Option<usize>,
 }
 
 impl IouTracker {
@@ -43,9 +48,9 @@ impl IouTracker {
         Self {
             iou_threshold,
             max_age,
-            next_id: 0,
-            tracks: BTreeMap::new(),
+            tracks: Vec::new(),
             live: Vec::new(),
+            latest: None,
         }
     }
 
@@ -58,81 +63,79 @@ impl IouTracker {
     ///
     /// Panics if `frame` precedes an already-processed frame.
     pub fn update(&mut self, frame: usize, detections: &[Observation]) -> Vec<TrackId> {
-        if let Some(last) = self.tracks.values().map(|t| t.last_frame()).max() {
+        if let Some(last) = self.latest {
             assert!(
                 frame >= last || self.live.is_empty(),
                 "frames must be processed in order (got {frame} after {last})"
             );
         }
         // Retire stale tracks first.
-        // PANIC: every id in `live` is a key of `tracks` (inserted
-        // together below, removed together in retire/remove).
-        self.live.retain(|id| {
-            let t = &self.tracks[id];
-            frame.saturating_sub(t.last_frame()) <= self.max_age
-        });
+        let (tracks, max_age) = (&self.tracks, self.max_age);
+        // PANIC: every live index addresses a track: both are pushed
+        // together below, and tracks are never removed.
+        self.live
+            .retain(|&t| frame.saturating_sub(tracks[t].last_frame()) <= max_age);
 
-        // Candidate (iou, track_pos, det_idx) pairs via the spatial
+        // Candidate (iou, live_pos, det_idx) pairs via the spatial
         // matcher (grid-indexed in crowded frames, pairwise otherwise),
         // matched greedily by descending IoU. The sort is a total order:
         // `total_cmp` on the IoU keeps it NaN-safe and deterministic,
-        // with (track_pos, det_idx) breaking exact ties.
-        let track_boxes: Vec<omg_geom::BBox2D> = self
+        // with (live_pos, det_idx) breaking exact ties.
+        let track_boxes: Vec<BBox2D> = self
             .live
             .iter()
-            // PANIC: live ids are always tracked (same invariant).
-            .map(|id| self.tracks[id].latest().bbox)
+            // PANIC: live indices address tracks (same invariant).
+            .map(|&t| self.tracks[t].latest().bbox)
             .collect();
-        let det_boxes: Vec<omg_geom::BBox2D> = detections.iter().map(|d| d.bbox).collect();
+        let det_boxes: Vec<BBox2D> = detections.iter().map(|d| d.bbox).collect();
         let mut pairs = omg_geom::matchers::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold);
         pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-        let mut track_taken = vec![false; self.live.len()];
-        let mut det_assignment: Vec<Option<TrackId>> = vec![None; detections.len()];
-        // PANIC: iou_pairs returns (iou, ti, di) with ti < track_boxes
-        // .len() = live.len() and di < det_boxes.len() = detections
-        // .len(), so every subscript below is in bounds.
-        for (_, ti, di) in pairs {
-            if track_taken[ti] || det_assignment[di].is_some() {
-                continue;
+        // `free[p]` holds live track `p` until a detection takes it; a
+        // pair assigns only if its detection is unassigned and its
+        // track still free.
+        let mut free: Vec<Option<usize>> = self.live.iter().copied().map(Some).collect();
+        let mut assigned: Vec<Option<usize>> = vec![None; detections.len()];
+        for (_, p, di) in pairs {
+            if let Some(slot @ None) = assigned.get_mut(di) {
+                *slot = free.get_mut(p).and_then(Option::take);
             }
-            track_taken[ti] = true;
-            det_assignment[di] = Some(self.live[ti]);
         }
 
-        let mut out = Vec::with_capacity(detections.len());
-        // PANIC: di < detections.len(); assigned ids are live, and live
-        // ids are always tracked.
-        for (di, det) in detections.iter().enumerate() {
-            let id = match det_assignment[di] {
-                Some(id) => {
-                    self.tracks
-                        .get_mut(&id)
-                        .expect("live track exists")
-                        .record(frame, *det);
-                    id
-                }
-                None => {
-                    let id = TrackId(self.next_id);
-                    self.next_id += 1;
-                    self.tracks.insert(id, Track::new(id, frame, *det));
-                    self.live.push(id);
-                    id
-                }
-            };
-            out.push(id);
+        if !detections.is_empty() {
+            self.latest = Some(self.latest.map_or(frame, |last| last.max(frame)));
         }
-        out
+        detections
+            .iter()
+            .zip(assigned)
+            .map(|(det, assigned)| {
+                let t = match assigned {
+                    Some(t) => {
+                        if let Some(track) = self.tracks.get_mut(t) {
+                            track.record(frame, *det);
+                        }
+                        t
+                    }
+                    None => {
+                        let t = self.tracks.len();
+                        self.tracks.push(Track::new(id_of(t), frame, *det));
+                        self.live.push(t);
+                        t
+                    }
+                };
+                id_of(t)
+            })
+            .collect()
     }
 
     /// All tracks ever created, in id order.
     pub fn tracks(&self) -> impl Iterator<Item = &Track> {
-        self.tracks.values()
+        self.tracks.iter()
     }
 
     /// The track with the given id, if it exists.
     pub fn track(&self, id: TrackId) -> Option<&Track> {
-        self.tracks.get(&id)
+        usize::try_from(id.0).ok().and_then(|t| self.tracks.get(t))
     }
 
     /// Number of tracks ever created.
@@ -142,8 +145,13 @@ impl IouTracker {
 
     /// Consumes the tracker and returns all tracks in id order.
     pub fn into_tracks(self) -> Vec<Track> {
-        self.tracks.into_values().collect()
+        self.tracks
     }
+}
+
+/// The id of the track stored at index `t`.
+fn id_of(t: usize) -> TrackId {
+    TrackId(t as u64)
 }
 
 #[cfg(test)]
