@@ -47,7 +47,7 @@ pub use ccmab::CcMab;
 // The scoped-thread runtime strategies fan pool scoring out over; re-
 // exported so harness code can name it without an `omg-core` import.
 pub use omg_core::runtime::ThreadPool;
-pub use pool::CandidatePool;
+pub use pool::{CandidatePool, PoolShapeError};
 pub use runner::{run_rounds, ActiveLearner, RoundRecord};
 pub use strategy::{
     BalStrategy, FallbackPolicy, RandomStrategy, SelectionStrategy, UncertaintyStrategy,

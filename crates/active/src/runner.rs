@@ -35,7 +35,7 @@ pub struct RoundRecord {
 
 /// Runs `rounds` rounds of batch active learning: score pool → select
 /// `budget` points → label & retrain → evaluate (the protocol of §5.4:
-/// "data points that have been collected [are] labeled in bulk").
+/// "data points that have been collected \[are\] labeled in bulk").
 ///
 /// Returns one [`RoundRecord`] per round.
 pub fn run_rounds<L: ActiveLearner + ?Sized, S: SelectionStrategy + ?Sized>(

@@ -7,7 +7,7 @@ use omg_bench::highway::{shared_pretrained_primary, HighwayScenario, FUSION_WIND
 use omg_bench::video::monitor_windows;
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{Prepare, StreamMonitor};
+use omg_core::stream::Prepare;
 use omg_core::Monitor;
 use omg_domains::fusion::FusionWindow;
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
@@ -63,10 +63,10 @@ fn stream_monitor_throughput(c: &mut Criterion) {
     let windows = make_windows(200);
     c.bench_function("monitor/video_window_stream", |b| {
         b.iter_batched(
-            || StreamMonitor::new(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45)),
+            || Monitor::with_preparer(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45)),
             |mut monitor| {
                 for w in &windows {
-                    criterion::black_box(monitor.ingest(w));
+                    criterion::black_box(monitor.process(w));
                 }
             },
             BatchSize::SmallInput,
@@ -77,9 +77,14 @@ fn stream_monitor_throughput(c: &mut Criterion) {
         let pool = ThreadPool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &pool, |b, pool| {
             b.iter_batched(
-                || StreamMonitor::new(video_prepared_assertion_set(0.45), VideoPrepare::new(0.45)),
+                || {
+                    Monitor::with_preparer(
+                        video_prepared_assertion_set(0.45),
+                        VideoPrepare::new(0.45),
+                    )
+                },
                 |mut monitor| {
-                    criterion::black_box(monitor.ingest_batch(&windows, pool));
+                    criterion::black_box(monitor.process_batch(&windows, pool));
                 },
                 BatchSize::SmallInput,
             );

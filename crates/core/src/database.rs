@@ -1,4 +1,4 @@
-use crate::{AssertionId, Severity, SeverityMatrix};
+use crate::{AssertionId, Severity};
 
 /// One row of the assertion database: an assertion's outcome on a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,11 +27,9 @@ pub struct Record {
 /// Per-assertion queries (`fire_count`, `fired_samples`,
 /// `top_by_severity`) scan one shard instead of the whole log, and
 /// [`AssertionDb::record_batch`] appends a whole batch of dense outcome
-/// rows shard-by-shard (columnar, cache-friendly) — the merge step of
-/// `Monitor::process_batch`. Recording a batch column-wise produces
-/// exactly the same shard contents as recording its samples one at a
-/// time, which is what keeps the parallel monitor bit-for-bit equal to
-/// the sequential one.
+/// rows shard-by-shard (columnar, cache-friendly). Recording a batch
+/// column-wise produces exactly the same shard contents as recording
+/// its samples one at a time.
 ///
 /// # Retention
 ///
@@ -130,7 +128,7 @@ impl AssertionDb {
     /// Appends the outcomes of one sample from a **dense columnar row**:
     /// `values[m]` is the raw severity of `AssertionId(m)` — the shape
     /// [`crate::AssertionSet::check_all_prepared_values`] produces and a
-    /// [`SeverityMatrix`] row holds.
+    /// [`crate::SeverityMatrix`] row holds.
     ///
     /// Identical shard contents to [`AssertionDb::record_sample`] on the
     /// equivalent `(id, severity)` vector (`Severity::new` round-trips
@@ -156,39 +154,6 @@ impl AssertionDb {
         self.num_records += values.len();
         self.lifetime_records += values.len();
         self.num_samples = self.num_samples.max(sample + 1);
-    }
-
-    /// Appends a batch of consecutive samples' outcomes from a
-    /// [`SeverityMatrix`]: row `i` of the matrix becomes the dense
-    /// outcome vector of sample `first_sample + i`, appended shard-by-
-    /// shard (columnar). Equivalent to [`AssertionDb::record_row`] per
-    /// row, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any value is negative, NaN, or infinite.
-    pub fn record_matrix(&mut self, first_sample: usize, matrix: &SeverityMatrix) {
-        let (rows, dim) = (matrix.len(), matrix.width());
-        if rows == 0 {
-            return;
-        }
-        if dim > 0 {
-            self.shard_mut(AssertionId(dim - 1));
-        }
-        for m in 0..dim {
-            let shard = &mut self.shards[m];
-            shard.reserve(rows);
-            let mut fired = 0usize;
-            for i in 0..rows {
-                let severity = Severity::new(matrix.row(i)[m]);
-                shard.push((first_sample + i, severity));
-                fired += usize::from(severity.fired());
-            }
-            self.lifetime_fired[m] += fired;
-        }
-        self.num_records += rows * dim;
-        self.lifetime_records += rows * dim;
-        self.num_samples = self.num_samples.max(first_sample + rows);
     }
 
     /// Drops every row whose sample index is below `min_sample` and
@@ -507,27 +472,6 @@ mod tests {
         db.record_row(3, &[]);
         assert_eq!(db.num_assertions(), 0);
         assert_eq!(db.num_samples(), 4);
-    }
-
-    #[test]
-    fn record_matrix_equals_per_row_recording() {
-        let mut matrix = SeverityMatrix::new();
-        for i in 0..7 {
-            matrix.push_row(&[i as f64, ((i + 1) % 3) as f64, 0.5 * i as f64]);
-        }
-        let mut batched = AssertionDb::new();
-        batched.record_matrix(2, &matrix);
-        let mut sequential = AssertionDb::new();
-        for i in 0..matrix.len() {
-            sequential.record_row(2 + i, matrix.row(i));
-        }
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.len(), 21);
-        assert_eq!(batched.num_samples(), 9);
-        // Empty matrix is a no-op.
-        let mut db = AssertionDb::new();
-        db.record_matrix(0, &SeverityMatrix::new());
-        assert!(db.is_empty());
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   Figure 2: every checked sample's outcomes, queryable by assertion,
 //!   fire count, or severity rank.
 //! * [`Monitor`] — runtime monitoring: runs the registered assertions
-//!   after each model invocation, records outcomes, and invokes
+//!   after each model invocation (preparing each sample once when built
+//!   with [`Monitor::with_preparer`]), records outcomes, and invokes
 //!   corrective-action hooks whose severity threshold is crossed (the
 //!   paper's "automatically trigger corrective actions, e.g., shutting
 //!   down an autopilot"). `Monitor::process_batch` scores whole batches
@@ -35,14 +36,14 @@
 //!   behind the batch and streaming paths: long-lived workers parked on
 //!   a condvar, jobs (not spawns) per scoring call, deterministic
 //!   input-order merging.
-//! * [`stream`] — the incremental streaming engine: the [`stream::Prepare`]
-//!   shared window-preparation layer (expensive derivations run once per
+//! * [`stream`] — the streaming engine: the [`stream::Prepare`] shared
+//!   window-preparation layer (expensive derivations run once per
 //!   window, shared by every assertion via
-//!   [`AssertionSet::check_all_prepared`]), the zero-copy window sliders
-//!   ([`stream::SlidingSpans`] index spans over the caller's slice;
-//!   [`stream::SlidingWindows`] borrowed windows over a mirror buffer
-//!   of moved-in items), and [`stream::StreamMonitor`] — all bit-for-bit
-//!   equal to the batch reference at any thread count.
+//!   [`AssertionSet::check_all_prepared`]), [`stream::score_rows_chunked`],
+//!   the one chunked scoring driver, and [`stream::SlidingWindows`],
+//!   borrowed windows over a mirror buffer of moved-in items for callers
+//!   that receive a stream one item at a time — all bit-for-bit equal to
+//!   the batch reference at any thread count.
 //! * [`consistency`] — the high-level consistency-assertion API of §4:
 //!   from an identifier function, an attributes function, and a temporal
 //!   threshold `T`, OMG generates Boolean assertions *and* correction

@@ -1,4 +1,5 @@
 use crate::runtime::ThreadPool;
+use crate::stream::{score_rows_chunked, NoPrep, Prepare};
 use crate::{AssertionDb, AssertionId, AssertionSet, Severity};
 
 /// The outcomes of running the assertion set on one sample.
@@ -66,42 +67,100 @@ type ActionHook<S> = Box<dyn FnMut(&S, &SampleReport) + Send>;
 /// development/deployment pipeline … to log unexpected behavior or
 /// automatically trigger corrective actions".
 ///
+/// `P` is the set's shared preparation artifact (see [`Prepare`]): a
+/// monitor built with [`Monitor::with_preparer`] runs the expensive
+/// per-sample derivation **exactly once per sample** and shares it
+/// across every assertion via [`AssertionSet::check_all_prepared`]; one
+/// built with [`Monitor::new`] or [`Monitor::with_assertions`] prepares
+/// nothing ([`NoPrep`]). For a deterministic preparer the reports are
+/// bit-for-bit what the self-contained checks would produce (the
+/// [`AssertionSet::add_prepared`] contract).
+///
 /// See the [crate-level example](crate) for typical usage.
-pub struct Monitor<S> {
-    assertions: AssertionSet<S>,
+pub struct Monitor<S, P = ()> {
+    assertions: AssertionSet<S, P>,
+    preparer: Box<dyn Prepare<S, Prepared = P>>,
     db: AssertionDb,
     next_sample: usize,
     actions: Vec<(Severity, ActionHook<S>)>,
+    /// Optional retention cap: after every commit the database keeps at
+    /// most this many recent sample rows (see
+    /// [`AssertionDb::retain_recent`]). `None` retains everything.
+    retention: Option<usize>,
 }
 
 impl<S: 'static> Monitor<S> {
     /// Creates a monitor with an empty assertion set.
     pub fn new() -> Self {
-        Self {
-            assertions: AssertionSet::new(),
-            db: AssertionDb::new(),
-            next_sample: 0,
-            actions: Vec::new(),
-        }
+        Self::with_assertions(AssertionSet::new())
     }
 
     /// Creates a monitor around an existing assertion set.
     pub fn with_assertions(assertions: AssertionSet<S>) -> Self {
+        Self::with_preparer(assertions, NoPrep)
+    }
+}
+
+impl<S: 'static, P: Send + 'static> Monitor<S, P> {
+    /// Creates a monitor around an assertion set and the preparer
+    /// producing its shared artifact.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use omg_core::stream::FnPrepare;
+    /// use omg_core::{AssertionSet, Monitor, Severity};
+    ///
+    /// // Shared preparation: the (expensive, imagine) sum of the sample.
+    /// let mut set: AssertionSet<Vec<i64>, i64> = AssertionSet::new();
+    /// set.add_prepared(
+    ///     omg_core::FnAssertion::new("negative-sum", |xs: &Vec<i64>| {
+    ///         Severity::from_bool(xs.iter().sum::<i64>() < 0)
+    ///     }),
+    ///     |_, &sum| Severity::from_bool(sum < 0),
+    /// );
+    /// let mut m = Monitor::with_preparer(set, FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum()));
+    /// assert!(m.process(&vec![-2, 1]).any_fired());
+    /// assert!(!m.process(&vec![2, 1]).any_fired());
+    /// assert_eq!(m.samples_processed(), 2);
+    /// ```
+    pub fn with_preparer<Pr>(assertions: AssertionSet<S, P>, preparer: Pr) -> Self
+    where
+        Pr: Prepare<S, Prepared = P> + 'static,
+    {
         Self {
             assertions,
+            preparer: Box::new(preparer),
             db: AssertionDb::new(),
             next_sample: 0,
             actions: Vec::new(),
+            retention: None,
         }
     }
 
+    /// Caps the database at the `keep` most recent sample rows: after
+    /// every processed sample, older rows are evicted (lifetime fire
+    /// counters survive — see [`AssertionDb`]'s retention docs). This is
+    /// what keeps a long-lived monitor's memory flat under unbounded
+    /// traffic; reports and corrective actions are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is zero.
+    #[must_use]
+    pub fn with_retention(mut self, keep: usize) -> Self {
+        assert!(keep > 0, "retention cap must keep at least one sample");
+        self.retention = Some(keep);
+        self
+    }
+
     /// The registered assertions.
-    pub fn assertions(&self) -> &AssertionSet<S> {
+    pub fn assertions(&self) -> &AssertionSet<S, P> {
         &self.assertions
     }
 
     /// Mutable access for registering assertions.
-    pub fn assertions_mut(&mut self) -> &mut AssertionSet<S> {
+    pub fn assertions_mut(&mut self) -> &mut AssertionSet<S, P> {
         &mut self.assertions
     }
 
@@ -129,16 +188,18 @@ impl<S: 'static> Monitor<S> {
         self.actions.push((threshold, Box::new(action)));
     }
 
-    /// Runs all assertions on one sample: records outcomes in the
-    /// database, fires any corrective actions, and returns the report.
-    pub fn process(&mut self, sample: &S) -> SampleReport {
-        let outcomes = self.assertions.check_all(sample);
+    /// Records one scored sample, applies the retention cap, and fires
+    /// corrective actions: the one commit step of both processing paths.
+    fn commit(&mut self, sample: &S, outcomes: Vec<(AssertionId, Severity)>) -> SampleReport {
         let report = SampleReport {
             sample: self.next_sample,
             outcomes,
         };
         self.db.record_sample(report.sample, &report.outcomes);
         self.next_sample += 1;
+        if let Some(keep) = self.retention {
+            self.db.retain_recent(keep);
+        }
         let max = report.max_severity();
         for (threshold, action) in &mut self.actions {
             if max >= *threshold {
@@ -146,6 +207,15 @@ impl<S: 'static> Monitor<S> {
             }
         }
         report
+    }
+
+    /// Runs all assertions on one sample — preparing it once — records
+    /// the outcomes in the database, fires any corrective actions, and
+    /// returns the report.
+    pub fn process(&mut self, sample: &S) -> SampleReport {
+        let prep = self.preparer.prepare(sample);
+        let outcomes = self.assertions.check_all_prepared(sample, &prep);
+        self.commit(sample, outcomes)
     }
 
     /// Processes a batch of samples, returning one report per sample.
@@ -157,52 +227,47 @@ impl<S: 'static> Monitor<S> {
         samples.into_iter().map(|s| self.process(s)).collect()
     }
 
-    /// Processes a batch of samples, scoring every `(sample, assertion)`
-    /// pair across the pool's workers, then merging deterministically.
+    /// Processes a batch of samples, scoring them (one preparation plus
+    /// every check per sample) across the pool's workers, then
+    /// committing deterministically.
     ///
-    /// The parallel phase shares `&self.assertions` across workers
-    /// (assertions are pure `Send + Sync` functions) and computes each
-    /// sample's dense outcome vector; the merge phase then runs on the
-    /// calling thread **in sample order**: outcomes are appended to the
-    /// [`AssertionDb`] shard-by-shard and corrective actions fire in the
-    /// same order the sequential path would fire them.
+    /// The parallel phase shares the assertion set and preparer across
+    /// workers (both are pure `Send + Sync` functions) and fills each
+    /// sample's dense severity row; the commit phase then runs on the
+    /// calling thread **in sample order**, so outcomes are recorded and
+    /// corrective actions fire exactly as on the sequential path.
     ///
-    /// **Determinism invariant:** for pure assertions, this produces
-    /// bit-for-bit the same reports, database contents, and corrective-
-    /// action sequence as calling [`Monitor::process`] on each sample in
-    /// order, at any thread count (enforced by the engine's property
-    /// tests at 1/2/8 threads).
+    /// **Determinism invariant:** for pure assertions and a
+    /// deterministic preparer, this produces bit-for-bit the same
+    /// reports, database contents, and corrective-action sequence as
+    /// calling [`Monitor::process`] on each sample in order, at any
+    /// thread count (enforced by the engine's property tests at 1/2/8
+    /// threads).
     pub fn process_batch(&mut self, samples: &[S], pool: &ThreadPool) -> Vec<SampleReport>
     where
         S: Sync,
     {
-        let matrix =
-            crate::stream::score_batch(&self.assertions, &crate::stream::NoPrep, samples, pool);
-        let first = self.next_sample;
-        self.db.record_matrix(first, &matrix);
-        self.next_sample += samples.len();
-        let mut reports = Vec::with_capacity(samples.len());
-        for (i, row) in matrix.iter_rows().enumerate() {
-            // Severity::new round-trips raw values exactly, so these
-            // outcome rows are bit-for-bit the sequential path's.
-            let outcomes: Vec<(AssertionId, Severity)> = row
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| (AssertionId(m), Severity::new(v)))
-                .collect();
-            let report = SampleReport {
-                sample: first + i,
-                outcomes,
-            };
-            let max = report.max_severity();
-            for (threshold, action) in &mut self.actions {
-                if max >= *threshold {
-                    action(&samples[i], &report);
-                }
-            }
-            reports.push(report);
-        }
-        reports
+        let (set, preparer) = (&self.assertions, &*self.preparer);
+        // PANIC: score_rows_chunked only fills i < samples.len().
+        let (matrix, _) = score_rows_chunked(samples.len(), set.len(), pool, |i, row| {
+            let prep = preparer.prepare(&samples[i]);
+            set.check_all_prepared_values(&samples[i], &prep, row);
+            0.0
+        });
+        samples
+            .iter()
+            .zip(matrix.iter_rows())
+            .map(|(sample, row)| {
+                // Severity::new round-trips each raw value exactly, so
+                // these outcome rows are bit-for-bit the sequential path's.
+                let outcomes = row
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &v)| (AssertionId(m), Severity::new(v)))
+                    .collect();
+                self.commit(sample, outcomes)
+            })
+            .collect()
     }
 
     /// Number of samples processed.
@@ -217,7 +282,7 @@ impl<S: 'static> Default for Monitor<S> {
     }
 }
 
-impl<S: 'static> std::fmt::Debug for Monitor<S> {
+impl<S: 'static, P> std::fmt::Debug for Monitor<S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("assertions", &self.assertions.names())

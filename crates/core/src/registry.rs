@@ -26,6 +26,16 @@ struct Entry<S, P> {
     prepared: Option<PreparedCheck<S, P>>,
 }
 
+impl<S, P> Entry<S, P> {
+    /// The prepared-path check if one is registered, else the plain one.
+    fn check_prepared(&self, sample: &S, prep: &P) -> Severity {
+        match &self.prepared {
+            Some(check) => check(sample, prep),
+            None => self.assertion.check(sample),
+        }
+    }
+}
+
 /// An ordered registry of assertions over sample type `S` — the paper's
 /// collaboratively maintained "assertion database" interface (Figure 2).
 ///
@@ -197,51 +207,29 @@ impl<S: 'static, P> AssertionSet<S, P> {
     /// [`AssertionSet::check_all`] (enforced by the engine's equivalence
     /// property tests); only the wall-clock differs.
     pub fn check_all_prepared(&self, sample: &S, prep: &P) -> Vec<(AssertionId, Severity)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        self.check_all_prepared_into(sample, prep, &mut out);
-        out
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (AssertionId(i), e.check_prepared(sample, prep)))
+            .collect()
     }
 
-    /// [`AssertionSet::check_all_prepared`] into a caller-owned row
-    /// buffer: `out` is cleared and refilled with one `(id, severity)`
-    /// per assertion.
-    ///
-    /// This is the allocation-free form the streaming hot loop uses — a
-    /// scorer reuses one row buffer across every window it scores instead
-    /// of allocating a fresh `Vec` per center.
-    pub fn check_all_prepared_into(
-        &self,
-        sample: &S,
-        prep: &P,
-        out: &mut Vec<(AssertionId, Severity)>,
-    ) {
-        out.clear();
-        out.extend(self.entries.iter().enumerate().map(|(i, e)| {
-            let severity = match &e.prepared {
-                Some(check) => check(sample, prep),
-                None => e.assertion.check(sample),
-            };
-            (AssertionId(i), severity)
-        }));
-    }
-
-    /// The columnar form of [`AssertionSet::check_all_prepared_into`]:
-    /// `out` is cleared and refilled with the **raw severity values** in
+    /// The columnar form of [`AssertionSet::check_all_prepared`]: `out`
+    /// is cleared and refilled with the **raw severity values** in
     /// assertion-id order — one dense `f64` row ready to push into a
-    /// [`crate::SeverityMatrix`].
+    /// [`crate::SeverityMatrix`]. This is the allocation-free form the
+    /// scoring hot loop uses, reusing one row buffer across every window.
     ///
     /// The id of position `m` is `AssertionId(m)` by construction, so no
     /// information is lost relative to the `(id, severity)` row form;
     /// `Severity::new` round-trips each value exactly.
     pub fn check_all_prepared_values(&self, sample: &S, prep: &P, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.entries.iter().map(|e| {
-            let severity = match &e.prepared {
-                Some(check) => check(sample, prep),
-                None => e.assertion.check(sample),
-            };
-            severity.value()
-        }));
+        out.extend(
+            self.entries
+                .iter()
+                .map(|e| e.check_prepared(sample, prep).value()),
+        );
     }
 
     /// Runs one assertion on the sample.
@@ -251,20 +239,6 @@ impl<S: 'static, P> AssertionSet<S, P> {
     /// Panics if `id` is not from this set.
     pub fn check_one(&self, id: AssertionId, sample: &S) -> Severity {
         self.entries[id.0].assertion.check(sample)
-    }
-
-    /// Runs one assertion on the sample with a shared preparation
-    /// artifact (falling back to the plain check when the assertion has
-    /// no prepared path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not from this set.
-    pub fn check_one_prepared(&self, id: AssertionId, sample: &S, prep: &P) -> Severity {
-        match &self.entries[id.0].prepared {
-            Some(check) => check(sample, prep),
-            None => self.entries[id.0].assertion.check(sample),
-        }
     }
 }
 
@@ -321,18 +295,6 @@ mod tests {
         let set = sample_set();
         assert!(set.check_one(AssertionId(0), &-1).fired());
         assert!(!set.check_one(AssertionId(0), &1).fired());
-    }
-
-    #[test]
-    fn check_all_prepared_into_reuses_the_row_buffer() {
-        let set = sample_set();
-        let mut row = Vec::new();
-        set.check_all_prepared_into(&-5, &(), &mut row);
-        assert_eq!(row, set.check_all_prepared(&-5, &()));
-        let cap = row.capacity();
-        set.check_all_prepared_into(&5000, &(), &mut row);
-        assert_eq!(row, set.check_all_prepared(&5000, &()));
-        assert_eq!(row.capacity(), cap, "a refill must not reallocate");
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! * [`matchers`] — the indexed matchers every assertion routes through
 //!   (NMS, association pairs, overlap triples, agreement counts), with a
 //!   process-wide [`matchers::MatchBackend`] toggle.
-//! * [`reference`] — the preserved O(n²) pairwise scans: equivalence
-//!   oracle, benchmark baseline, and small-input fallback.
+//! * [`reference`](mod@reference) — the preserved O(n²) pairwise
+//!   scans: equivalence oracle, benchmark baseline, and small-input
+//!   fallback.
 //!
 //! # Example
 //!

@@ -3,7 +3,7 @@
 //! Edges are built from identifier references inside function bodies:
 //! any identifier that names a workspace function becomes an edge to
 //! every candidate that context cannot rule out. The resolution ladder
-//! (see [`resolve`]) narrows only where Rust's expression grammar
+//! (see `resolve`) narrows only where Rust's expression grammar
 //! guarantees the excluded candidates are impossible — `.name(` can
 //! only be a method, a bare `name` can only be a free fn, `name:` is a
 //! field label, `.name` without a call is a field access — and

@@ -132,7 +132,7 @@ pub const JUSTIFY_LOOKBACK: u32 = 10;
 pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/active/src/pool.rs",
-        4,
+        3,
         "candidate-pool accessors: ids are the pool's own dense 0..len id space",
     ),
     (
@@ -182,14 +182,9 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "worker-pool lock poisoning: a sibling thread already panicked, propagate",
     ),
     (
-        "crates/core/src/severity.rs",
-        1,
-        "row slice in bounds by the preceding assert",
-    ),
-    (
         "crates/core/src/stream.rs",
-        3,
-        "slider compaction never outruns emitted spans; flush emits one row per center",
+        1,
+        "slider compaction never outruns emitted spans",
     ),
     (
         "crates/core/src/sync.rs",
@@ -238,13 +233,13 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/learn/src/linalg.rs",
-        2,
+        1,
         "matrix accessors indexed under dimension asserts",
     ),
     (
         "crates/scenario/src/drivers.rs",
-        6,
-        "clamped window arithmetic and the StreamScorer push-after-flush contract",
+        3,
+        "clamped_window keeps lo <= i < hi <= n for every fed index i < n",
     ),
     (
         "crates/scenario/src/errors.rs",
@@ -258,7 +253,7 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/service/src/service.rs",
-        4,
+        3,
         "shard lock poisoning means a scorer already panicked; propagate",
     ),
     (

@@ -3,18 +3,28 @@
 //! Both paths return, per stream position, the dense per-assertion
 //! severity row — collected **columnar**, as one contiguous
 //! [`SeverityMatrix`] — and the model uncertainty: the inputs the
-//! selection strategies consume. Both are deterministic, input-order
+//! selection strategies consume. Both run on the one chunked driver,
+//! [`score_rows_chunked`], over each position's clamped window borrowed
+//! in place from the item slice; both are deterministic, input-order
 //! merged, and bit-for-bit identical to each other at any thread count
 //! (the registry-driven conformance suite enforces this for every
 //! registered scenario).
 
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{
-    score_rows_chunked, score_stream_rows, Prepare, RowStreamScorer, SlidingSpans, WindowSpan,
-};
+use omg_core::stream::{score_rows_chunked, Prepare};
 use omg_core::{AssertionSet, SeverityMatrix};
 
 use crate::Scenario;
+
+/// The clamped window around stream position `i` — `half` items of
+/// context on each side, cut at the stream's ends — and the index of
+/// position `i` within it.
+fn clamped_window<T>(items: &[T], i: usize, half: usize) -> (&[T], usize) {
+    let lo = i.saturating_sub(half);
+    // PANIC: both drivers pass i < items.len() (score_rows_chunked's
+    // contract), so lo <= i < hi <= items.len().
+    (&items[lo..(i + half + 1).min(items.len())], i - lo)
+}
 
 /// Batch-scores a scenario's item stream: for each position, the clamped
 /// window of `window_half` items of context becomes a sample checked
@@ -30,57 +40,26 @@ pub fn score_scenario<Sc: Scenario>(
     pool: &ThreadPool,
 ) -> (SeverityMatrix, Vec<f64>) {
     let half = scenario.window_half();
-    let n = items.len();
-    // PANIC: score_rows_chunked feeds i < n, and lo <= i < hi <= n by
-    // the saturating/clamped arithmetic above each use.
-    score_rows_chunked(n, set.len(), pool, |i, row| {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        let sample = scenario.make_sample(&items[lo..hi], i - lo);
+    score_rows_chunked(items.len(), set.len(), pool, |i, row| {
+        let (window, center) = clamped_window(items, i, half);
+        let sample = scenario.make_sample(window, center);
         row.clear();
         row.extend(set.check_all(&sample).iter().map(|&(_, s)| s.value()));
-        scenario.uncertainty(&items[i])
+        // PANIC: clamped_window returns a center inside its window.
+        scenario.uncertainty(&window[center])
     })
 }
 
-/// An incremental scorer over one chunk of a scenario's item stream:
-/// counts items one at a time through an index-emitting slider, borrows
-/// each completed window **in place** from the caller's item slice (no
-/// item is ever cloned — the slider stores indices, not items), prepares
-/// it once, and checks the prepared assertion set against the shared
-/// artifact into a dense severity-row buffer reused across every center.
-/// Margin centers of a parallel chunk go through the skipped path —
-/// window bookkeeping only, no preparation, no checks. This one type
-/// replaces the per-scenario stream scorers the use cases used to
-/// hand-roll.
-struct ScenarioStreamScorer<'a, Sc: Scenario> {
-    scenario: &'a Sc,
-    set: &'a AssertionSet<Sc::Sample, Sc::Prep>,
-    preparer: &'a (dyn Prepare<Sc::Sample, Prepared = Sc::Prep> + 'a),
-    items: &'a [Sc::Item],
-    /// Global index of the first item this scorer is fed (chunk start);
-    /// the slider's spans are relative to it.
-    offset: usize,
-    /// `Some` while the stream is still being pushed; taken by the first
-    /// tail flush (the slider's `finish` consumes it by design).
-    spans: Option<SlidingSpans>,
-    /// Right-edge-clamped tail spans, materialized at the first flush.
-    tail: std::vec::IntoIter<WindowSpan>,
-    /// The dense severity row reused across centers.
-    row: Vec<f64>,
-}
-
-/// Scores **one** clamped window on the incremental path: builds the
+/// Scores **one** clamped window on the prepare-once path: builds the
 /// sample, runs the shared preparation exactly once, checks the prepared
 /// set into the caller's reusable dense severity row (raw values in
 /// assertion-id order — a [`SeverityMatrix`] row), and returns the
 /// uncertainty of `window[center]`.
 ///
 /// This is the single scoring kernel behind both
-/// [`stream_score_scenario`] (which feeds it slider-emitted spans) and
-/// the multi-tenant service's per-session shards — sharing it is what
-/// makes the service path bit-for-bit equal to the streaming path *by
-/// construction*, not by coincidence.
+/// [`stream_score_scenario`] and the multi-tenant service's per-session
+/// shards — sharing it is what makes the service path bit-for-bit equal
+/// to the streaming path *by construction*, not by coincidence.
 pub fn score_window<Sc: Scenario>(
     scenario: &Sc,
     set: &AssertionSet<Sc::Sample, Sc::Prep>,
@@ -93,72 +72,18 @@ pub fn score_window<Sc: Scenario>(
     let prep = preparer.prepare(&sample);
     set.check_all_prepared_values(&sample, &prep, values);
     // PANIC: center < window.len() is this fn's documented contract;
-    // WindowSpans emits only in-range centers.
+    // both callers pass the center of a clamped window.
     scenario.uncertainty(&window[center])
 }
 
-impl<Sc: Scenario> ScenarioStreamScorer<'_, Sc> {
-    fn score(&mut self, span: WindowSpan) -> f64 {
-        // PANIC: spans emitted by WindowSpans stay inside the pushed
-        // prefix of this chunk, which `items` fully contains.
-        let window = &self.items[self.offset + span.start..self.offset + span.end];
-        score_window(
-            self.scenario,
-            self.set,
-            self.preparer,
-            window,
-            span.center(),
-            &mut self.row,
-        )
-    }
-
-    fn next_tail(&mut self) -> Option<WindowSpan> {
-        if let Some(spans) = self.spans.take() {
-            self.tail = spans.finish().collect::<Vec<_>>().into_iter();
-        }
-        self.tail.next()
-    }
-}
-
-impl<Sc: Scenario> RowStreamScorer for ScenarioStreamScorer<'_, Sc> {
-    fn push(&mut self, index: usize) -> Option<f64> {
-        // PANIC: pushing after finish() is a caller contract violation
-        // the StreamScorer protocol documents; fail loudly.
-        let spans = self.spans.as_mut().expect("push after flush");
-        debug_assert_eq!(index, self.offset + spans.pushed(), "gapless feed");
-        spans.push().map(|s| self.score(s))
-    }
-
-    fn push_skipped(&mut self, index: usize) -> bool {
-        // PANIC: same push-after-flush contract as push().
-        let spans = self.spans.as_mut().expect("push after flush");
-        debug_assert_eq!(index, self.offset + spans.pushed(), "gapless feed");
-        spans.push().is_some()
-    }
-
-    fn row(&self) -> &[f64] {
-        &self.row
-    }
-
-    fn flush(&mut self) -> Option<f64> {
-        self.next_tail().map(|s| self.score(s))
-    }
-
-    fn flush_skipped(&mut self) -> bool {
-        self.next_tail().is_some()
-    }
-}
-
-/// Stream-scores a scenario's item stream: the incremental counterpart
+/// Stream-scores a scenario's item stream: the prepare-once counterpart
 /// of [`score_scenario`], computing identical severities and
-/// uncertainties with **zero item copies** (windows are borrowed slices
-/// of `items`, described by an index-emitting slider) and **one**
-/// preparation per window (shared by every assertion in the prepared
-/// set) instead of one per assertion. Chunks of the stream fan out
-/// across the persistent pool's workers with `window_half` items of
-/// re-fed margin — margin centers are never scored, only counted — and
-/// chunk-local severity blocks merge in stream order by range-copy:
-/// bit-for-bit equal to the batch path at any thread count.
+/// uncertainties through [`score_window`] with **zero item copies**
+/// (each window is a borrowed slice of `items`) and **one** preparation
+/// per window (shared by every assertion in the prepared set) instead of
+/// one per assertion. Chunks of the stream fan out across the persistent
+/// pool's workers and merge in stream order by range-copy: bit-for-bit
+/// equal to the batch path at any thread count.
 ///
 /// The preparer is a parameter (rather than taken from the scenario) so
 /// callers can wrap it — the conformance suite passes a
@@ -172,17 +97,9 @@ pub fn stream_score_scenario<Sc: Scenario>(
     pool: &ThreadPool,
 ) -> (SeverityMatrix, Vec<f64>) {
     let half = scenario.window_half();
-    score_stream_rows(items.len(), half, set.len(), pool, |offset| {
-        ScenarioStreamScorer {
-            scenario,
-            set,
-            preparer,
-            items,
-            offset,
-            spans: Some(SlidingSpans::new(half)),
-            tail: Vec::new().into_iter(),
-            row: Vec::with_capacity(set.len()),
-        }
+    score_rows_chunked(items.len(), set.len(), pool, |i, row| {
+        let (window, center) = clamped_window(items, i, half);
+        score_window(scenario, set, preparer, window, center, row)
     })
 }
 
@@ -208,36 +125,23 @@ mod tests {
         }
     }
 
+    /// Streaming prepares each window exactly once at every thread
+    /// count: chunks share the item slice, so no window is prepared twice.
     #[test]
     fn streaming_prepares_once_per_window_sequentially() {
-        let sc = ToyScenario::new(20);
-        let items = sc.run_model(&ToyModel::default());
-        let counter = Arc::new(AtomicUsize::new(0));
-        let probe = CountingPrepare::new(sc.preparer(), counter.clone());
-        let set = sc.prepared_set();
-        let (sev, _) = stream_score_scenario(&sc, &set, &probe, &items, &ThreadPool::sequential());
-        assert_eq!(sev.len(), items.len());
-        assert_eq!(counter.load(Ordering::SeqCst), items.len());
-    }
-
-    /// Parallel streaming must prepare each *owned* center exactly once
-    /// too: re-fed chunk margins go through the skipped path, which does
-    /// pure window arithmetic — no preparation, no assertion checks.
-    #[test]
-    fn parallel_streaming_never_prepares_margin_centers() {
         let sc = ToyScenario::new(97);
         let items = sc.run_model(&ToyModel::default());
-        for threads in [2, 8] {
+        let set = sc.prepared_set();
+        for threads in [1, 2, 8] {
             let counter = Arc::new(AtomicUsize::new(0));
             let probe = CountingPrepare::new(sc.preparer(), counter.clone());
-            let set = sc.prepared_set();
             let (sev, _) =
                 stream_score_scenario(&sc, &set, &probe, &items, &ThreadPool::exact(threads));
             assert_eq!(sev.len(), items.len());
             assert_eq!(
                 counter.load(Ordering::SeqCst),
                 items.len(),
-                "threads={threads}: margin centers must not be prepared"
+                "threads={threads}: one preparation per window"
             );
         }
     }

@@ -13,12 +13,12 @@
 //! * [`score_scenario`] — the batch reference path: every center's
 //!   clamped window checked with the self-contained assertion set,
 //!   fanned out across a [`ThreadPool`] and merged in stream order.
-//! * [`stream_score_scenario`] — the incremental path: one
-//!   [`omg_core::stream::SlidingSpans`] index slider per chunk emitting
-//!   windows as *borrowed slices* of the item stream (zero item clones,
-//!   one reused severity row), one [`omg_core::stream::Prepare`] run per
-//!   window shared by the whole prepared set, bit-for-bit equal to the
-//!   batch path at any thread count.
+//! * [`stream_score_scenario`] — the prepare-once path: each center's
+//!   clamped window borrowed in place from the item stream (zero item
+//!   clones, one reused severity row per worker), one
+//!   [`omg_core::stream::Prepare`] run per window shared by the whole
+//!   prepared set, bit-for-bit equal to the batch path at any thread
+//!   count. Both paths run on [`omg_core::stream::score_rows_chunked`].
 //! * [`ScenarioLearner`] — the [`omg_active::ActiveLearner`] for any
 //!   scenario that trains: score pool (streaming), label the selection,
 //!   retrain, evaluate.

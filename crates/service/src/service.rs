@@ -13,8 +13,7 @@
 //! Work divides at **session granularity**: a drain pass hands whole
 //! sessions to pool workers ([`ThreadPool::map_indexed_coarse`]), so a
 //! worker scores a session's entire backlog with warm caches and zero
-//! cross-worker window sharing — the per-window fan-out that ROADMAP
-//! item 2 measured *hurting* throughput never happens here.
+//! cross-worker window sharing.
 //!
 //! Determinism: a session's outputs depend only on the items ingested
 //! into that session, in order. Drains may interleave sessions any way
@@ -131,40 +130,75 @@ impl ServiceConfig {
     }
 }
 
+/// Everything a scored window of a session updates: its assertion
+/// database and the outputs not yet delivered to a `poll`.
+struct SessionLog {
+    /// The session's assertion database (optionally retention-capped).
+    db: AssertionDb,
+    /// Per-session retention cap (see [`ServiceConfig::retained_samples`]).
+    retained: Option<usize>,
+    /// Scored severity rows not yet delivered to a `poll`, columnar.
+    severities: SeverityMatrix,
+    /// Scored uncertainties not yet delivered to a `poll`.
+    uncertainties: Vec<f64>,
+    /// Windows scored over the session's lifetime.
+    scored: usize,
+}
+
+impl SessionLog {
+    /// Commits one scored window: records its row in the database,
+    /// applies the retention cap, and queues the row and its uncertainty
+    /// for delivery.
+    fn commit_window(&mut self, index: usize, values: &[f64], uncertainty: f64) {
+        self.db.record_row(index, values);
+        if let Some(keep) = self.retained {
+            self.db.retain_recent(keep);
+        }
+        self.severities.push_row(values);
+        self.uncertainties.push(uncertainty);
+        self.scored += 1;
+    }
+
+    /// Takes the undelivered outputs, leaving the buffers empty.
+    fn take_scores(&mut self) -> Scores {
+        (
+            std::mem::take(&mut self.severities),
+            std::mem::take(&mut self.uncertainties),
+        )
+    }
+}
+
 /// One session's private monitoring state.
 struct SessionShard<Sc: Scenario> {
     /// Accepted-but-unscored items (bounded by the config's capacity).
     queue: VecDeque<Sc::Item>,
     /// The session's window slider (owns the live item suffix).
     windows: SlidingWindows<Sc::Item>,
-    /// The session's assertion database (optionally retention-capped).
-    db: AssertionDb,
-    /// Scored severity rows not yet delivered to a `poll`, columnar.
-    out_severities: SeverityMatrix,
-    /// Scored uncertainties not yet delivered to a `poll`.
-    out_uncertainties: Vec<f64>,
     /// The reusable dense severity row for `score_window`.
     values: Vec<f64>,
+    /// The session's database and undelivered outputs.
+    log: SessionLog,
     /// Drain-clock value of the last ingest (drives idle eviction).
     last_active: u64,
     /// Items accepted over the session's lifetime.
     accepted: usize,
-    /// Windows scored over the session's lifetime.
-    scored: usize,
 }
 
 impl<Sc: Scenario> SessionShard<Sc> {
-    fn new(half: usize, now: u64) -> Self {
+    fn new(half: usize, retained: Option<usize>, now: u64) -> Self {
         Self {
             queue: VecDeque::new(),
             windows: SlidingWindows::new(half),
-            db: AssertionDb::new(),
-            out_severities: SeverityMatrix::new(),
-            out_uncertainties: Vec::new(),
             values: Vec::new(),
+            log: SessionLog {
+                db: AssertionDb::new(),
+                retained,
+                severities: SeverityMatrix::new(),
+                uncertainties: Vec::new(),
+                scored: 0,
+            },
             last_active: now,
             accepted: 0,
-            scored: 0,
         }
     }
 }
@@ -188,7 +222,7 @@ pub struct SessionReport {
 
 /// A long-lived multi-tenant monitor for one scenario.
 ///
-/// See the [module docs](self) for the architecture; see
+/// See the [crate docs](crate) for the architecture; see
 /// [`crate::ServicePool`] for the cross-scenario registry that shares
 /// whole services by name.
 pub struct MonitorService<Sc: Scenario> {
@@ -256,9 +290,10 @@ impl<Sc: Scenario> MonitorService<Sc> {
 
     fn shard(&self, session: SessionId) -> Arc<Mutex<SessionShard<Sc>>> {
         let half = self.scenario.window_half();
+        let retained = self.config.retained_samples;
         let now = self.clock.load(Ordering::Relaxed);
         self.shards.get_or_init(session, || {
-            Arc::new(Mutex::new(SessionShard::new(half, now)))
+            Arc::new(Mutex::new(SessionShard::new(half, retained, now)))
         })
     }
 
@@ -293,39 +328,29 @@ impl<Sc: Scenario> MonitorService<Sc> {
     }
 
     /// Scores one shard's whole backlog: the coarse per-session work
-    /// unit a drain pass hands to a pool worker.
+    /// unit a drain pass hands to a pool worker. Returns the number of
+    /// windows scored.
     fn drain_shard(
         scenario: &Sc,
         set: &AssertionSet<Sc::Sample, Sc::Prep>,
         preparer: &(dyn Prepare<Sc::Sample, Prepared = Sc::Prep> + '_),
-        retained: Option<usize>,
         shard: &mut SessionShard<Sc>,
     ) -> usize {
         let SessionShard {
             queue,
             windows,
-            db,
-            out_severities,
-            out_uncertainties,
             values,
-            scored,
+            log,
             ..
         } = shard;
-        let mut emitted = 0usize;
+        let before = log.scored;
         while let Some(item) = queue.pop_front() {
             if let Some(w) = windows.push(item) {
                 let unc = score_window(scenario, set, preparer, w.items, w.center, values);
-                db.record_row(w.index, values);
-                if let Some(keep) = retained {
-                    db.retain_recent(keep);
-                }
-                out_severities.push_row(values);
-                out_uncertainties.push(unc);
-                emitted += 1;
+                log.commit_window(w.index, values, unc);
             }
         }
-        *scored += emitted;
-        emitted
+        log.scored - before
     }
 
     /// Drains every session's queue: whole sessions fan out across the
@@ -339,14 +364,13 @@ impl<Sc: Scenario> MonitorService<Sc> {
         let scenario = &*self.scenario;
         let set = &*self.set;
         let preparer = self.preparer.as_ref();
-        let retained = self.config.retained_samples;
         let scored: usize = pool
             // PANIC: i < shards.len() by map_indexed_coarse's contract;
             // a poisoned shard means a scorer panicked mid-drain, so
             // the shard state is unusable — propagate.
             .map_indexed_coarse(shards.len(), |i| {
                 let mut shard = shards[i].1.lock().expect("shard poisoned");
-                Self::drain_shard(scenario, set, preparer, retained, &mut shard)
+                Self::drain_shard(scenario, set, preparer, &mut shard)
             })
             .into_iter()
             .sum();
@@ -364,10 +388,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
     pub fn poll(&self, session: SessionId) -> Option<Scores> {
         let shard = self.shards.get(&session)?;
         let mut shard = shard.lock().expect("shard poisoned");
-        Some((
-            std::mem::take(&mut shard.out_severities),
-            std::mem::take(&mut shard.out_uncertainties),
-        ))
+        Some(shard.log.take_scores())
     }
 
     /// Finishes a session: drains its remaining queue, flushes the
@@ -378,52 +399,30 @@ impl<Sc: Scenario> MonitorService<Sc> {
         let shard = self.shards.remove(&session)?;
         // PANIC: poisoning propagation — the drain already panicked.
         let mut shard = shard.lock().expect("shard poisoned");
-        let retained = self.config.retained_samples;
-        let mut emitted = Self::drain_shard(
-            &self.scenario,
-            &self.set,
-            self.preparer.as_ref(),
-            retained,
-            &mut shard,
-        );
-        let half = self.scenario.window_half();
+        let (scenario, set, preparer) = (&*self.scenario, &*self.set, self.preparer.as_ref());
+        let before = shard.log.scored;
+        Self::drain_shard(scenario, set, preparer, &mut shard);
+        let half = scenario.window_half();
         let slider = std::mem::replace(&mut shard.windows, SlidingWindows::new(half));
         let mut tail = slider.finish();
         let SessionShard {
-            db,
-            out_severities,
-            out_uncertainties,
             values,
+            log,
+            accepted,
             ..
         } = &mut *shard;
         while let Some(w) = tail.next() {
-            let unc = score_window(
-                &*self.scenario,
-                &self.set,
-                self.preparer.as_ref(),
-                w.items,
-                w.center,
-                values,
-            );
-            db.record_row(w.index, values);
-            if let Some(keep) = retained {
-                db.retain_recent(keep);
-            }
-            out_severities.push_row(values);
-            out_uncertainties.push(unc);
-            emitted += 1;
+            let unc = score_window(scenario, set, preparer, w.items, w.center, values);
+            log.commit_window(w.index, values, unc);
         }
-        shard.scored += emitted;
-        self.scored_total.fetch_add(emitted, Ordering::Relaxed);
+        self.scored_total
+            .fetch_add(log.scored - before, Ordering::Relaxed);
         Some(SessionReport {
             session,
-            scores: (
-                std::mem::take(&mut shard.out_severities),
-                std::mem::take(&mut shard.out_uncertainties),
-            ),
-            db: std::mem::take(&mut shard.db),
-            accepted: shard.accepted,
-            scored: shard.scored,
+            scores: log.take_scores(),
+            db: std::mem::take(&mut log.db),
+            accepted: *accepted,
+            scored: log.scored,
         })
     }
 
@@ -445,7 +444,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
             .retain(|_, shard| {
                 // PANIC: poisoning propagation, as in drain/finish.
                 let s = shard.lock().expect("shard poisoned");
-                let drained = s.queue.is_empty() && s.out_severities.is_empty();
+                let drained = s.queue.is_empty() && s.log.severities.is_empty();
                 !(drained && s.last_active < cutoff)
             })
             .into_iter()
@@ -474,7 +473,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
         self.shards
             .entries()
             .iter()
-            .map(|(_, s)| s.lock().expect("shard poisoned").db.len())
+            .map(|(_, s)| s.lock().expect("shard poisoned").log.db.len())
             .sum()
     }
 
@@ -493,6 +492,6 @@ impl<Sc: Scenario> MonitorService<Sc> {
     pub fn session_fire_counts(&self, session: SessionId) -> Option<Vec<usize>> {
         let shard = self.shards.get(&session)?;
         let shard = shard.lock().expect("shard poisoned");
-        Some(shard.db.lifetime_fire_counts())
+        Some(shard.log.db.lifetime_fire_counts())
     }
 }

@@ -327,7 +327,7 @@ impl SimDetector {
     /// The temperature models per-frame sensor/threshold noise. On the
     /// *accept* side the whole logit is softened — that is the flickering
     /// mid-probability zone marginal objects (night-time dark vehicles)
-    /// live in. On the *reject* side only [`TEMPERATURE_BAND`] logits
+    /// live in. On the *reject* side only `TEMPERATURE_BAND` logits
     /// around the boundary are softened: threshold noise smears decisions
     /// the head is unsure about, but does not flip patches it rejects by
     /// a wide margin, so confidently rejected clutter blinks in only on

@@ -15,7 +15,7 @@ use omg_bench::crowd::crowd_windows;
 use omg_bench::scenarios::all_scenarios;
 use omg_bench::video::FLICKER_T;
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::StreamMonitor;
+use omg_core::Monitor;
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
 use omg_geom::matchers::{with_backend, MatchBackend};
 use proptest::prelude::*;
@@ -67,11 +67,11 @@ fn crowded_windows_score_equal_under_both_backends() {
 fn crowded_stream_monitor_matches_reference_backend_at_every_thread_count() {
     let windows = crowd_windows(300, 6, 23);
     let run = |threads: usize| {
-        let mut m = StreamMonitor::new(
+        let mut m = Monitor::with_preparer(
             video_prepared_assertion_set(FLICKER_T),
             VideoPrepare::new(FLICKER_T),
         );
-        let reports = m.ingest_batch(&windows, &ThreadPool::exact(threads));
+        let reports = m.process_batch(&windows, &ThreadPool::exact(threads));
         (reports, m.db().clone())
     };
     let want = with_backend(MatchBackend::Reference, || run(1));

@@ -6,8 +6,8 @@
 //! * the incremental prepare-once path is **bit-for-bit equal** to the
 //!   batch reference path, across world seeds, stream lengths, and the
 //!   1/2/8-thread ladder;
-//! * the expensive per-window preparation runs exactly once per window
-//!   sequentially, and within the chunk-margin bound in parallel;
+//! * the expensive per-window preparation runs exactly once per window,
+//!   at every thread count;
 //! * every trainable scenario drives active-learning rounds end to end.
 //!
 //! (Heinrichs 2023 motivates the incremental formulation: online
@@ -22,10 +22,12 @@
 use omg_bench::scenarios::all_scenarios;
 use omg_bench::video::{self, FLICKER_T};
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::StreamMonitor;
+use omg_core::stream::CountingPrepare;
 use omg_core::Monitor;
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -51,8 +53,9 @@ proptest! {
 
     #[test]
     fn stream_monitor_equals_batch_monitor_on_video(seed in 0u64..200, len in 2usize..16) {
-        // The monitor-level guarantee: StreamMonitor's reports and
-        // database match Monitor's, sample for sample, at 1/2/8 threads.
+        // The monitor-level guarantee: the prepared monitor's reports and
+        // database match the self-contained monitor's, sample for sample,
+        // at 1/2/8 threads.
         // (Windows built by hand from the shared detector: the
         // `monitor_windows` convenience pretrains a fresh one per call.)
         let mut world = omg_sim::traffic::TrafficWorld::new(
@@ -64,22 +67,25 @@ proptest! {
         let windows: Vec<_> = (0..len).map(|c| video::window_at(&frames, &dets, c)).collect();
         let mut reference = Monitor::with_assertions(video_assertion_set(FLICKER_T));
         let want: Vec<_> = windows.iter().map(|w| reference.process(w)).collect();
-        let mut stream = StreamMonitor::new(
+        let prepares = Arc::new(AtomicUsize::new(0));
+        let mut stream = Monitor::with_preparer(
             video_prepared_assertion_set(FLICKER_T),
-            VideoPrepare::new(FLICKER_T),
+            CountingPrepare::new(VideoPrepare::new(FLICKER_T), prepares.clone()),
         );
-        let got: Vec<_> = windows.iter().map(|w| stream.ingest(w)).collect();
-        prop_assert_eq!(&got, &want, "ingest != process (seed={}, len={})", seed, len);
+        let got: Vec<_> = windows.iter().map(|w| stream.process(w)).collect();
+        prop_assert_eq!(&got, &want, "prepared != self-contained (seed={}, len={})", seed, len);
         prop_assert_eq!(stream.db(), reference.db());
-        prop_assert_eq!(stream.prepare_count(), windows.len());
+        prop_assert_eq!(prepares.load(Ordering::SeqCst), windows.len());
         for threads in THREADS {
-            let mut batch = StreamMonitor::new(
+            let prepares = Arc::new(AtomicUsize::new(0));
+            let mut batch = Monitor::with_preparer(
                 video_prepared_assertion_set(FLICKER_T),
-                VideoPrepare::new(FLICKER_T),
+                CountingPrepare::new(VideoPrepare::new(FLICKER_T), prepares.clone()),
             );
-            let reports = batch.ingest_batch(&windows, &ThreadPool::exact(threads));
-            prop_assert_eq!(&reports, &want, "ingest_batch diverged at {} threads", threads);
+            let reports = batch.process_batch(&windows, &ThreadPool::exact(threads));
+            prop_assert_eq!(&reports, &want, "process_batch diverged at {} threads", threads);
             prop_assert_eq!(batch.db(), reference.db());
+            prop_assert_eq!(prepares.load(Ordering::SeqCst), windows.len());
         }
     }
 }
@@ -108,41 +114,23 @@ fn tiny_streams_score_equal_to_batch_at_the_clamped_edges() {
 }
 
 /// The prepare-once invariant, measured through the registry's counting
-/// probe: sequentially, scoring an `n`-position stream runs each
-/// scenario's preparation (tracking, projection, segmentation, grouping)
-/// exactly `n` times — once per window.
+/// probe: scoring an `n`-position stream runs each scenario's
+/// preparation (tracking, projection, segmentation, grouping) exactly
+/// `n` times — once per window — sequentially and at every thread count,
+/// since parallel chunks borrow their windows from the shared stream.
 #[test]
 fn preparation_runs_exactly_once_per_window_sequentially() {
     for scenario in all_scenarios(11, 60) {
-        let ((sev, _), prepares) = scenario.score_stream_counting(&ThreadPool::sequential());
-        assert_eq!(sev.len(), scenario.len());
-        assert_eq!(
-            prepares,
-            scenario.len(),
-            "{}: sequential streaming must prepare exactly once per window",
-            scenario.name()
-        );
-    }
-}
-
-/// Chunked parallel streaming re-prepares only the chunk margins: with
-/// chunk size `ceil(n / (threads * 4))` and margin `2 * half`, each
-/// scenario's prepare count stays within `n + n_chunks * 2 * half`.
-#[test]
-fn parallel_streaming_overhead_is_bounded_by_chunk_margins() {
-    let threads = 4;
-    for scenario in all_scenarios(13, 80) {
-        let n = scenario.len();
-        let ((sev, _), prepares) = scenario.score_stream_counting(&ThreadPool::exact(threads));
-        assert_eq!(sev.len(), n);
-        let chunk = n.div_ceil(threads * 4).max(1);
-        let n_chunks = n.div_ceil(chunk);
-        let bound = n + n_chunks * 2 * scenario.window_half();
-        assert!(
-            prepares >= n && prepares <= bound,
-            "{}: prepare count {prepares} outside [{n}, {bound}]",
-            scenario.name()
-        );
+        for threads in THREADS {
+            let ((sev, _), prepares) = scenario.score_stream_counting(&ThreadPool::exact(threads));
+            assert_eq!(sev.len(), scenario.len());
+            assert_eq!(
+                prepares,
+                scenario.len(),
+                "{} at {threads} threads: streaming must prepare exactly once per window",
+                scenario.name()
+            );
+        }
     }
 }
 
