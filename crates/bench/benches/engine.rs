@@ -3,15 +3,20 @@
 //! per-sample monitoring cost and consistency-engine scaling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use omg_bench::highway::{shared_pretrained_primary, HighwayScenario, FUSION_WINDOW_HALF};
+use omg_bench::avx::{shared_pretrained_camera, AvScenario};
+use omg_bench::ecgx::{pretrained_classifier, EcgScenario};
+use omg_bench::highway::{shared_pretrained_primary, HighwayScenario};
+use omg_bench::newsx::NewsScenario;
 use omg_bench::video::monitor_windows;
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
 use omg_core::stream::Prepare;
 use omg_core::Monitor;
-use omg_domains::fusion::FusionWindow;
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
-use omg_domains::{video_assertion_set, video_prepared_assertion_set, FusionPrepare, VideoPrepare};
+use omg_domains::{
+    video_assertion_set, video_prepared_assertion_set, AvPrepare, EcgPrepare, FusionPrepare,
+    NewsPrepare, VideoPrepare,
+};
 use omg_geom::BBox2D;
 use omg_scenario::Scenario;
 
@@ -135,42 +140,64 @@ fn tracker_cost(c: &mut Criterion) {
     });
 }
 
-/// `n` highway fusion windows, cut from the scenario's stream the way
-/// the scoring drivers cut them.
-fn fusion_windows(n: usize) -> Vec<FusionWindow> {
-    let scenario = HighwayScenario::highway(3, n, 1);
-    let items = scenario.run_model(shared_pretrained_primary());
-    (0..items.len())
+/// The first `n` windows of a scenario's stream under `model`, cut the
+/// way the scoring drivers cut them.
+///
+/// # Panics
+///
+/// Panics if the stream is shorter than `n`.
+fn scenario_windows<Sc: Scenario>(scenario: &Sc, model: &Sc::Model, n: usize) -> Vec<Sc::Sample> {
+    let items = scenario.run_model(model);
+    assert!(items.len() >= n, "{} items, {n} wanted", items.len());
+    let half = scenario.window_half();
+    (0..n)
         .map(|i| {
-            let lo = i.saturating_sub(FUSION_WINDOW_HALF);
-            let hi = (i + FUSION_WINDOW_HALF + 1).min(items.len());
+            let lo = i.saturating_sub(half);
+            let hi = (i + half + 1).min(items.len());
             scenario.make_sample(&items[lo..hi], i - lo)
         })
         .collect()
 }
 
-/// Per-window cost of each tracked scenario's `Prepare` (tracker run
-/// plus temporal consistency pass), the layer that dominates a video or
-/// fusion window: 100 windows per iteration.
+/// Times `prepare` over every window, once per iteration.
+fn bench_prepare<S, Pr: Prepare<S>>(c: &mut Criterion, id: &str, prepare: &Pr, windows: &[S]) {
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            for w in windows {
+                criterion::black_box(prepare.prepare(w));
+            }
+        });
+    });
+}
+
+/// Per-window cost of each scenario's `Prepare`, 100 windows per
+/// iteration. On a video or fusion window (association plus the
+/// temporal consistency pass) it is the layer that dominates; AV
+/// projects LIDAR boxes, ECG segments the prediction run, news groups
+/// faces per slot.
 fn prepare_cost(c: &mut Criterion) {
-    let video = make_windows(100);
-    let prepare = VideoPrepare::new(0.45);
-    c.bench_function("prepare/video_window", |b| {
-        b.iter(|| {
-            for w in &video {
-                criterion::black_box(prepare.prepare(w));
-            }
-        });
-    });
-    let fusion = fusion_windows(100);
-    let prepare = FusionPrepare::new(0.45);
-    c.bench_function("prepare/fusion_window", |b| {
-        b.iter(|| {
-            for w in &fusion {
-                criterion::black_box(prepare.prepare(w));
-            }
-        });
-    });
+    const N: usize = 100;
+    bench_prepare(
+        c,
+        "prepare/video_window",
+        &VideoPrepare::new(0.45),
+        &make_windows(N),
+    );
+    let highway = HighwayScenario::highway(3, N, 1);
+    let fusion = scenario_windows(&highway, shared_pretrained_primary(), N);
+    bench_prepare(
+        c,
+        "prepare/fusion_window",
+        &FusionPrepare::new(0.45),
+        &fusion,
+    );
+    let av = scenario_windows(&AvScenario::new(3, 5, 1), shared_pretrained_camera(), N);
+    bench_prepare(c, "prepare/av_frame", &AvPrepare, &av);
+    let ecg = EcgScenario::new(3, 40, N, 10);
+    let ecg_windows = scenario_windows(&ecg, &pretrained_classifier(&ecg, 3), N);
+    bench_prepare(c, "prepare/ecg_window", &EcgPrepare, &ecg_windows);
+    let news = scenario_windows(&NewsScenario::new(3, N as u64), &(), N);
+    bench_prepare(c, "prepare/news_scene", &NewsPrepare, &news);
 }
 
 criterion_group! {

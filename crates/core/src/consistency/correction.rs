@@ -1,4 +1,4 @@
-use super::engine::interior_runs;
+use super::engine::{id_groups, interior_runs};
 use super::{AttrValue, ConsistencyEngine, ConsistencySpec, ConsistencyWindow, Violation};
 
 /// A proposed correction for a consistency violation — the raw material of
@@ -82,8 +82,10 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         let mut out = Vec::new();
         let occurrences = self.occurrences(window);
 
-        // 1. Attribute corrections from the violation list.
-        for violation in self.check(window) {
+        // 1. Attribute corrections from the attribute violations.
+        let mut violations = Vec::new();
+        self.check_attributes(window, &occurrences, &mut violations);
+        for violation in violations {
             if let Violation::AttributeMismatch {
                 id,
                 key,
@@ -107,7 +109,7 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         let Some(t_thresh) = self.temporal_threshold() else {
             return out;
         };
-        for (id, positions) in &occurrences {
+        for (id, positions) in id_groups(&occurrences) {
             interior_runs(window.len(), positions, |start, end, present| {
                 // Transition into the run happens at `start`, out of it at
                 // `end + 1`; the run's duration is the time between them.
@@ -117,7 +119,7 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
                 }
                 if present {
                     // A blip: remove this id's outputs in the run.
-                    for &(ti, oi) in positions {
+                    for &(_, ti, oi) in positions {
                         if ti >= start && ti <= end {
                             out.push(Correction::Remove {
                                 id: id.clone(),
@@ -186,8 +188,10 @@ mod tests {
         // Runs of the presence pattern whose present invocations are the
         // first components of `positions`, in a window of `n`.
         let runs = |n: usize, positions: &[(usize, usize)]| {
+            let positions: Vec<(u32, usize, usize)> =
+                positions.iter().map(|&(ti, oi)| (7, ti, oi)).collect();
             let mut runs = Vec::new();
-            interior_runs(n, positions, |s, e, p| runs.push((s, e, p)));
+            interior_runs(n, &positions, |s, e, p| runs.push((s, e, p)));
             runs
         };
         // [present, absent, present]

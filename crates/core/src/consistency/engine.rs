@@ -100,18 +100,25 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         self.temporal_threshold
     }
 
-    /// Positions of every output in the window, grouped by identifier:
-    /// `id -> [(time_index, output_index)]` in time order.
-    pub fn occurrences(
+    /// Every output of the window as `(id, time_index, output_index)`,
+    /// grouped by identifier: ascending ids, and each id's positions in
+    /// window order. The positions are collected in window order and
+    /// sorted stably on the id alone, so [`id_groups`] yields the runs a
+    /// map from id to position list would iterate, in the same order.
+    pub(super) fn occurrences(
         &self,
         window: &ConsistencyWindow<P::Output>,
-    ) -> BTreeMap<P::Id, Vec<(usize, usize)>> {
-        let mut occ: BTreeMap<P::Id, Vec<(usize, usize)>> = BTreeMap::new();
-        for ti in 0..window.len() {
-            for (oi, out) in window.outputs_at(ti).iter().enumerate() {
-                occ.entry(self.spec.id(out)).or_default().push((ti, oi));
-            }
+    ) -> Vec<(P::Id, usize, usize)> {
+        let mut occ = Vec::with_capacity(window.total_outputs());
+        for (ti, (_, outputs)) in window.iter().enumerate() {
+            occ.extend(
+                outputs
+                    .iter()
+                    .enumerate()
+                    .map(|(oi, out)| (self.spec.id(out), ti, oi)),
+            );
         }
+        occ.sort_by(|a, b| a.0.cmp(&b.0));
         occ
     }
 
@@ -148,17 +155,19 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         Severity::from_count(self.check(window).len())
     }
 
-    fn check_attributes(
+    /// Pushes an attribute mismatch for every identifier and key whose
+    /// outputs disagree, in id order, then key order.
+    pub(super) fn check_attributes(
         &self,
         window: &ConsistencyWindow<P::Output>,
-        occurrences: &BTreeMap<P::Id, Vec<(usize, usize)>>,
+        occurrences: &[(P::Id, usize, usize)],
         violations: &mut Vec<Violation<P::Id>>,
     ) {
         // key -> [(position, value)] in time order.
         type PerKey = BTreeMap<String, Vec<((usize, usize), AttrValue)>>;
-        for (id, positions) in occurrences {
+        for (id, group) in id_groups(occurrences) {
             let mut per_key: PerKey = BTreeMap::new();
-            for &(ti, oi) in positions {
+            for &(_, ti, oi) in group {
                 // PANIC: occurrences was built by enumerating this same
                 // window, so (ti, oi) addresses an existing output.
                 let out = &window.outputs_at(ti)[oi];
@@ -203,12 +212,12 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
     /// spurious blips (present).
     fn check_temporal(
         window: &ConsistencyWindow<P::Output>,
-        occurrences: &BTreeMap<P::Id, Vec<(usize, usize)>>,
+        occurrences: &[(P::Id, usize, usize)],
         t_thresh: f64,
         violations: &mut Vec<Violation<P::Id>>,
     ) {
-        for (id, positions) in occurrences {
-            interior_runs(window.len(), positions, |start, end, present| {
+        for (id, group) in id_groups(occurrences) {
+            interior_runs(window.len(), group, |start, end, present| {
                 let (first, second) = (window.time(start), window.time(end + 1));
                 if second - first < t_thresh {
                     violations.push(Violation::TemporalTransition {
@@ -223,20 +232,31 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
     }
 }
 
+/// Splits id-sorted occurrences into one run per identifier, in id
+/// order, each with its id.
+pub(super) fn id_groups<Id: PartialEq>(
+    occurrences: &[(Id, usize, usize)],
+) -> impl Iterator<Item = (&Id, &[(Id, usize, usize)])> {
+    occurrences
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter_map(|group| group.first().map(|(id, ..)| (id, group)))
+}
+
 /// Calls `f(start, end, present)`, in position order, for every maximal
 /// run `[start, end]` of one identifier's presence across a window of
 /// `n` invocations that touches neither edge (so both transitions that
 /// bound it are inside the window): `present` runs where it was
 /// observed, absent runs where it was not. `positions` are its
-/// occurrences in time order, possibly several per invocation.
-pub(super) fn interior_runs(
+/// `(id, time_index, output_index)` occurrences in time order, possibly
+/// several per invocation.
+pub(super) fn interior_runs<Id>(
     n: usize,
-    positions: &[(usize, usize)],
+    positions: &[(Id, usize, usize)],
     mut f: impl FnMut(usize, usize, bool),
 ) {
     // The present run being extended, as `(start, end)`.
     let mut present: Option<(usize, usize)> = None;
-    for &(ti, _) in positions {
+    for &(_, ti, _) in positions {
         present = match present {
             None => Some((ti, ti)),
             Some((a, b)) if ti <= b + 1 => Some((a, ti)),

@@ -25,11 +25,7 @@ pub struct Record {
 /// Internally the log is sharded **per assertion**: shard `m` holds the
 /// `(sample, severity)` append log of assertion `m`, in recording order.
 /// Per-assertion queries (`fire_count`, `fired_samples`,
-/// `top_by_severity`) scan one shard instead of the whole log, and
-/// [`AssertionDb::record_batch`] appends a whole batch of dense outcome
-/// rows shard-by-shard (columnar, cache-friendly). Recording a batch
-/// column-wise produces exactly the same shard contents as recording
-/// its samples one at a time.
+/// `top_by_severity`) scan one shard instead of the whole log.
 ///
 /// # Retention
 ///
@@ -87,42 +83,6 @@ impl AssertionDb {
         self.num_records += outcomes.len();
         self.lifetime_records += outcomes.len();
         self.num_samples = self.num_samples.max(sample + 1);
-    }
-
-    /// Appends a batch of consecutive samples' outcome rows, column-wise:
-    /// row `i` is the dense outcome vector of sample `first_sample + i`.
-    ///
-    /// Equivalent to calling [`AssertionDb::record_sample`] on each row in
-    /// order (same shard contents, same query answers), but appends whole
-    /// per-assertion columns at a time. Rows that are *not* dense
-    /// id-ordered vectors fall back to the row-major path.
-    pub fn record_batch(&mut self, first_sample: usize, rows: &[Vec<(AssertionId, Severity)>]) {
-        let Some(first_row) = rows.first() else {
-            return;
-        };
-        let dim = first_row.len();
-        let dense = rows
-            .iter()
-            .all(|r| r.len() == dim && r.iter().enumerate().all(|(m, &(id, _))| id.0 == m));
-        if !dense {
-            for (i, row) in rows.iter().enumerate() {
-                self.record_sample(first_sample + i, row);
-            }
-            return;
-        }
-        for m in 0..dim {
-            let shard = self.shard_mut(AssertionId(m));
-            shard.reserve(rows.len());
-            shard.extend(
-                rows.iter()
-                    .enumerate()
-                    .map(|(i, row)| (first_sample + i, row[m].1)),
-            );
-            self.lifetime_fired[m] += rows.iter().filter(|row| row[m].1.fired()).count();
-        }
-        self.num_records += rows.len() * dim;
-        self.lifetime_records += rows.len() * dim;
-        self.num_samples = self.num_samples.max(first_sample + rows.len());
     }
 
     /// Appends the outcomes of one sample from a **dense columnar row**:
@@ -409,49 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_equals_per_sample_recording() {
-        let rows: Vec<Vec<(AssertionId, Severity)>> = (0..7)
-            .map(|i| {
-                vec![
-                    (AssertionId(0), Severity::new(i as f64)),
-                    (AssertionId(1), Severity::from_bool(i % 2 == 0)),
-                ]
-            })
-            .collect();
-        let mut batched = AssertionDb::new();
-        batched.record_sample(0, &rows[0]);
-        batched.record_batch(1, &rows[1..]);
-
-        let mut sequential = AssertionDb::new();
-        for (i, row) in rows.iter().enumerate() {
-            sequential.record_sample(i, row);
-        }
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.len(), 14);
-        assert_eq!(batched.num_samples(), 7);
-    }
-
-    #[test]
-    fn record_batch_sparse_rows_fall_back() {
-        // Rows that are not dense id-ordered vectors still record
-        // identically to the per-sample path.
-        let rows = vec![
-            vec![(AssertionId(2), Severity::new(1.0))],
-            vec![
-                (AssertionId(1), Severity::new(2.0)),
-                (AssertionId(0), Severity::ABSTAIN),
-            ],
-        ];
-        let mut batched = AssertionDb::new();
-        batched.record_batch(5, &rows);
-        let mut sequential = AssertionDb::new();
-        sequential.record_sample(5, &rows[0]);
-        sequential.record_sample(6, &rows[1]);
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.num_assertions(), 3);
-    }
-
-    #[test]
     fn record_row_equals_record_sample() {
         let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64, (i % 2) as f64]).collect();
         let mut columnar = AssertionDb::new();
@@ -472,13 +389,6 @@ mod tests {
         db.record_row(3, &[]);
         assert_eq!(db.num_assertions(), 0);
         assert_eq!(db.num_samples(), 4);
-    }
-
-    #[test]
-    fn record_batch_empty_is_noop() {
-        let mut db = AssertionDb::new();
-        db.record_batch(0, &[]);
-        assert!(db.is_empty());
     }
 
     #[test]

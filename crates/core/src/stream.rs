@@ -116,17 +116,13 @@ pub struct CountingPrepare<Pr> {
 }
 
 impl<Pr> CountingPrepare<Pr> {
-    /// Wraps a preparer; `counter` is incremented on every `prepare`.
+    /// Wraps a preparer; `counter` is incremented on every `prepare`,
+    /// so the caller reads the count from the counter it passed in.
     pub fn new(inner: Pr, counter: Arc<AtomicUsize>) -> Self {
         Self {
             inner,
             count: counter,
         }
-    }
-
-    /// Number of `prepare` calls so far.
-    pub fn count(&self) -> usize {
-        self.count.load(Ordering::SeqCst)
     }
 }
 

@@ -16,14 +16,16 @@
 //!
 //! The shared per-window preparation is the primary channel's temporal
 //! consistency violations — the same pass the video set shares — so the
-//! streaming engine runs the tracker once per window for the whole set.
+//! streaming engine associates the primary boxes once per window for the
+//! whole set.
 
-use omg_core::consistency::{ConsistencyEngine, Violation};
+use omg_core::consistency::Violation;
 use omg_core::stream::Prepare;
 use omg_core::{AssertionSet, FnAssertion, Severity};
 use omg_eval::ScoredBox;
 
-use crate::helpers::{count_no_overlap, track_window, VideoTrackSpec};
+use crate::helpers::{count_no_overlap, track_window};
+use crate::prepared::tracked_violations;
 use crate::{flicker, VideoFrame, VideoWindow};
 
 /// IoU at or above which a secondary box counts as confirmed by a
@@ -134,8 +136,7 @@ pub fn fusion_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow> {
 }
 
 /// The fusion set's shared per-window artifact: the primary channel's
-/// temporal-consistency violations at the preparer's threshold (the
-/// tracked window itself is only needed to compute them).
+/// temporal-consistency violations at the preparer's threshold.
 #[derive(Debug, Clone)]
 pub struct FusionPrep {
     /// The temporal threshold the violations were computed at; carried
@@ -147,11 +148,17 @@ pub struct FusionPrep {
     /// mismatches are not computed: `fusion-flicker` reads only gaps,
     /// and the self-contained reference assertion still runs the full
     /// `check`.
+    ///
+    /// [`ConsistencyEngine::check`]: omg_core::consistency::ConsistencyEngine::check
+    /// [`ConsistencyEngine::temporal_violations`]: omg_core::consistency::ConsistencyEngine::temporal_violations
     pub violations: Vec<Violation<u64>>,
 }
 
-/// Prepares a [`FusionWindow`]: one IoU-tracker run plus one temporal
-/// consistency pass over the primary channel.
+/// Prepares a [`FusionWindow`]: the [`crate::VideoPrepare`] derivation
+/// over the primary channel, read in place: one
+/// [`IouAssociator`](omg_track::IouAssociator) pass over each frame's
+/// primary boxes, then one temporal consistency pass over the issued
+/// track ids.
 #[derive(Debug, Clone, Copy)]
 pub struct FusionPrepare {
     t: f64,
@@ -169,12 +176,10 @@ impl Prepare<FusionWindow> for FusionPrepare {
     type Prepared = FusionPrep;
 
     fn prepare(&self, window: &FusionWindow) -> FusionPrep {
-        let tracked = track_window(&primary_view(window));
-        let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(self.t);
-        let violations = engine.temporal_violations(&tracked);
+        let frames = window.frames.iter().map(|f| (f.time, f.primary.as_slice()));
         FusionPrep {
             t: self.t,
-            violations,
+            violations: tracked_violations(frames, self.t),
         }
     }
 }

@@ -29,7 +29,7 @@
 //!   imputation, and ECG majority smoothing;
 //! * [`label_check`] — the human-label validation pipeline (Appendix E);
 //! * [`prepared`] — shared window preparation for the streaming engine:
-//!   per-task `Prepare`rs (tracking, LIDAR projection, segmentation,
+//!   per-task `Prepare`rs (IoU association, LIDAR projection, segmentation,
 //!   scene grouping) and `*_prepared_assertion_set` constructors whose
 //!   assertions consume one artifact per window instead of re-deriving
 //!   it per assertion.
@@ -56,8 +56,7 @@ pub use fusion::{
 };
 pub use prepared::{
     av_prepared_assertion_set, ecg_prepared_assertion_set, news_prepared_assertion_set,
-    video_prepared_assertion_set, AvPrepare, EcgPrepare, NewsPrepare, TrackedWindow, VideoPrep,
-    VideoPrepare,
+    video_prepared_assertion_set, AvPrepare, EcgPrepare, NewsPrepare, VideoPrep, VideoPrepare,
 };
 pub use window::{AvFrame, EcgWindow, VideoFrame, VideoWindow};
 

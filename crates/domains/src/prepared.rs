@@ -5,7 +5,8 @@
 //!
 //! | Task | Derivation | Artifact |
 //! |---|---|---|
-//! | Video | IoU tracking over the window | [`TrackedWindow`] |
+//! | Video | IoU association over the window, then the temporal pass | [`VideoPrep`] |
+//! | Highway fusion | the video derivation over the primary channel | [`FusionPrep`] |
 //! | AVs | LIDAR→camera box projection | `Vec<BBox2D>` |
 //! | ECG | prediction-run segmentation | `ConsistencyWindow<usize>` |
 //! | TV news | per-slot face grouping | `ConsistencyWindow<NewsFace>` |
@@ -18,26 +19,76 @@
 //! artifact via [`AssertionSet::check_all_prepared`]. Both paths are
 //! bit-for-bit equal (enforced by the engine's equivalence property
 //! tests); only the wall-clock differs — the video set, for example,
-//! drops from three tracker runs per window to one.
+//! drops from three tracker runs per window to one association pass.
+//!
+//! [`FusionPrep`]: crate::FusionPrep
 
-use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow, Violation};
+use omg_core::consistency::{
+    AttrValue, ConsistencyEngine, ConsistencySpec, ConsistencyWindow, Violation,
+};
 use omg_core::stream::Prepare;
 use omg_core::{AssertionSet, Severity};
+use omg_eval::ScoredBox;
 use omg_geom::BBox2D;
 use omg_sim::news::{NewsFace, NewsScene};
+use omg_track::IouAssociator;
 
-use crate::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use crate::{agree, AvFrame, EcgWindow, VideoWindow};
 use crate::{appear, ecg, flicker, multibox, news};
 
-/// A video window with tracker-assigned identities — the first stage of
-/// the video set's shared artifact.
-pub type TrackedWindow = ConsistencyWindow<TrackedBox>;
+/// The IoU threshold of the tracker in [`crate::helpers::track_window`],
+/// which the prepared path must share.
+const TRACK_IOU: f64 = 0.25;
+/// The maximum age of the tracker in [`crate::helpers::track_window`].
+const TRACK_MAX_AGE: usize = 3;
 
-/// The video set's shared per-window artifact: the tracked window plus
-/// the temporal-consistency violations at the set's threshold. `flicker`
+/// Bare track ids: each output is its own identifier and carries no
+/// attribute, since the prepared checks read only presence transitions.
+struct TrackIdSpec;
+
+impl ConsistencySpec for TrackIdSpec {
+    type Output = u64;
+    type Id = u64;
+
+    fn id(&self, track: &u64) -> u64 {
+        *track
+    }
+
+    fn attrs(&self, _track: &u64) -> Vec<(String, AttrValue)> {
+        Vec::new()
+    }
+
+    fn attr_keys(&self) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// The temporal-transition violations at threshold `t` of a window given
+/// as `(time, boxes)` frames. Each frame's boxes go straight to one
+/// [`IouAssociator`] with [`crate::helpers::track_window`]'s parameters,
+/// and the temporal pass runs over the issued track ids, so the list
+/// equals, element for element, the `TemporalTransition` entries of
+/// [`ConsistencyEngine::check`] over `track_window` under
+/// [`crate::helpers::VideoTrackSpec`].
+pub(crate) fn tracked_violations<'a>(
+    frames: impl IntoIterator<Item = (f64, &'a [ScoredBox])>,
+    t: f64,
+) -> Vec<Violation<u64>> {
+    let mut associator = IouAssociator::new(TRACK_IOU, TRACK_MAX_AGE);
+    let mut ids = ConsistencyWindow::new();
+    for (fi, (time, dets)) in frames.into_iter().enumerate() {
+        let tracks = associator.assign(fi, dets.iter().map(|d| d.bbox));
+        ids.push(time, tracks.iter().map(|id| id.0).collect());
+    }
+    ConsistencyEngine::new(TrackIdSpec)
+        .with_temporal_threshold(t)
+        .temporal_violations(&ids)
+}
+
+/// The video set's shared per-window artifact: the temporal-consistency
+/// violations of the tracked window at the set's threshold. `flicker`
 /// and `appear` filter *opposite* transition types out of the same
-/// violation list, so sharing it runs both the tracker and the
+/// violation list, so sharing it runs the association and the
 /// consistency engine's temporal pass once per window instead of once
 /// per assertion.
 #[derive(Debug, Clone)]
@@ -46,8 +97,6 @@ pub struct VideoPrep {
     /// so the prepared checks can reject a preparer/set threshold
     /// mismatch instead of silently diverging from the reference path.
     pub t: f64,
-    /// The tracked window.
-    pub tracked: TrackedWindow,
     /// The temporal-transition violations of the tracked window at the
     /// preparer's temporal threshold, in [`ConsistencyEngine::check`]
     /// order ([`ConsistencyEngine::temporal_violations`]). Attribute
@@ -57,8 +106,10 @@ pub struct VideoPrep {
     pub violations: Vec<Violation<u64>>,
 }
 
-/// Prepares a [`VideoWindow`]: one IoU-tracker run plus one temporal
-/// consistency pass (at threshold `t`) over the window.
+/// Prepares a [`VideoWindow`]: one [`IouAssociator`] pass over the
+/// frames' boxes, then one temporal consistency pass (at threshold `t`)
+/// over the issued track ids. No track history, box copy or attribute
+/// is built: the prepared checks read only presence transitions.
 #[derive(Debug, Clone, Copy)]
 pub struct VideoPrepare {
     t: f64,
@@ -81,13 +132,10 @@ impl Prepare<VideoWindow> for VideoPrepare {
     type Prepared = VideoPrep;
 
     fn prepare(&self, window: &VideoWindow) -> VideoPrep {
-        let tracked = track_window(window);
-        let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(self.t);
-        let violations = engine.temporal_violations(&tracked);
+        let frames = window.frames.iter().map(|f| (f.time, f.dets.as_slice()));
         VideoPrep {
             t: self.t,
-            tracked,
-            violations,
+            violations: tracked_violations(frames, self.t),
         }
     }
 }
@@ -103,7 +151,7 @@ fn transition_count(violations: &[Violation<u64>], want_gap: bool) -> usize {
 
 /// The video assertion set with shared preparation: same assertions,
 /// names, and severities as [`crate::video_assertion_set`], but `flicker`
-/// and `appear` consume one [`VideoPrep`] (tracking + consistency check)
+/// and `appear` consume one [`VideoPrep`] (association + temporal pass)
 /// per window instead of each re-deriving it (`multibox` needs neither
 /// and keeps its plain check).
 ///

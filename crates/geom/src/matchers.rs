@@ -194,24 +194,27 @@ pub fn nms_indices_per_class(
     kept
 }
 
-/// All `(iou, anchor_idx, query_idx)` pairs with IoU at or above
-/// `iou_threshold`, sorted by ascending `(anchor_idx, query_idx)` —
-/// identical to [`reference::iou_pairs`] in content *and* order (the
-/// grid returns candidates in ascending index order). The tracker's
-/// greedy detection-to-track association consumes this.
+/// Replaces the contents of `pairs` with every `(iou, anchor_idx,
+/// query_idx)` pair whose IoU is at or above `iou_threshold`, sorted by
+/// ascending `(anchor_idx, query_idx)` — identical to
+/// [`reference::iou_pairs`] in content *and* order (the grid returns
+/// candidates in ascending index order). The tracker's greedy
+/// detection-to-track association consumes this, reusing one buffer
+/// across frames.
 pub fn iou_pairs(
     anchors: &[BBox2D],
     queries: &[BBox2D],
     iou_threshold: f64,
-) -> Vec<(f64, usize, usize)> {
+    pairs: &mut Vec<(f64, usize, usize)>,
+) {
     if backend() == MatchBackend::Reference
         || anchors.len() * queries.len() < INDEX_MIN * INDEX_MIN
         || !threshold_indexable(iou_threshold, false)
     {
-        return reference::iou_pairs(anchors, queries, iou_threshold);
+        return reference::iou_pairs(anchors, queries, iou_threshold, pairs);
     }
+    pairs.clear();
     let grid = GridIndex2D::build(queries);
-    let mut pairs = Vec::new();
     let mut cands: Vec<usize> = Vec::new();
     for (ai, a) in anchors.iter().enumerate() {
         grid.candidates_overlapping(a, &mut cands);
@@ -223,7 +226,6 @@ pub fn iou_pairs(
             }
         }
     }
-    pairs
 }
 
 /// Counts triples `i < j < k` of same-class boxes that pairwise overlap
@@ -321,6 +323,23 @@ mod tests {
             .collect()
     }
 
+    /// An `iou_pairs` form: the indexed matcher or its reference.
+    type PairsForm = fn(&[BBox2D], &[BBox2D], f64, &mut Vec<(f64, usize, usize)>);
+
+    /// The pairs an `iou_pairs` form writes into a buffer that starts
+    /// out holding a stale pair, so a form that appends without
+    /// clearing fails the comparison.
+    fn pairs_of(
+        form: PairsForm,
+        anchors: &[BBox2D],
+        queries: &[BBox2D],
+        thr: f64,
+    ) -> Vec<(f64, usize, usize)> {
+        let mut pairs = vec![(f64::NAN, usize::MAX, usize::MAX)];
+        form(anchors, queries, thr, &mut pairs);
+        pairs
+    }
+
     fn scores_for(boxes: &[BBox2D], seed: u64) -> Vec<f64> {
         (0..boxes.len())
             .map(|i| ((i as u64).wrapping_mul(seed) % 1000) as f64 / 1000.0)
@@ -351,8 +370,8 @@ mod tests {
             reference::nms_indices_per_class(&boxes, &scores, &classes, 0.5)
         );
         assert_eq!(
-            iou_pairs(&boxes, &others, 0.1),
-            reference::iou_pairs(&boxes, &others, 0.1)
+            pairs_of(iou_pairs, &boxes, &others, 0.1),
+            pairs_of(reference::iou_pairs, &boxes, &others, 0.1)
         );
         assert_eq!(
             overlap_triples(&boxes, &classes, 0.3),
@@ -373,7 +392,7 @@ mod tests {
         let a = scene(1, 150, 300.0, 10.0);
         let b = scene(2, 150, 300.0, 10.0);
         assert_eq!(
-            iou_pairs(&a, &b, 0.0).len(),
+            pairs_of(iou_pairs, &a, &b, 0.0).len(),
             a.len() * b.len(),
             "zero threshold keeps every pair"
         );
@@ -383,8 +402,8 @@ mod tests {
             reference::nms_indices(&a, &scores_for(&a, 3), -1.0)
         );
         assert_eq!(
-            iou_pairs(&a, &b, f64::NAN),
-            reference::iou_pairs(&a, &b, f64::NAN)
+            pairs_of(iou_pairs, &a, &b, f64::NAN),
+            pairs_of(reference::iou_pairs, &a, &b, f64::NAN)
         );
     }
 

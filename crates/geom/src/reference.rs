@@ -99,17 +99,19 @@ pub fn nms_indices_per_class(
     kept
 }
 
-/// All `(iou, anchor_idx, query_idx)` pairs with IoU at or above
-/// `iou_threshold`, anchors outer / queries inner (so the list is sorted
-/// by ascending `(anchor_idx, query_idx)`). The reference for
+/// Replaces the contents of `pairs` with every `(iou, anchor_idx,
+/// query_idx)` pair whose IoU is at or above `iou_threshold`, anchors
+/// outer / queries inner (so the list is sorted by ascending
+/// `(anchor_idx, query_idx)`). The reference for
 /// [`crate::matchers::iou_pairs`]; the tracker's greedy association is
 /// built on this.
 pub fn iou_pairs(
     anchors: &[BBox2D],
     queries: &[BBox2D],
     iou_threshold: f64,
-) -> Vec<(f64, usize, usize)> {
-    let mut pairs = Vec::new();
+    pairs: &mut Vec<(f64, usize, usize)>,
+) {
+    pairs.clear();
     for (ai, a) in anchors.iter().enumerate() {
         for (qi, q) in queries.iter().enumerate() {
             let iou = a.iou(q);
@@ -118,7 +120,6 @@ pub fn iou_pairs(
             }
         }
     }
-    pairs
 }
 
 /// Counts triples `i < j < k` of same-class boxes that pairwise overlap
@@ -196,7 +197,8 @@ mod tests {
             bb(101.0, 0.0, 10.0),
             bb(50.0, 50.0, 10.0),
         ];
-        let pairs = iou_pairs(&anchors, &queries, 0.3);
+        let mut pairs = vec![(0.0, 9, 9)];
+        iou_pairs(&anchors, &queries, 0.3, &mut pairs);
         let idx: Vec<(usize, usize)> = pairs.iter().map(|p| (p.1, p.2)).collect();
         assert_eq!(idx, vec![(0, 0), (1, 1)]);
         assert!(pairs.iter().all(|p| p.0 >= 0.3));

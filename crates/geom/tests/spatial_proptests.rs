@@ -66,6 +66,22 @@ fn crowded_scene(max_boxes: usize) -> impl Strategy<Value = Scene> {
         })
 }
 
+/// An `iou_pairs` form: the indexed matcher or its reference.
+type PairsForm = fn(&[BBox2D], &[BBox2D], f64, &mut Vec<(f64, usize, usize)>);
+
+/// The pairs an `iou_pairs` form writes into a buffer that starts out
+/// holding a stale pair.
+fn pairs_of(
+    form: PairsForm,
+    anchors: &[BBox2D],
+    queries: &[BBox2D],
+    thr: f64,
+) -> Vec<(f64, usize, usize)> {
+    let mut pairs = vec![(f64::NAN, usize::MAX, usize::MAX)];
+    form(anchors, queries, thr, &mut pairs);
+    pairs
+}
+
 /// Asserts every public matcher equals its reference twin on `scene`
 /// (with `others` as the second side of the two-set matchers).
 fn assert_matchers_equal_reference(scene: &Scene, others: &[BBox2D], thr: f64) {
@@ -87,8 +103,8 @@ fn assert_matchers_equal_reference(scene: &Scene, others: &[BBox2D], thr: f64) {
         boxes.len()
     );
     assert_eq!(
-        matchers::iou_pairs(boxes, others, thr),
-        reference::iou_pairs(boxes, others, thr),
+        pairs_of(matchers::iou_pairs, boxes, others, thr),
+        pairs_of(reference::iou_pairs, boxes, others, thr),
         "iou_pairs diverged (n={}, m={}, thr={thr})",
         boxes.len(),
         others.len()
@@ -192,8 +208,8 @@ proptest! {
             reference::nms_indices(&boxes, &scores, thr)
         );
         prop_assert_eq!(
-            matchers::iou_pairs(&boxes, &boxes, thr),
-            reference::iou_pairs(&boxes, &boxes, thr)
+            pairs_of(matchers::iou_pairs, &boxes, &boxes, thr),
+            pairs_of(reference::iou_pairs, &boxes, &boxes, thr)
         );
         prop_assert_eq!(
             matchers::count_unmatched(&boxes, &boxes, thr),

@@ -286,11 +286,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         1,
         "positively-sampled clutter box the constructor accepts",
     ),
-    (
-        "crates/track/src/tracker.rs",
-        2,
-        "live indices address tracks: both are pushed together and tracks are never removed",
-    ),
 ];
 
 /// Count-pinned ledger of justified float-ordering sites reachable

@@ -4,8 +4,10 @@
 //! objects: "Because we lack a globally unique identifier (e.g., license
 //! plate number) for each object, we can assign a new identifier for each
 //! box that appears and assign the same identifier as it persists through
-//! the video" (§4.1). [`IouTracker`] implements exactly that: greedy
-//! IoU-based association of boxes across frames.
+//! the video" (§4.1). [`IouAssociator`] implements exactly that: greedy
+//! IoU-based association of boxes across frames, keeping only the live
+//! tracks. [`IouTracker`] is that associator plus the history of every
+//! track, which the uses below read.
 //!
 //! The tracker also powers:
 //!
@@ -33,12 +35,13 @@
 #![warn(missing_docs)]
 
 // Module split: `track` holds the data model ([`Track`], [`Observation`],
-// [`TrackId`]); `tracker` holds the association algorithm ([`IouTracker`])
-// that produces it. Similar names, deliberately distinct roles.
+// [`TrackId`]); `tracker` holds the association algorithm
+// ([`IouAssociator`]) and the tracker that records its output
+// ([`IouTracker`]). Similar names, deliberately distinct roles.
 mod interpolate;
 mod track;
 mod tracker;
 
 pub use interpolate::interpolate_gaps;
 pub use track::{Observation, Track, TrackId};
-pub use tracker::IouTracker;
+pub use tracker::{IouAssociator, IouTracker};

@@ -2,37 +2,67 @@ use omg_geom::BBox2D;
 
 use crate::track::{Observation, Track, TrackId};
 
-/// Greedy IoU-based multi-object tracker.
+/// Greedy IoU association of boxes to live tracks, without history: the
+/// identification function of the paper's video consistency assertions
+/// ("assign a new identifier for each box that appears and assign the
+/// same identifier as it persists through the video", §4.1).
 ///
-/// On every [`update`](IouTracker::update), detections are associated to
+/// On every [`assign`](IouAssociator::assign), boxes are associated to
 /// live tracks by descending IoU against each track's most recent box; a
-/// detection that matches no live track above `iou_threshold` starts a new
-/// track. Tracks unseen for more than `max_age` frames are retired (but
-/// retained for querying).
+/// box that matches no live track above `iou_threshold` starts a new
+/// track. Tracks unseen for more than `max_age` frames are retired.
 ///
 /// Association is class-agnostic on purpose: the paper's assertions are
 /// precisely about objects whose *class labels* are inconsistent over
-/// time, so the tracker must not use the class to decide identity.
+/// time, so the associator must not use the class to decide identity.
 ///
-/// Track ids are issued as 0, 1, 2, … in creation order, so tracks are
-/// stored densely: a track's id is its index.
+/// Only the live tracks are kept, contiguously in creation order, each
+/// as its id, last frame and latest box; the query, candidate-pair and
+/// assignment buffers are reused across frames. Track ids are issued as
+/// 0, 1, 2, … in creation order. [`IouTracker`] adds the per-track
+/// history on top.
 #[derive(Debug, Clone)]
-pub struct IouTracker {
+pub struct IouAssociator {
     iou_threshold: f64,
     max_age: usize,
-    /// Every track ever created, indexed by id.
-    tracks: Vec<Track>,
-    /// Indices of the tracks still eligible for association, ascending.
-    live: Vec<usize>,
+    /// The tracks still eligible for association, in creation order.
+    live: Vec<LiveTrack>,
+    /// Number of tracks ever created, which is also the next id.
+    created: usize,
     /// The latest frame any track was observed in.
     latest: Option<usize>,
+    /// The live tracks' latest boxes, aligned with `live`.
+    anchors: Vec<BBox2D>,
+    /// The current frame's boxes.
+    queries: Vec<BBox2D>,
+    /// Candidate `(iou, live position, query index)` pairs.
+    pairs: Vec<(f64, usize, usize)>,
+    /// `free[p]` holds while live track `p` is unclaimed this frame.
+    free: Vec<bool>,
+    /// The live position each query was assigned to, if any.
+    assigned: Vec<Option<usize>>,
+    /// The ids issued for the current frame, aligned with `queries`.
+    ids: Vec<TrackId>,
 }
 
-impl IouTracker {
-    /// Creates a tracker.
+/// The initial capacity of the associator's per-frame buffers. A street
+/// frame holds a few to a few dozen boxes, so most short windows never
+/// grow a buffer past it; a crowded frame grows them as usual.
+const FRAME_CAPACITY: usize = 16;
+
+/// One live track: what association needs of it.
+#[derive(Debug, Clone, Copy)]
+struct LiveTrack {
+    id: TrackId,
+    last_frame: usize,
+    bbox: BBox2D,
+}
+
+impl IouAssociator {
+    /// Creates an associator.
     ///
-    /// * `iou_threshold` — minimum IoU between a detection and a track's
-    ///   last box for association (typical: `0.3`–`0.5`).
+    /// * `iou_threshold` — minimum IoU between a box and a track's last
+    ///   box for association (typical: `0.3`–`0.5`).
     /// * `max_age` — number of consecutive unseen frames after which a
     ///   track is retired; an age of `k` lets a track survive `k` missed
     ///   frames (this is what lets flickering objects keep one identity).
@@ -48,9 +78,129 @@ impl IouTracker {
         Self {
             iou_threshold,
             max_age,
-            tracks: Vec::new(),
-            live: Vec::new(),
+            live: Vec::with_capacity(FRAME_CAPACITY),
+            created: 0,
             latest: None,
+            anchors: Vec::with_capacity(FRAME_CAPACITY),
+            queries: Vec::with_capacity(FRAME_CAPACITY),
+            pairs: Vec::with_capacity(FRAME_CAPACITY),
+            free: Vec::with_capacity(FRAME_CAPACITY),
+            assigned: Vec::with_capacity(FRAME_CAPACITY),
+            ids: Vec::with_capacity(FRAME_CAPACITY),
+        }
+    }
+
+    /// Associates one frame's boxes and returns the track id assigned to
+    /// each, aligned with the input order.
+    ///
+    /// Frames must be fed in non-decreasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` precedes an already-processed frame while a
+    /// track is live.
+    pub fn assign(&mut self, frame: usize, boxes: impl IntoIterator<Item = BBox2D>) -> &[TrackId] {
+        if let Some(last) = self.latest {
+            assert!(
+                frame >= last || self.live.is_empty(),
+                "frames must be processed in order (got {frame} after {last})"
+            );
+        }
+        let max_age = self.max_age;
+        self.live
+            .retain(|t| frame.saturating_sub(t.last_frame) <= max_age);
+        self.queries.clear();
+        self.queries.extend(boxes);
+        self.anchors.clear();
+        self.anchors.extend(self.live.iter().map(|t| t.bbox));
+
+        // Candidate pairs via the spatial matcher (grid-indexed in
+        // crowded frames, pairwise otherwise), matched greedily by
+        // descending IoU. The order is total: `total_cmp` on the IoU
+        // keeps it NaN-safe and deterministic, and (live position,
+        // query index) is unique per pair, so an unstable sort is exact.
+        omg_geom::matchers::iou_pairs(
+            &self.anchors,
+            &self.queries,
+            self.iou_threshold,
+            &mut self.pairs,
+        );
+        self.pairs
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+
+        // A pair assigns only if its query is unassigned and its track
+        // still free.
+        self.free.clear();
+        self.free.resize(self.live.len(), true);
+        self.assigned.clear();
+        self.assigned.resize(self.queries.len(), None);
+        for &(_, p, qi) in &self.pairs {
+            if let (Some(slot @ None), Some(free @ true)) =
+                (self.assigned.get_mut(qi), self.free.get_mut(p))
+            {
+                *free = false;
+                *slot = Some(p);
+            }
+        }
+
+        if !self.queries.is_empty() {
+            self.latest = Some(self.latest.map_or(frame, |last| last.max(frame)));
+        }
+        self.ids.clear();
+        for (&bbox, assigned) in self.queries.iter().zip(&self.assigned) {
+            let id = match assigned.and_then(|p| self.live.get_mut(p)) {
+                Some(track) => {
+                    track.last_frame = frame;
+                    track.bbox = bbox;
+                    track.id
+                }
+                None => {
+                    let id = TrackId(self.created as u64);
+                    self.created += 1;
+                    self.live.push(LiveTrack {
+                        id,
+                        last_frame: frame,
+                        bbox,
+                    });
+                    id
+                }
+            };
+            self.ids.push(id);
+        }
+        &self.ids
+    }
+
+    /// Number of tracks ever created.
+    pub fn num_tracks(&self) -> usize {
+        self.created
+    }
+}
+
+/// Greedy IoU-based multi-object tracker: an [`IouAssociator`] plus the
+/// history of every track it created.
+///
+/// Tracks unseen for more than `max_age` frames are retired from
+/// association but retained for querying. Track ids are issued as 0, 1,
+/// 2, … in creation order, so tracks are stored densely: a track's id is
+/// its index.
+#[derive(Debug, Clone)]
+pub struct IouTracker {
+    associator: IouAssociator,
+    /// Every track ever created, indexed by id.
+    tracks: Vec<Track>,
+}
+
+impl IouTracker {
+    /// Creates a tracker; the parameters are those of
+    /// [`IouAssociator::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iou_threshold` is not in `(0, 1]`.
+    pub fn new(iou_threshold: f64, max_age: usize) -> Self {
+        Self {
+            associator: IouAssociator::new(iou_threshold, max_age),
+            tracks: Vec::new(),
         }
     }
 
@@ -61,71 +211,20 @@ impl IouTracker {
     ///
     /// # Panics
     ///
-    /// Panics if `frame` precedes an already-processed frame.
+    /// Panics if `frame` precedes an already-processed frame while a
+    /// track is live.
     pub fn update(&mut self, frame: usize, detections: &[Observation]) -> Vec<TrackId> {
-        if let Some(last) = self.latest {
-            assert!(
-                frame >= last || self.live.is_empty(),
-                "frames must be processed in order (got {frame} after {last})"
-            );
-        }
-        // Retire stale tracks first.
-        let (tracks, max_age) = (&self.tracks, self.max_age);
-        // PANIC: every live index addresses a track: both are pushed
-        // together below, and tracks are never removed.
-        self.live
-            .retain(|&t| frame.saturating_sub(tracks[t].last_frame()) <= max_age);
-
-        // Candidate (iou, live_pos, det_idx) pairs via the spatial
-        // matcher (grid-indexed in crowded frames, pairwise otherwise),
-        // matched greedily by descending IoU. The sort is a total order:
-        // `total_cmp` on the IoU keeps it NaN-safe and deterministic,
-        // with (live_pos, det_idx) breaking exact ties.
-        let track_boxes: Vec<BBox2D> = self
-            .live
-            .iter()
-            // PANIC: live indices address tracks (same invariant).
-            .map(|&t| self.tracks[t].latest().bbox)
-            .collect();
-        let det_boxes: Vec<BBox2D> = detections.iter().map(|d| d.bbox).collect();
-        let mut pairs = omg_geom::matchers::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold);
-        pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-
-        // `free[p]` holds live track `p` until a detection takes it; a
-        // pair assigns only if its detection is unassigned and its
-        // track still free.
-        let mut free: Vec<Option<usize>> = self.live.iter().copied().map(Some).collect();
-        let mut assigned: Vec<Option<usize>> = vec![None; detections.len()];
-        for (_, p, di) in pairs {
-            if let Some(slot @ None) = assigned.get_mut(di) {
-                *slot = free.get_mut(p).and_then(Option::take);
+        let ids = self
+            .associator
+            .assign(frame, detections.iter().map(|d| d.bbox));
+        // New ids are issued in order, one past the last stored track.
+        for (det, &id) in detections.iter().zip(ids) {
+            match self.tracks.get_mut(index_of(id)) {
+                Some(track) => track.record(frame, *det),
+                None => self.tracks.push(Track::new(id, frame, *det)),
             }
         }
-
-        if !detections.is_empty() {
-            self.latest = Some(self.latest.map_or(frame, |last| last.max(frame)));
-        }
-        detections
-            .iter()
-            .zip(assigned)
-            .map(|(det, assigned)| {
-                let t = match assigned {
-                    Some(t) => {
-                        if let Some(track) = self.tracks.get_mut(t) {
-                            track.record(frame, *det);
-                        }
-                        t
-                    }
-                    None => {
-                        let t = self.tracks.len();
-                        self.tracks.push(Track::new(id_of(t), frame, *det));
-                        self.live.push(t);
-                        t
-                    }
-                };
-                id_of(t)
-            })
-            .collect()
+        ids.to_vec()
     }
 
     /// All tracks ever created, in id order.
@@ -135,7 +234,7 @@ impl IouTracker {
 
     /// The track with the given id, if it exists.
     pub fn track(&self, id: TrackId) -> Option<&Track> {
-        usize::try_from(id.0).ok().and_then(|t| self.tracks.get(t))
+        self.tracks.get(index_of(id))
     }
 
     /// Number of tracks ever created.
@@ -149,9 +248,10 @@ impl IouTracker {
     }
 }
 
-/// The id of the track stored at index `t`.
-fn id_of(t: usize) -> TrackId {
-    TrackId(t as u64)
+/// The index a track with id `id` is stored at (`usize::MAX`, which no
+/// track reaches, for an id too large to address).
+fn index_of(id: TrackId) -> usize {
+    usize::try_from(id.0).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]

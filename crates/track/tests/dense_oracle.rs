@@ -1,18 +1,20 @@
-//! The dense tracker against the B-tree tracker it replaced.
+//! The dense tracker and its history-free associator against the
+//! B-tree tracker they replaced.
 //!
-//! `IouTracker` keeps its tracks in a `Vec` indexed by id and each
-//! `Track` keeps its observations in a frame-sorted `Vec`. The
-//! `OracleTracker` and `OracleTrack` below are the earlier
-//! implementation, with a `BTreeMap` of tracks keyed by id and a
-//! `BTreeMap` of observations keyed by frame, kept as the one oracle.
-//! Both the prepared scoring path and its self-contained reference run
-//! the tracker, so the stream==batch suites cannot see a tracker change;
-//! these properties are the check that can.
+//! `IouAssociator` keeps only the live tracks; `IouTracker` adds a `Vec`
+//! of tracks indexed by id, and each `Track` keeps its observations in a
+//! frame-sorted `Vec`. The `OracleTracker` and `OracleTrack` below are
+//! the earlier implementation, with a `BTreeMap` of tracks keyed by id
+//! and a `BTreeMap` of observations keyed by frame, kept as the one
+//! oracle. The prepared scoring path runs the associator and its
+//! self-contained reference runs the tracker built on it, so the
+//! stream==batch suites cannot see an association change; these
+//! properties are the check that can.
 
 use std::collections::BTreeMap;
 
 use omg_geom::BBox2D;
-use omg_track::{IouTracker, Observation, Track, TrackId};
+use omg_track::{IouAssociator, IouTracker, Observation, Track, TrackId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +98,8 @@ impl OracleTracker {
             .map(|id| self.tracks[id].latest().bbox)
             .collect();
         let det_boxes: Vec<BBox2D> = detections.iter().map(|d| d.bbox).collect();
-        let mut pairs = omg_geom::matchers::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold);
+        let mut pairs = Vec::new();
+        omg_geom::matchers::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold, &mut pairs);
         pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let mut track_taken = vec![false; self.live.len()];
         let mut det_assignment: Vec<Option<TrackId>> = vec![None; detections.len()];
@@ -245,6 +248,24 @@ proptest! {
         prop_assert_eq!(everything, want);
     }
 
+    /// The associator alone, fed each frame's boxes, issues the oracle's
+    /// ids frame by frame and creates as many tracks.
+    #[test]
+    fn associator_matches_btree_oracle(
+        seed in any::<u64>(),
+        threshold in 0usize..THRESHOLDS.len(),
+        max_age in 0usize..4,
+    ) {
+        let threshold = THRESHOLDS[threshold];
+        let mut associator = IouAssociator::new(threshold, max_age);
+        let mut oracle = OracleTracker::new(threshold, max_age);
+        for (frame, dets) in frame_sequence(seed, max_age) {
+            let got = associator.assign(frame, dets.iter().map(|d| d.bbox)).to_vec();
+            prop_assert_eq!(got, oracle.update(frame, &dets));
+        }
+        prop_assert_eq!(associator.num_tracks(), oracle.tracks.len());
+    }
+
     /// A track recorded out of frame order, with replaced frames, reads
     /// back like the oracle's frame-keyed map.
     #[test]
@@ -304,9 +325,10 @@ fn frame_sequences_cover_the_promised_cases() {
     );
 }
 
-/// A frame earlier than one already recorded panics exactly when the
-/// oracle's does: only while a track is live, and measured against the
-/// latest frame of any track, not the latest update.
+/// A frame earlier than one already recorded panics, in the tracker and
+/// in the associator alone, exactly when the oracle's does: only while a
+/// track is live, and measured against the latest frame of any track,
+/// not the latest update.
 #[test]
 fn out_of_order_frames_panic_like_the_oracle() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -317,14 +339,24 @@ fn out_of_order_frames_panic_like_the_oracle() {
     ];
     for seq in sequences {
         let mut dense = IouTracker::new(0.3, 2);
+        let mut associator = IouAssociator::new(0.3, 2);
         let mut oracle = OracleTracker::new(0.3, 2);
         for &(frame, n) in seq {
             let dets = vec![obs(0.0, 0.0, 10.0, 0); n];
             let got = catch_unwind(AssertUnwindSafe(|| dense.update(frame, &dets)));
+            let assigned = catch_unwind(AssertUnwindSafe(|| {
+                associator
+                    .assign(frame, dets.iter().map(|d| d.bbox))
+                    .to_vec()
+            }));
             let want = catch_unwind(AssertUnwindSafe(|| oracle.update(frame, &dets)));
             assert_eq!(got.is_err(), want.is_err(), "{seq:?} at frame {frame}");
-            match (got, want) {
-                (Ok(got), Ok(want)) => assert_eq!(got, want),
+            assert_eq!(assigned.is_err(), want.is_err(), "{seq:?} at frame {frame}");
+            match (got, assigned, want) {
+                (Ok(got), Ok(assigned), Ok(want)) => {
+                    assert_eq!(got, want);
+                    assert_eq!(assigned, want);
+                }
                 _ => break,
             }
         }

@@ -1,20 +1,31 @@
 //! `ConsistencyEngine::temporal_violations` against `check`.
 //!
 //! The video and fusion preparers read only presence transitions, so
-//! they call the temporal pass instead of the full check; the
-//! self-contained reference assertions still call `check`. These
-//! properties hold the two to the same temporal violations, element for
-//! element, for the deployed specs (track ids, ECG rhythm classes, and
-//! news' tuple `(scene, slot)` ids), and hold both to the presence-run
-//! definition of a temporal violation.
+//! they feed each frame's boxes to an `IouAssociator` and run the
+//! temporal pass over the bare track ids instead of the full check; the
+//! self-contained reference assertions still track with `track_window`
+//! and call `check`. These properties hold the two to the same temporal
+//! violations, element for element, for the deployed specs (track ids,
+//! ECG rhythm classes, and news' tuple `(scene, slot)` ids), and hold
+//! both to the presence-run definition of a temporal violation; the
+//! tests at the end hold `VideoPrepare` and `FusionPrepare` to the
+//! reference on stream and crowded windows.
 
 use std::collections::BTreeMap;
 
+use omg_bench::crowd::crowd_windows;
+use omg_bench::highway::{shared_pretrained_primary, HighwayScenario, FUSION_WINDOW_HALF};
+use omg_bench::video::{monitor_windows, FLICKER_T};
 use omg_core::consistency::{ConsistencyEngine, ConsistencySpec, ConsistencyWindow, Violation};
+use omg_core::stream::Prepare;
 use omg_domains::ecg::EcgSpec;
-use omg_domains::helpers::{TrackedBox, VideoTrackSpec};
+use omg_domains::fusion::{primary_view, FusionFrame, FusionWindow};
+use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use omg_domains::news::NewsSpec;
+use omg_domains::{FusionPrepare, VideoPrepare, VideoWindow};
+use omg_geom::matchers::INDEX_MIN;
 use omg_geom::BBox2D;
+use omg_scenario::Scenario;
 use omg_sim::news::NewsFace;
 use proptest::prelude::*;
 
@@ -217,4 +228,92 @@ fn no_threshold_gives_no_temporal_violations() {
     assert!(engine
         .temporal_violations(&ConsistencyWindow::new())
         .is_empty());
+}
+
+/// The reference for a prepared video window: the `TemporalTransition`
+/// entries of the full check over the tracker's window.
+fn reference_violations(w: &VideoWindow, t: f64) -> Vec<Violation<u64>> {
+    let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(t);
+    temporal_of_check(&engine, &track_window(w))
+}
+
+/// Crowded windows: 300 boxes per frame, above the matchers' grid-index
+/// cutoff, so association takes the indexed path. Crowd objects persist,
+/// so every seventh box is dropped from the middle frame to make
+/// flickers; the tracks and their order stay the matcher's to decide.
+fn crowded_windows() -> Vec<VideoWindow> {
+    let mut windows = crowd_windows(300, 6, 23);
+    for w in &mut windows {
+        let mut i = 0;
+        w.frames[1].dets.retain(|_| {
+            i += 1;
+            i % 7 != 0
+        });
+        assert!(w.frames.iter().all(|f| f.dets.len() > INDEX_MIN));
+    }
+    windows
+}
+
+/// Asserts each prepared violation list equals the reference on its
+/// video window, and that some window fires at all.
+fn assert_prepared_equals_reference<'a>(
+    cases: impl IntoIterator<Item = (&'a VideoWindow, Vec<Violation<u64>>)>,
+) {
+    let mut fired = 0;
+    for (i, (w, prepared)) in cases.into_iter().enumerate() {
+        let want = reference_violations(w, FLICKER_T);
+        assert_eq!(prepared, want, "window {i}");
+        fired += want.len();
+    }
+    assert!(fired > 0, "no window fired");
+}
+
+#[test]
+fn video_prepare_equals_check_over_track_window() {
+    let prepare = VideoPrepare::new(FLICKER_T);
+    for windows in [monitor_windows(150, 3), crowded_windows()] {
+        assert_prepared_equals_reference(
+            windows.iter().map(|w| (w, prepare.prepare(w).violations)),
+        );
+    }
+}
+
+/// The same windows as fusion windows: the boxes as the primary channel,
+/// next to a secondary channel the preparer must ignore.
+fn as_fusion(w: &VideoWindow) -> FusionWindow {
+    let frames = w
+        .frames
+        .iter()
+        .map(|f| FusionFrame {
+            index: f.index,
+            time: f.time,
+            primary: f.dets.clone(),
+            secondary: f.dets.iter().rev().take(3).cloned().collect(),
+        })
+        .collect();
+    FusionWindow::new(frames, w.center)
+}
+
+#[test]
+fn fusion_prepare_equals_check_over_primary_view() {
+    let scenario = HighwayScenario::highway(3, 150, 1);
+    let items = scenario.run_model(shared_pretrained_primary());
+    let stream: Vec<FusionWindow> = (0..items.len())
+        .map(|i| {
+            let lo = i.saturating_sub(FUSION_WINDOW_HALF);
+            let hi = (i + FUSION_WINDOW_HALF + 1).min(items.len());
+            scenario.make_sample(&items[lo..hi], i - lo)
+        })
+        .collect();
+    let crowded: Vec<FusionWindow> = crowded_windows().iter().map(as_fusion).collect();
+    let prepare = FusionPrepare::new(FLICKER_T);
+    for windows in [stream, crowded] {
+        let views: Vec<VideoWindow> = windows.iter().map(primary_view).collect();
+        assert_prepared_equals_reference(
+            views
+                .iter()
+                .zip(&windows)
+                .map(|(view, w)| (view, prepare.prepare(w).violations)),
+        );
+    }
 }
