@@ -7,11 +7,11 @@ use omg_bench::avx::{shared_pretrained_camera, AvScenario};
 use omg_bench::ecgx::{pretrained_classifier, EcgScenario};
 use omg_bench::highway::{shared_pretrained_primary, HighwayScenario};
 use omg_bench::newsx::NewsScenario;
-use omg_bench::video::monitor_windows;
+use omg_bench::video::{monitor_windows, shared_pretrained_detector, VideoScenario};
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
 use omg_core::stream::Prepare;
-use omg_core::Monitor;
+use omg_core::{AssertionDb, Monitor};
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use omg_domains::{
     video_assertion_set, video_prepared_assertion_set, AvPrepare, EcgPrepare, FusionPrepare,
@@ -140,23 +140,30 @@ fn tracker_cost(c: &mut Criterion) {
     });
 }
 
-/// The first `n` windows of a scenario's stream under `model`, cut the
-/// way the scoring drivers cut them.
+/// A scenario's item stream under `model`.
 ///
 /// # Panics
 ///
-/// Panics if the stream is shorter than `n`.
-fn scenario_windows<Sc: Scenario>(scenario: &Sc, model: &Sc::Model, n: usize) -> Vec<Sc::Sample> {
+/// Panics if the stream is shorter than `n` items.
+fn scenario_items<Sc: Scenario>(scenario: &Sc, model: &Sc::Model, n: usize) -> Vec<Sc::Item> {
     let items = scenario.run_model(model);
     assert!(items.len() >= n, "{} items, {n} wanted", items.len());
+    items
+}
+
+/// The sample at stream position `i`, cut the way the scoring drivers
+/// cut it: the clamped window of `window_half` items on either side.
+fn sample_at<Sc: Scenario>(scenario: &Sc, items: &[Sc::Item], i: usize) -> Sc::Sample {
     let half = scenario.window_half();
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(items.len());
-            scenario.make_sample(&items[lo..hi], i - lo)
-        })
-        .collect()
+    let lo = i.saturating_sub(half);
+    let hi = (i + half + 1).min(items.len());
+    scenario.make_sample(&items[lo..hi], i - lo)
+}
+
+/// The first `n` windows of a scenario's stream under `model`.
+fn scenario_windows<Sc: Scenario>(scenario: &Sc, model: &Sc::Model, n: usize) -> Vec<Sc::Sample> {
+    let items = scenario_items(scenario, model, n);
+    (0..n).map(|i| sample_at(scenario, &items, i)).collect()
 }
 
 /// Times `prepare` over every window, once per iteration.
@@ -200,10 +207,66 @@ fn prepare_cost(c: &mut Criterion) {
     bench_prepare(c, "prepare/news_scene", &NewsPrepare, &news);
 }
 
+/// Times `make_sample` over the first `n` positions of a scenario's
+/// stream, once per iteration, as `make_sample/<scenario name>`.
+fn bench_make_sample<Sc: Scenario>(c: &mut Criterion, scenario: &Sc, model: &Sc::Model, n: usize) {
+    let items = scenario_items(scenario, model, n);
+    c.bench_function(&format!("make_sample/{}", scenario.name()), |b| {
+        b.iter(|| {
+            for i in 0..n {
+                criterion::black_box(sample_at(scenario, &items, i));
+            }
+        });
+    });
+}
+
+/// Per-window cost of each registered scenario's `make_sample`, 100
+/// positions per iteration: the sample every scoring path builds before
+/// it prepares or checks.
+fn make_sample_cost(c: &mut Criterion) {
+    const N: usize = 100;
+    let video = VideoScenario::night_street(3, N, 1);
+    bench_make_sample(c, &video, shared_pretrained_detector(), N);
+    let av = AvScenario::new(3, 5, 1);
+    bench_make_sample(c, &av, shared_pretrained_camera(), N);
+    let ecg = EcgScenario::new(3, 40, N, 10);
+    bench_make_sample(c, &ecg, &pretrained_classifier(&ecg, 3), N);
+    bench_make_sample(c, &NewsScenario::new(3, N as u64), &(), N);
+    let highway = HighwayScenario::highway(3, N, 1);
+    bench_make_sample(c, &highway, shared_pretrained_primary(), N);
+}
+
+/// `AssertionDb` recording as a service session does it: each row goes
+/// in with `record_row`, then `retain_recent(32)` evicts all but the
+/// latest 32 samples (the service's retention in the soak benchmark).
+/// Per iteration, 1,000 rows as wide as the video set, with the first
+/// assertion firing on every third row and the second on every seventh.
+fn record_cost(c: &mut Criterion) {
+    const RETAINED: usize = 32;
+    let rows: Vec<[f64; 3]> = (0..1_000)
+        .map(|i| [f64::from(i % 3 == 0), f64::from(i % 7 == 0), 0.0])
+        .collect();
+    let mut group = c.benchmark_group("db/record_row_retain_recent");
+    group.bench_with_input(BenchmarkId::from_parameter(RETAINED), &rows, |b, rows| {
+        b.iter_batched(
+            AssertionDb::new,
+            |mut db| {
+                for (i, row) in rows.iter().enumerate() {
+                    db.record_row(i, row);
+                    db.retain_recent(RETAINED);
+                }
+                db
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = monitor_throughput, stream_monitor_throughput, consistency_scaling, tracker_cost,
-        prepare_cost
+        prepare_cost, make_sample_cost, record_cost
 }
 criterion_main!(benches);

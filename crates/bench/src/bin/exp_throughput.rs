@@ -113,27 +113,14 @@ impl Rate {
 }
 
 /// Writes `rows` as `BENCH_<bench>.json` in the committed archive
-/// directory. A write failure is fatal: the archives are the contract
-/// CI enforces (`--check-stream-archive`), so a missing file must fail
-/// the run, not scroll by as a warning.
+/// directory, under the shared header and the window count
+/// ([`omg_bench::write_archive`], which exits on a write failure).
 fn write_archive(bench: &str, windows: usize, rows: &[(String, Rate)]) {
-    let json_rows: Vec<String> = rows
+    let rows: Vec<String> = rows
         .iter()
-        .map(|(label, rate)| format!("    {{\"id\": \"{label}\", {}}}", rate.json()))
+        .map(|(label, rate)| format!("{{\"id\": \"{label}\", {}}}", rate.json()))
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"windows\": {windows},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let dir = criterion::bench_output_dir();
-    let path = dir.join(format!("BENCH_{bench}.json"));
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    omg_bench::write_archive(bench, &[("windows", windows.to_string())], &rows);
 }
 
 /// The ladder's archived rates: a measured rate for each entry that

@@ -135,32 +135,25 @@ fn run_rung(seed: u64, sessions: usize, workers: usize) -> Rung {
 }
 
 /// Writes the soak results as `BENCH_service.json` next to the other
-/// bench archives. A write failure is fatal: CI's archive gate requires
-/// the file, so a missing archive must fail the run.
+/// bench archives, under the shared header
+/// ([`crate::write_archive`], which exits on a write failure: CI's
+/// archive gate requires the file).
 fn write_service_json(workers: usize, rungs: &[Rung]) {
     let rows: Vec<String> = rungs
         .iter()
         .map(|r| {
             format!(
-                "    {{\"sessions\": {}, \"items\": {}, \"items_per_sec\": {:.1}, \
+                "{{\"sessions\": {}, \"items\": {}, \"items_per_sec\": {:.1}, \
                  \"p99_drain_ms\": {:.3}, \"max_resident_records\": {}}}",
                 r.sessions, r.items, r.items_per_sec, r.p99_drain_ms, r.max_resident
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"scenario\": \"video\",\n  \"workers\": {workers},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let dir = criterion::bench_output_dir();
-    let path = dir.join("BENCH_service.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    let fields = [
+        ("scenario", "\"video\"".to_string()),
+        ("workers", workers.to_string()),
+    ];
+    crate::write_archive("service", &fields, &rows);
 }
 
 /// Runs the soak ladder and returns the rendered table.

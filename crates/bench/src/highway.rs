@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use omg_domains::fusion::{FusionFrame, FusionWindow};
-use omg_domains::{fusion_assertion_set, fusion_prepared_assertion_set, FusionPrep, FusionPrepare};
+use omg_domains::{fusion_assertion_set, fusion_prepared_assertion_set, FusionPrepare, VideoPrep};
 use omg_scenario::{detection_uncertainty, Scenario};
 use omg_sim::detector::{Detection, DetectorConfig, SimDetector, TrainingBatch};
 use omg_sim::traffic::{GtFrame, TrafficConfig, TrafficWorld};
@@ -142,7 +142,7 @@ pub fn highway_weak_supervision(
 impl Scenario for HighwayScenario {
     type Item = HighwayItem;
     type Sample = FusionWindow;
-    type Prep = FusionPrep;
+    type Prep = VideoPrep;
     type Model = SimDetector;
     type Labels = TrainingBatch;
 
@@ -185,11 +185,11 @@ impl Scenario for HighwayScenario {
         fusion_assertion_set(FUSION_FLICKER_T)
     }
 
-    fn prepared_set(&self) -> omg_core::AssertionSet<FusionWindow, FusionPrep> {
+    fn prepared_set(&self) -> omg_core::AssertionSet<FusionWindow, VideoPrep> {
         fusion_prepared_assertion_set(FUSION_FLICKER_T)
     }
 
-    fn preparer(&self) -> Box<dyn omg_core::stream::Prepare<FusionWindow, Prepared = FusionPrep>> {
+    fn preparer(&self) -> Box<dyn omg_core::stream::Prepare<FusionWindow, Prepared = VideoPrep>> {
         Box::new(FusionPrepare::new(FUSION_FLICKER_T))
     }
 

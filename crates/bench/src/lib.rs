@@ -402,9 +402,58 @@ pub fn summarize_series(label: &str, trials: &[Vec<f64>]) -> SeriesSummary {
     }
 }
 
+/// Writes `BENCH_<bench>.json` into the committed archive directory
+/// ([`criterion::bench_output_dir`]): the shared
+/// [`criterion::archive_header`], then `fields` as `"name": value` lines
+/// (values already rendered as JSON), then `rows` (rendered JSON
+/// objects) under `"results"`. A write failure is fatal: the archives
+/// are the contract CI enforces (`exp_throughput --check-stream-archive`),
+/// so a missing file must fail the run, not scroll by as a warning.
+pub fn write_archive(bench: &str, fields: &[(&str, String)], rows: &[String]) {
+    let json = render_archive(bench, fields, rows);
+    let dir = criterion::bench_output_dir();
+    let path = dir.join(format!("BENCH_{bench}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("  wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The JSON [`write_archive`] writes.
+fn render_archive(bench: &str, fields: &[(&str, String)], rows: &[String]) -> String {
+    let mut json = criterion::archive_header(bench);
+    for (name, value) in fields {
+        json.push_str(&format!("  \"{name}\": {value},\n"));
+    }
+    let rows: Vec<String> = rows.iter().map(|row| format!("    {row}")).collect();
+    json.push_str(&format!(
+        "  \"results\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    ));
+    json
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn archives_open_with_the_shared_header() {
+        let rows = ["{\"id\": \"stream x1\", \"windows_per_sec\": 10.0}".to_string()];
+        let json = render_archive("stream_video", &[("windows", "200".to_string())], &rows);
+        let header = criterion::archive_header("stream_video");
+        assert!(json.starts_with(&header), "{json}");
+        assert!(header.contains("\"available_parallelism\": "));
+        assert!(header.contains("\"profile\": "));
+        assert_eq!(
+            &json[header.len()..],
+            "  \"windows\": 200,\n  \"results\": [\n    {\"id\": \"stream x1\", \
+             \"windows_per_sec\": 10.0}\n  ]\n}\n"
+        );
+    }
 
     #[test]
     fn summarize_series_means_and_stderr() {

@@ -134,21 +134,6 @@ impl<P: ConsistencySpec> ConsistencyEngine<P> {
         violations
     }
 
-    /// Exactly the [`Violation::TemporalTransition`] entries of
-    /// [`check`](Self::check), in the same order, without the attribute
-    /// pass: for callers that only read presence transitions. Empty when
-    /// no temporal threshold is set.
-    pub fn temporal_violations(
-        &self,
-        window: &ConsistencyWindow<P::Output>,
-    ) -> Vec<Violation<P::Id>> {
-        let mut violations = Vec::new();
-        if let Some(t) = self.temporal_threshold {
-            Self::check_temporal(window, &self.occurrences(window), t, &mut violations);
-        }
-        violations
-    }
-
     /// The window's overall severity: the number of violations
     /// (a count-valued score as recommended in §2.1).
     pub fn severity(&self, window: &ConsistencyWindow<P::Output>) -> Severity {

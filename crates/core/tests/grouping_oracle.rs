@@ -8,8 +8,8 @@
 //! oracle. The prepared scoring path and its self-contained reference
 //! both group through the engine, so the bit-for-bit suites cannot see a
 //! grouping-order change; this property is the check that can. It
-//! requires `check`, `temporal_violations` and `corrections` to return
-//! the oracle's lists, order included.
+//! requires `check` (temporal entries included) and `corrections` to
+//! return the oracle's lists, order included.
 
 use std::collections::BTreeMap;
 
@@ -290,14 +290,13 @@ fn engine(t: u32) -> (ConsistencyEngine<Spec>, Option<f64>) {
 }
 
 proptest! {
-    /// `check`, `temporal_violations` and `corrections` return the
-    /// `BTreeMap`-grouped oracle's lists, order included.
+    /// `check` and `corrections` return the `BTreeMap`-grouped oracle's
+    /// lists, order included.
     #[test]
     fn id_sorted_grouping_matches_btree_oracle(d in draws(), t in 0u32..5) {
         let w = window(&d);
         let (engine, t) = engine(t);
         prop_assert_eq!(engine.check(&w), oracle_check(&w, t));
-        prop_assert_eq!(engine.temporal_violations(&w), oracle_temporal(&w, t));
         prop_assert_eq!(
             engine.corrections(&w, weak_label),
             oracle_corrections(&w, t, weak_label)

@@ -14,19 +14,18 @@
 //!   the primary channel: a tracked object that disappears and
 //!   reappears within `T` seconds indicates missed detections.
 //!
-//! The shared per-window preparation is the primary channel's temporal
-//! consistency violations — the same pass the video set shares — so the
-//! streaming engine associates the primary boxes once per window for the
-//! whole set.
+//! The shared per-window preparation is the video set's: one association
+//! pass over the primary channel that counts its short presence runs
+//! ([`VideoPrep`]), so the streaming engine associates the primary boxes
+//! once per window for the whole set.
 
-use omg_core::consistency::Violation;
 use omg_core::stream::Prepare;
 use omg_core::{AssertionSet, FnAssertion, Severity};
 use omg_eval::ScoredBox;
 
 use crate::helpers::{count_no_overlap, track_window};
-use crate::prepared::tracked_violations;
-use crate::{flicker, VideoFrame, VideoWindow};
+use crate::prepared::count_short_presence_runs;
+use crate::{flicker, VideoFrame, VideoPrep, VideoWindow};
 
 /// IoU at or above which a secondary box counts as confirmed by a
 /// primary detection (mirrors [`crate::agree::AGREE_IOU`]).
@@ -135,29 +134,10 @@ pub fn fusion_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow> {
     set
 }
 
-/// The fusion set's shared per-window artifact: the primary channel's
-/// temporal-consistency violations at the preparer's threshold.
-#[derive(Debug, Clone)]
-pub struct FusionPrep {
-    /// The temporal threshold the violations were computed at; carried
-    /// so prepared checks can reject a preparer/set mismatch.
-    pub t: f64,
-    /// The temporal-transition violations of the tracked primary
-    /// channel, in [`ConsistencyEngine::check`] order
-    /// ([`ConsistencyEngine::temporal_violations`]). Attribute
-    /// mismatches are not computed: `fusion-flicker` reads only gaps,
-    /// and the self-contained reference assertion still runs the full
-    /// `check`.
-    ///
-    /// [`ConsistencyEngine::check`]: omg_core::consistency::ConsistencyEngine::check
-    /// [`ConsistencyEngine::temporal_violations`]: omg_core::consistency::ConsistencyEngine::temporal_violations
-    pub violations: Vec<Violation<u64>>,
-}
-
 /// Prepares a [`FusionWindow`]: the [`crate::VideoPrepare`] derivation
 /// over the primary channel, read in place: one
 /// [`IouAssociator`](omg_track::IouAssociator) pass over each frame's
-/// primary boxes, then one temporal consistency pass over the issued
+/// primary boxes that counts the short presence runs of the issued
 /// track ids.
 #[derive(Debug, Clone, Copy)]
 pub struct FusionPrepare {
@@ -173,39 +153,31 @@ impl FusionPrepare {
 }
 
 impl Prepare<FusionWindow> for FusionPrepare {
-    type Prepared = FusionPrep;
+    type Prepared = VideoPrep;
 
-    fn prepare(&self, window: &FusionWindow) -> FusionPrep {
+    fn prepare(&self, window: &FusionWindow) -> VideoPrep {
         let frames = window.frames.iter().map(|f| (f.time, f.primary.as_slice()));
-        FusionPrep {
-            t: self.t,
-            violations: tracked_violations(frames, self.t),
-        }
+        count_short_presence_runs(frames, self.t)
     }
 }
 
 /// The fusion assertion set with shared preparation: same assertions,
 /// names, and severities as [`fusion_assertion_set`], but
-/// `fusion-flicker` consumes one [`FusionPrep`] per window instead of
-/// re-running the tracker (`fusion-agree` needs only the center frame
-/// and keeps its plain check).
-pub fn fusion_prepared_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow, FusionPrep> {
+/// `fusion-flicker` reads the gaps of one [`VideoPrep`] per window
+/// instead of re-running the tracker (`fusion-agree` needs only the
+/// center frame and keeps its plain check).
+pub fn fusion_prepared_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow, VideoPrep> {
     let mut set = AssertionSet::new();
     set.add(fusion_agree_assertion());
     set.add_prepared(
         fusion_flicker_assertion(flicker_t),
-        move |_w: &FusionWindow, prep: &FusionPrep| {
+        move |_w: &FusionWindow, prep: &VideoPrep| {
             assert!(
                 prep.t == flicker_t,
                 "fusion preparation threshold {} != assertion set threshold {flicker_t}",
                 prep.t
             );
-            let gaps = prep
-                .violations
-                .iter()
-                .filter(|v| matches!(v, Violation::TemporalTransition { gap: true, .. }))
-                .count();
-            Severity::from_count(gaps)
+            Severity::from_count(prep.gaps)
         },
     );
     set

@@ -51,8 +51,7 @@ pub mod weak;
 mod window;
 
 pub use fusion::{
-    fusion_assertion_set, fusion_prepared_assertion_set, FusionFrame, FusionPrep, FusionPrepare,
-    FusionWindow,
+    fusion_assertion_set, fusion_prepared_assertion_set, FusionFrame, FusionPrepare, FusionWindow,
 };
 pub use prepared::{
     av_prepared_assertion_set, ecg_prepared_assertion_set, news_prepared_assertion_set,

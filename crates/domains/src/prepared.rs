@@ -5,8 +5,8 @@
 //!
 //! | Task | Derivation | Artifact |
 //! |---|---|---|
-//! | Video | IoU association over the window, then the temporal pass | [`VideoPrep`] |
-//! | Highway fusion | the video derivation over the primary channel | [`FusionPrep`] |
+//! | Video | IoU association over the window, counting its short presence runs | [`VideoPrep`] |
+//! | Highway fusion | the video derivation over the primary channel | [`VideoPrep`] |
 //! | AVs | LIDAR→camera box projection | `Vec<BBox2D>` |
 //! | ECG | prediction-run segmentation | `ConsistencyWindow<usize>` |
 //! | TV news | per-slot face grouping | `ConsistencyWindow<NewsFace>` |
@@ -20,12 +20,8 @@
 //! bit-for-bit equal (enforced by the engine's equivalence property
 //! tests); only the wall-clock differs — the video set, for example,
 //! drops from three tracker runs per window to one association pass.
-//!
-//! [`FusionPrep`]: crate::FusionPrep
 
-use omg_core::consistency::{
-    AttrValue, ConsistencyEngine, ConsistencySpec, ConsistencyWindow, Violation,
-};
+use omg_core::consistency::ConsistencyWindow;
 use omg_core::stream::Prepare;
 use omg_core::{AssertionSet, Severity};
 use omg_eval::ScoredBox;
@@ -41,75 +37,119 @@ use crate::{appear, ecg, flicker, multibox, news};
 const TRACK_IOU: f64 = 0.25;
 /// The maximum age of the tracker in [`crate::helpers::track_window`].
 const TRACK_MAX_AGE: usize = 3;
+/// The initial capacity of a window's run list, one entry per track. A
+/// street window holds a few tracks per frame, so most windows allocate
+/// the list once; a crowded window grows it as usual.
+const TRACK_CAPACITY: usize = 16;
 
-/// Bare track ids: each output is its own identifier and carries no
-/// attribute, since the prepared checks read only presence transitions.
-struct TrackIdSpec;
+/// One track's current present run: the frames it started at and was
+/// last seen at, the time of its start frame, and the time of the frame
+/// after its last one. That time is infinite while the run reaches the
+/// window's last frame, so a run touching the right edge is never
+/// shorter than `t`.
+#[derive(Clone, Copy)]
+struct PresenceRun {
+    start: usize,
+    last: usize,
+    start_time: f64,
+    after_time: f64,
+}
 
-impl ConsistencySpec for TrackIdSpec {
-    type Output = u64;
-    type Id = u64;
-
-    fn id(&self, track: &u64) -> u64 {
-        *track
-    }
-
-    fn attrs(&self, _track: &u64) -> Vec<(String, AttrValue)> {
-        Vec::new()
-    }
-
-    fn attr_keys(&self) -> Vec<String> {
-        Vec::new()
+impl PresenceRun {
+    /// Whether the run is a blip: it touches neither window edge and
+    /// lasts less than `t`.
+    fn is_short_blip(&self, t: f64) -> bool {
+        self.start > 0 && self.after_time - self.start_time < t
     }
 }
 
-/// The temporal-transition violations at threshold `t` of a window given
-/// as `(time, boxes)` frames. Each frame's boxes go straight to one
-/// [`IouAssociator`] with [`crate::helpers::track_window`]'s parameters,
-/// and the temporal pass runs over the issued track ids, so the list
-/// equals, element for element, the `TemporalTransition` entries of
-/// [`ConsistencyEngine::check`] over `track_window` under
+/// Counts the short interior presence runs of a window given as `(time,
+/// boxes)` frames, at threshold `t`.
+///
+/// Each frame's boxes go to one [`IouAssociator`] with
+/// [`crate::helpers::track_window`]'s parameters. The associator issues
+/// ids 0, 1, 2, … in creation order and never one id twice in a frame,
+/// so each track's current present run is kept at its id, and a new id
+/// is always one past the last. A run that touches neither window edge
+/// counts when it is shorter than `t`, by the comparison
+/// [`ConsistencyEngine::check`] makes: an absent run as a gap, a present
+/// run as a blip. The counts therefore equal the per-kind counts of the
+/// `TemporalTransition` entries of `check` over `track_window` under
 /// [`crate::helpers::VideoTrackSpec`].
-pub(crate) fn tracked_violations<'a>(
+///
+/// [`ConsistencyEngine::check`]: omg_core::consistency::ConsistencyEngine::check
+pub(crate) fn count_short_presence_runs<'a>(
     frames: impl IntoIterator<Item = (f64, &'a [ScoredBox])>,
     t: f64,
-) -> Vec<Violation<u64>> {
+) -> VideoPrep {
     let mut associator = IouAssociator::new(TRACK_IOU, TRACK_MAX_AGE);
-    let mut ids = ConsistencyWindow::new();
-    for (fi, (time, dets)) in frames.into_iter().enumerate() {
-        let tracks = associator.assign(fi, dets.iter().map(|d| d.bbox));
-        ids.push(time, tracks.iter().map(|id| id.0).collect());
+    let mut runs: Vec<PresenceRun> = Vec::with_capacity(TRACK_CAPACITY);
+    let mut prep = VideoPrep {
+        t,
+        gaps: 0,
+        blips: 0,
+    };
+    let mut frames = frames.into_iter().enumerate().peekable();
+    while let Some((fi, (time, dets))) = frames.next() {
+        let after_time = frames
+            .peek()
+            .map_or(f64::INFINITY, |&(_, (next_time, _))| next_time);
+        let seen = PresenceRun {
+            start: fi,
+            last: fi,
+            start_time: time,
+            after_time,
+        };
+        for id in associator.assign(fi, dets.iter().map(|d| d.bbox)) {
+            match runs.get_mut(usize::try_from(id.0).unwrap_or(usize::MAX)) {
+                Some(current) if current.last + 1 == fi => {
+                    current.last = fi;
+                    current.after_time = after_time;
+                }
+                Some(current) => {
+                    // Back after the absent run [last + 1, fi - 1], which
+                    // closed the present run [start, last].
+                    prep.blips += usize::from(current.is_short_blip(t));
+                    prep.gaps += usize::from(time - current.after_time < t);
+                    *current = seen;
+                }
+                None => runs.push(seen),
+            }
+        }
     }
-    ConsistencyEngine::new(TrackIdSpec)
-        .with_temporal_threshold(t)
-        .temporal_violations(&ids)
+    prep.blips += runs
+        .iter()
+        .filter(|current| current.is_short_blip(t))
+        .count();
+    prep
 }
 
-/// The video set's shared per-window artifact: the temporal-consistency
-/// violations of the tracked window at the set's threshold. `flicker`
-/// and `appear` filter *opposite* transition types out of the same
-/// violation list, so sharing it runs the association and the
-/// consistency engine's temporal pass once per window instead of once
-/// per assertion.
-#[derive(Debug, Clone)]
+/// The video set's shared per-window artifact, which the fusion set
+/// shares too: how many short presence runs of each kind the tracked
+/// window has at the set's threshold. `flicker` (and `fusion-flicker`)
+/// reads the gaps and `appear` the blips, so one association pass per
+/// window serves every tracked assertion.
+#[derive(Debug, Clone, Copy)]
 pub struct VideoPrep {
-    /// The temporal threshold the violations were computed at. Carried
-    /// so the prepared checks can reject a preparer/set threshold
-    /// mismatch instead of silently diverging from the reference path.
+    /// The temporal threshold the runs were counted at. Carried so the
+    /// prepared checks can reject a preparer/set threshold mismatch
+    /// instead of silently diverging from the reference path.
     pub t: f64,
-    /// The temporal-transition violations of the tracked window at the
-    /// preparer's temporal threshold, in [`ConsistencyEngine::check`]
-    /// order ([`ConsistencyEngine::temporal_violations`]). Attribute
-    /// mismatches are not computed: no prepared check reads them, and
-    /// the self-contained reference assertions still run the full
-    /// `check`.
-    pub violations: Vec<Violation<u64>>,
+    /// Tracks absent for less than `t` between two present runs: the
+    /// gap-type `TemporalTransition` entries of the reference
+    /// [`ConsistencyEngine::check`] over the tracked window.
+    ///
+    /// [`ConsistencyEngine::check`]: omg_core::consistency::ConsistencyEngine::check
+    pub gaps: usize,
+    /// Tracks present for less than `t` between two absent runs: the
+    /// blip-type (`gap: false`) entries of the same check.
+    pub blips: usize,
 }
 
 /// Prepares a [`VideoWindow`]: one [`IouAssociator`] pass over the
-/// frames' boxes, then one temporal consistency pass (at threshold `t`)
-/// over the issued track ids. No track history, box copy or attribute
-/// is built: the prepared checks read only presence transitions.
+/// frames' boxes that counts the short presence runs straight off the
+/// issued track ids. No track history, box copy, id window or violation
+/// list is built: the prepared checks read only the two counts.
 #[derive(Debug, Clone, Copy)]
 pub struct VideoPrepare {
     t: f64,
@@ -133,27 +173,15 @@ impl Prepare<VideoWindow> for VideoPrepare {
 
     fn prepare(&self, window: &VideoWindow) -> VideoPrep {
         let frames = window.frames.iter().map(|f| (f.time, f.dets.as_slice()));
-        VideoPrep {
-            t: self.t,
-            violations: tracked_violations(frames, self.t),
-        }
+        count_short_presence_runs(frames, self.t)
     }
-}
-
-/// Counts the temporal-transition violations of one kind (`gap = true`
-/// for flicker, `false` for appear) in a prepared violation list.
-fn transition_count(violations: &[Violation<u64>], want_gap: bool) -> usize {
-    violations
-        .iter()
-        .filter(|v| matches!(v, Violation::TemporalTransition { gap, .. } if *gap == want_gap))
-        .count()
 }
 
 /// The video assertion set with shared preparation: same assertions,
 /// names, and severities as [`crate::video_assertion_set`], but `flicker`
-/// and `appear` consume one [`VideoPrep`] (association + temporal pass)
-/// per window instead of each re-deriving it (`multibox` needs neither
-/// and keeps its plain check).
+/// and `appear` read one [`VideoPrep`] (one association pass) per window
+/// instead of each re-deriving it (`multibox` needs neither and keeps
+/// its plain check).
 ///
 /// The prepared checks assert that the artifact was prepared at this
 /// set's threshold — a [`VideoPrepare`] built with a different `t`
@@ -173,14 +201,14 @@ pub fn video_prepared_assertion_set(flicker_t: f64) -> AssertionSet<VideoWindow,
         flicker::flicker_assertion(flicker_t),
         move |_w: &VideoWindow, prep: &VideoPrep| {
             check_threshold(prep);
-            Severity::from_count(transition_count(&prep.violations, true))
+            Severity::from_count(prep.gaps)
         },
     );
     set.add_prepared(
         appear::appear_assertion(flicker_t),
         move |_w: &VideoWindow, prep: &VideoPrep| {
             check_threshold(prep);
-            Severity::from_count(transition_count(&prep.violations, false))
+            Severity::from_count(prep.blips)
         },
     );
     set

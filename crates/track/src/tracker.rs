@@ -93,6 +93,11 @@ impl IouAssociator {
     /// Associates one frame's boxes and returns the track id assigned to
     /// each, aligned with the input order.
     ///
+    /// A frame's ids are distinct: each live track claims at most one
+    /// box. A box that claims none starts a track with the next unissued
+    /// id, so the frame's new ids are `num_tracks()`, `num_tracks() + 1`,
+    /// … (as read before the call), in query order.
+    ///
     /// Frames must be fed in non-decreasing order.
     ///
     /// # Panics

@@ -266,6 +266,32 @@ proptest! {
         prop_assert_eq!(associator.num_tracks(), oracle.tracks.len());
     }
 
+    /// The contract `assign` documents: a frame's ids are distinct, and
+    /// the ids it creates continue from `num_tracks()`, ascending and
+    /// dense, in query order.
+    #[test]
+    fn associator_ids_are_distinct_per_frame_and_dense(
+        seed in any::<u64>(),
+        threshold in 0usize..THRESHOLDS.len(),
+        max_age in 0usize..4,
+    ) {
+        let mut associator = IouAssociator::new(THRESHOLDS[threshold], max_age);
+        for (frame, dets) in frame_sequence(seed, max_age) {
+            let before = associator.num_tracks() as u64;
+            let ids: Vec<u64> = associator
+                .assign(frame, dets.iter().map(|d| d.bbox))
+                .iter()
+                .map(|id| id.0)
+                .collect();
+            let distinct: std::collections::BTreeSet<u64> = ids.iter().copied().collect();
+            prop_assert_eq!(distinct.len(), ids.len(), "an id twice in frame {}", frame);
+            let created: Vec<u64> = ids.iter().copied().filter(|&id| id >= before).collect();
+            let dense: Vec<u64> = (before..).take(created.len()).collect();
+            prop_assert_eq!(&created, &dense);
+            prop_assert_eq!(associator.num_tracks() as u64, before + created.len() as u64);
+        }
+    }
+
     /// A track recorded out of frame order, with replaced frames, reads
     /// back like the oracle's frame-keyed map.
     #[test]

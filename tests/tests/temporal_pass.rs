@@ -1,15 +1,20 @@
-//! `ConsistencyEngine::temporal_violations` against `check`.
+//! The temporal half of `ConsistencyEngine::check`, and the counts the
+//! video and fusion preparers take straight off the associator's ids.
 //!
-//! The video and fusion preparers read only presence transitions, so
-//! they feed each frame's boxes to an `IouAssociator` and run the
-//! temporal pass over the bare track ids instead of the full check; the
-//! self-contained reference assertions still track with `track_window`
-//! and call `check`. These properties hold the two to the same temporal
-//! violations, element for element, for the deployed specs (track ids,
-//! ECG rhythm classes, and news' tuple `(scene, slot)` ids), and hold
-//! both to the presence-run definition of a temporal violation; the
-//! tests at the end hold `VideoPrepare` and `FusionPrepare` to the
-//! reference on stream and crowded windows.
+//! `flicker`, `appear` and `fusion-flicker` read only how many short
+//! presence runs of each kind a tracked window has, so `VideoPrepare`
+//! and `FusionPrepare` feed each frame's boxes to an `IouAssociator` and
+//! count gaps and blips off the issued ids, with no id window and no
+//! violation list; the self-contained reference assertions still track
+//! with `track_window` and call `check`. The properties first hold
+//! `check`'s temporal entries to the presence-run definition of a
+//! temporal violation for the deployed specs (track ids, ECG rhythm
+//! classes, and news' tuple `(scene, slot)` ids). The tests after them
+//! hold the prepared `(gaps, blips)` to the per-kind counts of `check`
+//! over `track_window`: on stream windows, on 300-box crowded windows,
+//! and on generated windows that reach what the streams miss (windows
+//! shorter than 3, runs at the edges, a gap of exactly `T`, and an
+//! absence long enough to give an object a new id).
 
 use std::collections::BTreeMap;
 
@@ -22,7 +27,8 @@ use omg_domains::ecg::EcgSpec;
 use omg_domains::fusion::{primary_view, FusionFrame, FusionWindow};
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use omg_domains::news::NewsSpec;
-use omg_domains::{FusionPrepare, VideoPrepare, VideoWindow};
+use omg_domains::{FusionPrepare, VideoFrame, VideoPrep, VideoPrepare, VideoWindow};
+use omg_eval::ScoredBox;
 use omg_geom::matchers::INDEX_MIN;
 use omg_geom::BBox2D;
 use omg_scenario::Scenario;
@@ -133,11 +139,8 @@ fn assert_equivalent<P: ConsistencySpec + Clone>(
     t: f64,
 ) -> TestCaseResult {
     let engine = ConsistencyEngine::new(spec.clone()).with_temporal_threshold(t);
-    let fast = engine.temporal_violations(w);
-    prop_assert_eq!(&fast, &temporal_of_check(&engine, w));
-    prop_assert_eq!(&fast, &by_definition(&spec, w, t));
+    prop_assert_eq!(temporal_of_check(&engine, w), by_definition(&spec, w, t));
     let untimed = ConsistencyEngine::new(spec);
-    prop_assert!(untimed.temporal_violations(w).is_empty());
     prop_assert!(temporal_of_check(&untimed, w).is_empty());
     Ok(())
 }
@@ -164,8 +167,8 @@ proptest! {
 
 /// The generated windows cover what the properties promise: windows
 /// shorter than 3, runs touching either edge, uneven steps, gaps of
-/// exactly `T`, and attribute mismatches that `check` reports and the
-/// temporal pass leaves out.
+/// exactly `T`, and attribute mismatches that `check` reports next to
+/// its temporal entries.
 #[test]
 fn generated_windows_cover_the_edge_cases() {
     let mut rng = proptest::case_rng("coverage", 0);
@@ -184,7 +187,7 @@ fn generated_windows_cover_the_edge_cases() {
         uneven += usize::from(d.windows(2).any(|s| s[0].0 != s[1].0));
         exact_t += usize::from(d.iter().skip(1).any(|s| s.0 == 2));
         let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(0.5);
-        mixed += usize::from(engine.check(&w).len() > engine.temporal_violations(&w).len());
+        mixed += usize::from(engine.check(&w).len() > temporal_of_check(&engine, &w).len());
     }
     for (name, hits) in [
         ("short", short),
@@ -209,8 +212,7 @@ fn gap_of_exactly_t_does_not_fire() {
             (0.5, vec![1usize]),
             (1.0, vec![0usize]),
         ]);
-        let fired = engine.temporal_violations(&w);
-        assert_eq!(fired, temporal_of_check(&engine, &w));
+        let fired = temporal_of_check(&engine, &w);
         assert_eq!(fired.len(), if spec_t > t { 2 } else { 0 }, "{fired:?}");
     }
 }
@@ -223,18 +225,24 @@ fn no_threshold_gives_no_temporal_violations() {
         (0.1, vec![]),
         (0.2, vec![tracked(1, 1)]),
     ]);
-    assert!(engine.temporal_violations(&w).is_empty());
+    assert!(temporal_of_check(&engine, &w).is_empty());
     assert_eq!(engine.check(&w).len(), 1, "the class mismatch still fires");
-    assert!(engine
-        .temporal_violations(&ConsistencyWindow::new())
-        .is_empty());
+    assert!(engine.check(&ConsistencyWindow::new()).is_empty());
 }
 
-/// The reference for a prepared video window: the `TemporalTransition`
-/// entries of the full check over the tracker's window.
-fn reference_violations(w: &VideoWindow, t: f64) -> Vec<Violation<u64>> {
+/// The reference for a prepared video window: the per-kind counts
+/// `(gaps, blips)` of the `TemporalTransition` entries of the full check
+/// over the tracker's window.
+fn reference_counts(w: &VideoWindow, t: f64) -> (usize, usize) {
     let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(t);
-    temporal_of_check(&engine, &track_window(w))
+    let (mut gaps, mut blips) = (0, 0);
+    for v in temporal_of_check(&engine, &track_window(w)) {
+        match v {
+            Violation::TemporalTransition { gap: true, .. } => gaps += 1,
+            _ => blips += 1,
+        }
+    }
+    (gaps, blips)
 }
 
 /// Crowded windows: 300 boxes per frame, above the matchers' grid-index
@@ -254,28 +262,32 @@ fn crowded_windows() -> Vec<VideoWindow> {
     windows
 }
 
-/// Asserts each prepared violation list equals the reference on its
-/// video window, and that some window fires at all.
+/// Asserts each prepared artifact's `(gaps, blips)` equals the reference
+/// counts on its video window, and returns the totals.
 fn assert_prepared_equals_reference<'a>(
-    cases: impl IntoIterator<Item = (&'a VideoWindow, Vec<Violation<u64>>)>,
-) {
-    let mut fired = 0;
+    cases: impl IntoIterator<Item = (&'a VideoWindow, VideoPrep)>,
+) -> (usize, usize) {
+    let (mut gaps, mut blips) = (0, 0);
     for (i, (w, prepared)) in cases.into_iter().enumerate() {
-        let want = reference_violations(w, FLICKER_T);
-        assert_eq!(prepared, want, "window {i}");
-        fired += want.len();
+        let want = reference_counts(w, FLICKER_T);
+        assert_eq!(prepared.t, FLICKER_T, "window {i}");
+        assert_eq!((prepared.gaps, prepared.blips), want, "window {i}");
+        gaps += want.0;
+        blips += want.1;
     }
-    assert!(fired > 0, "no window fired");
+    (gaps, blips)
 }
 
 #[test]
 fn video_prepare_equals_check_over_track_window() {
     let prepare = VideoPrepare::new(FLICKER_T);
-    for windows in [monitor_windows(150, 3), crowded_windows()] {
-        assert_prepared_equals_reference(
-            windows.iter().map(|w| (w, prepare.prepare(w).violations)),
-        );
-    }
+    let count = |windows: &[VideoWindow]| {
+        assert_prepared_equals_reference(windows.iter().map(|w| (w, prepare.prepare(w))))
+    };
+    let (gaps, blips) = count(&monitor_windows(150, 3));
+    assert!(gaps > 0 && blips > 0, "stream: {gaps} gaps, {blips} blips");
+    let (gaps, _) = count(&crowded_windows());
+    assert!(gaps > 0, "crowded: no gap fired");
 }
 
 /// The same windows as fusion windows: the boxes as the primary channel,
@@ -307,13 +319,141 @@ fn fusion_prepare_equals_check_over_primary_view() {
         .collect();
     let crowded: Vec<FusionWindow> = crowded_windows().iter().map(as_fusion).collect();
     let prepare = FusionPrepare::new(FLICKER_T);
-    for windows in [stream, crowded] {
+    let count = |windows: &[FusionWindow]| {
         let views: Vec<VideoWindow> = windows.iter().map(primary_view).collect();
         assert_prepared_equals_reference(
             views
                 .iter()
-                .zip(&windows)
-                .map(|(view, w)| (view, prepare.prepare(w).violations)),
-        );
+                .zip(windows)
+                .map(|(view, w)| (view, prepare.prepare(w))),
+        )
+    };
+    let (gaps, blips) = count(&stream);
+    assert!(gaps > 0 && blips > 0, "stream: {gaps} gaps, {blips} blips");
+    let (gaps, _) = count(&crowded);
+    assert!(gaps > 0, "crowded: no gap fired");
+}
+
+/// A generated tracked window: per frame, a time step in quarter
+/// seconds; per object, a bit mask of the frames it is present in; and
+/// the threshold in quarter seconds.
+type TrackedDraw = (Vec<u32>, Vec<u16>, u32);
+
+/// 1–9 frames with uneven quarter-second steps, 1–6 objects each present
+/// in a drawn subset of the frames, and `T` in {0.25, 0.5, 0.75, 1.0}.
+fn tracked_draw() -> impl Strategy<Value = TrackedDraw> {
+    (
+        proptest::collection::vec(1u32..5, 1..10),
+        proptest::collection::vec(0u16..512, 1..7),
+        1u32..5,
+    )
+}
+
+/// Object `k`'s box: 50 px wide, 150 px from its neighbour's, so an
+/// object only ever matches its own track.
+fn object_box(k: usize) -> ScoredBox {
+    let x = k as f64 * 200.0;
+    ScoredBox {
+        bbox: BBox2D::new(x, 0.0, x + 50.0, 50.0).unwrap(),
+        class: 0,
+        score: 0.9,
     }
+}
+
+/// Whether an object with presence mask `mask` is present in frame `i`.
+fn present(mask: u16, i: usize) -> bool {
+    mask & (1 << i) != 0
+}
+
+/// The draw as a video window, and its threshold in seconds.
+fn tracked_window((steps, masks, t): &TrackedDraw) -> (VideoWindow, f64) {
+    let mut quarters = 0u32;
+    let frames = steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            quarters += step;
+            VideoFrame {
+                index: i as u64,
+                time: f64::from(quarters) * 0.25,
+                dets: (0..masks.len())
+                    .filter(|&k| present(masks[k], i))
+                    .map(object_box)
+                    .collect(),
+            }
+        })
+        .collect();
+    (VideoWindow::new(frames, 0), f64::from(*t) * 0.25)
+}
+
+proptest! {
+    /// Both preparers count, per kind, exactly the temporal entries of
+    /// `check` over `track_window`.
+    #[test]
+    fn prepared_counts_equal_check_on_generated_windows(draw in tracked_draw()) {
+        let (w, t) = tracked_window(&draw);
+        let want = reference_counts(&w, t);
+        let video = VideoPrepare::new(t).prepare(&w);
+        prop_assert_eq!((video.gaps, video.blips), want);
+        let fusion = FusionPrepare::new(t).prepare(&as_fusion(&w));
+        prop_assert_eq!((fusion.gaps, fusion.blips), want);
+    }
+}
+
+/// The property's own cases cover what the stream windows miss: windows
+/// shorter than 3, runs touching either edge, an interior gap of exactly
+/// `T`, and an absence long enough that the tracker gives the object a
+/// new id. Both kinds of run fire, too.
+#[test]
+fn generated_tracked_windows_cover_the_edge_cases() {
+    let cases = proptest::CASES;
+    let (mut short, mut edge, mut exact_t, mut new_id, mut gaps, mut blips) = (0, 0, 0, 0, 0, 0);
+    for case in 0..cases {
+        let mut rng = proptest::case_rng("prepared_counts_equal_check_on_generated_windows", case);
+        let draw = tracked_draw().generate(&mut rng);
+        let (w, t) = tracked_window(&draw);
+        let n = w.frames.len();
+        let time = |i: usize| w.frames[i].time;
+        short += usize::from(n < 3);
+        // A present run that starts or ends at an edge and not at both.
+        edge += usize::from(draw.1.iter().any(|&m| {
+            let all = (0..n).all(|i| present(m, i));
+            !all && (present(m, 0) || present(m, n - 1))
+        }));
+        // An absent run of one or two frames between two present frames
+        // (the track survives it) whose transitions lie exactly `T` apart.
+        exact_t += usize::from(draw.1.iter().any(|&m| {
+            (1..n).any(|a| {
+                (a..(a + 2).min(n - 1)).any(|b| {
+                    present(m, a - 1)
+                        && present(m, b + 1)
+                        && (a..=b).all(|i| !present(m, i))
+                        && time(b + 1) - time(a) == t
+                })
+            })
+        }));
+        let objects = draw
+            .1
+            .iter()
+            .filter(|&&m| (0..n).any(|i| present(m, i)))
+            .count();
+        let tracks = track_window(&w)
+            .iter()
+            .flat_map(|(_, outs)| outs.iter().map(|o| o.track))
+            .max()
+            .map_or(0, |id| id as usize + 1);
+        new_id += usize::from(tracks > objects);
+        let (g, b) = reference_counts(&w, t);
+        gaps += g;
+        blips += b;
+    }
+    for (name, hits) in [
+        ("short", short),
+        ("edge", edge),
+        ("exact_t", exact_t),
+        ("new_id", new_id),
+    ] {
+        assert!(hits * 10 >= cases, "{name}: {hits} of {cases}");
+    }
+    assert!(gaps > 0 && blips > 0, "{gaps} gaps, {blips} blips");
 }
