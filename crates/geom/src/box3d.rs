@@ -166,8 +166,7 @@ impl BBox3D {
     }
 
     /// The axis-aligned bird's-eye-view footprint: the tightest 2D box
-    /// (world X × Y) containing all eight corners. This is the AABB the
-    /// BEV spatial index files 3D boxes under, and the same footprint
+    /// (world X × Y) containing all eight corners — the same footprint
     /// [`BBox3D::iou_bev_aabb`] intersects.
     pub fn footprint_aabb(&self) -> BBox2D {
         let cs = self.corners();

@@ -1,4 +1,4 @@
-//! Uniform spatial grid indexes over bounding boxes.
+//! A uniform spatial grid index over bounding boxes.
 //!
 //! Every geometric assertion in the paper — flicker (tracking), multibox
 //! (duplicate clusters), and multi-sensor agreement — is a box-against-box
@@ -9,41 +9,37 @@
 //! only the cells its own AABB covers, so candidates are the boxes that
 //! *could* overlap rather than all of them.
 //!
-//! Two indexes live here:
-//!
-//! * [`GridIndex2D`] — over [`BBox2D`] in image coordinates; the substrate
-//!   of NMS, tracker association, duplicate-cluster detection, and fusion
-//!   agreement (see [`crate::matchers`]).
-//! * [`BevGridIndex`] — over [`BBox3D`] bird's-eye-view footprints
-//!   ([`BBox3D::footprint_aabb`]), for LIDAR-style BEV matching.
+//! [`GridIndex2D`] is built once over a borrowed slice of [`BBox2D`]s and
+//! answers one query, [`GridIndex2D::candidates_overlapping`]; it is the
+//! substrate of tracker association, duplicate-cluster detection, and
+//! fusion agreement (see [`crate::matchers`]).
 //!
 //! # Correctness argument
 //!
 //! Cell coordinates are a monotone, clamped function of world
 //! coordinates, so two intersecting AABBs always cover intersecting cell
-//! ranges — including boxes outside the grid bounds, which clamp onto the
-//! border cells the same way queries do. [`GridIndex2D::candidates_overlapping`]
-//! therefore returns **exactly** the indexed boxes whose AABB intersects
-//! the query (the cell walk yields a superset; a final
-//! [`BBox2D::intersects`] check trims it). Matchers built on it compute
-//! the same IoU values on the surviving pairs as the pairwise reference
-//! scans in [`crate::reference`] — the equivalence the spatial property
-//! suite and the registry-driven engine tests pin bit-for-bit.
+//! ranges — including queries outside the grid bounds, which clamp onto
+//! the border cells. [`GridIndex2D::candidates_overlapping`] therefore
+//! returns **exactly** the indexed boxes whose AABB intersects the query
+//! (the cell walk yields a superset; a final [`BBox2D::intersects`] check
+//! trims it). Matchers built on it compute the same IoU values on the
+//! surviving pairs as the pairwise reference scans in
+//! [`crate::reference`] — the equivalence the spatial property suite and
+//! the registry-driven engine tests pin bit-for-bit.
 
-use crate::{BBox2D, BBox3D};
+use crate::BBox2D;
 
 /// Hard cap on the number of grid cells, independent of input: beyond
 /// this the cell size is scaled up so memory stays bounded even for
 /// adversarial extents (one huge box next to thousands of tiny ones).
 const MAX_CELLS: usize = 1 << 18;
 
-/// A uniform grid index over [`BBox2D`]s.
+/// A uniform grid index over a borrowed slice of [`BBox2D`]s.
 ///
-/// Built either incrementally ([`GridIndex2D::new`] + [`GridIndex2D::insert`])
-/// or in one shot from a slice ([`GridIndex2D::build`], which derives the
-/// cell size from the median box extent). Queries return indices into the
-/// insertion order, always sorted ascending and deduplicated, so every
-/// consumer iterates candidates in a deterministic order.
+/// Built in one shot by [`GridIndex2D::build`], which derives the cell
+/// size from the median box extent. Queries return indices into the
+/// slice, always sorted ascending and deduplicated, so every consumer
+/// iterates candidates in a deterministic order.
 ///
 /// # Example
 ///
@@ -62,7 +58,7 @@ const MAX_CELLS: usize = 1 << 18;
 /// # Ok::<(), omg_geom::GeomError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct GridIndex2D {
+pub struct GridIndex2D<'a> {
     x0: f64,
     y0: f64,
     cell: f64,
@@ -70,77 +66,29 @@ pub struct GridIndex2D {
     ny: usize,
     /// Per-cell buckets of box indices, row-major, each ascending.
     cells: Vec<Vec<u32>>,
-    boxes: Vec<BBox2D>,
+    boxes: &'a [BBox2D],
 }
 
-impl GridIndex2D {
-    /// Creates an empty grid covering `bounds` with the given cell edge
-    /// length. Boxes inserted (or queried) outside the bounds clamp onto
-    /// the border cells, so the index stays exact for them too — only
-    /// performance degrades, never correctness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is not finite and positive.
-    pub fn new(bounds: BBox2D, cell: f64) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "grid cell size must be finite and positive, got {cell}"
-        );
-        let mut cell = cell;
-        let mut nx = Self::axis_cells(bounds.width(), cell);
-        let mut ny = Self::axis_cells(bounds.height(), cell);
-        // Scale the cell up until the grid fits the memory cap. A single
-        // pass is not enough: rescaling by sqrt(overshoot) assumes both
-        // axes shrink with the cell, but a thin-strip bounds clamps one
-        // axis at a single cell, leaving the other to absorb the whole
-        // reduction — so recompute and re-scale until the product fits.
-        // The product (and its f64 image for the scale) stays saturated
-        // so extreme finite extents cannot overflow the multiply.
-        // Terminates: the cell grows by at least 0.1% per iteration, and
-        // once it exceeds the larger bounds span the grid is 1×1.
-        while nx.saturating_mul(ny) > MAX_CELLS {
-            let over = nx.saturating_mul(ny) as f64 / MAX_CELLS as f64;
-            // With an axis already collapsed to one cell the shrink is
-            // linear in the other axis, not split across both.
-            let scale = if nx == 1 || ny == 1 {
-                over
-            } else {
-                over.sqrt()
-            };
-            cell *= scale.max(1.0) * 1.001;
-            nx = Self::axis_cells(bounds.width(), cell);
-            ny = Self::axis_cells(bounds.height(), cell);
-        }
-        Self {
-            x0: bounds.x1(),
-            y0: bounds.y1(),
-            cell,
-            nx,
-            ny,
-            cells: vec![Vec::new(); nx * ny],
-            boxes: Vec::new(),
-        }
-    }
-
+impl<'a> GridIndex2D<'a> {
     /// Builds a grid over `boxes`, deriving bounds from their union and
     /// the cell edge from the **median box extent** (the larger of width
     /// and height, clamped so the cell count stays proportional to the
     /// box count). Median sizing keeps the common case — many
     /// similarly-sized objects — at a handful of candidates per query
     /// without letting one outlier box dictate the resolution.
-    pub fn build(boxes: &[BBox2D]) -> Self {
-        let Some(first) = boxes.first() else {
-            // PANIC: constant unit box; the constructor cannot reject it.
-            return Self::new(
-                BBox2D::new(0.0, 0.0, 1.0, 1.0).expect("unit bounds are valid"),
-                1.0,
-            );
+    pub fn build(boxes: &'a [BBox2D]) -> Self {
+        let Some((first, rest)) = boxes.split_first() else {
+            return Self {
+                x0: 0.0,
+                y0: 0.0,
+                cell: 1.0,
+                nx: 1,
+                ny: 1,
+                cells: vec![Vec::new()],
+                boxes,
+            };
         };
-        let bounds = boxes
-            .iter()
-            .skip(1)
-            .fold(*first, |acc, b| acc.union_bounds(b));
+        let bounds = rest.iter().fold(*first, |acc, b| acc.union_bounds(b));
         let mut extents: Vec<f64> = boxes.iter().map(|b| b.width().max(b.height())).collect();
         extents.sort_by(f64::total_cmp);
         // PANIC: boxes (hence extents) is non-empty here — the empty
@@ -158,46 +106,33 @@ impl GridIndex2D {
         if need > target_cells {
             cell *= (need / target_cells).sqrt();
         }
-        let mut grid = Self::new(bounds, cell);
-        for b in boxes {
-            grid.insert(*b);
+        // A valid box may still be wider or taller than f64 can hold
+        // (x2 - x1 overflows), which makes the median or the bounds
+        // infinite and `cell` with them. That is safe: `axis_cells` and
+        // `cell_of` map inf/NaN quotients to cell 0, so an infinite cell
+        // is a 1×1 grid whose single bucket holds every box, and the
+        // `intersects` trim keeps the answer exact.
+        let (cell, nx, ny) = fit_cells(&bounds, cell);
+        let mut grid = Self {
+            x0: bounds.x1(),
+            y0: bounds.y1(),
+            cell,
+            nx,
+            ny,
+            cells: vec![Vec::new(); nx * ny],
+            boxes,
+        };
+        for (id, b) in boxes.iter().enumerate() {
+            let (cx1, cy1, cx2, cy2) = grid.cell_range(b);
+            // PANIC: cell_range clamps to cx < nx, cy < ny, and cells
+            // has nx * ny slots.
+            for cy in cy1..=cy2 {
+                for cx in cx1..=cx2 {
+                    grid.cells[cy * nx + cx].push(id as u32);
+                }
+            }
         }
         grid
-    }
-
-    /// Number of cells along an axis for `span` world units.
-    fn axis_cells(span: f64, cell: f64) -> usize {
-        ((span / cell).ceil() as usize).max(1)
-    }
-
-    /// The cell edge length actually in use (after any memory clamping).
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// Grid dimensions `(nx, ny)` in cells.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// Number of indexed boxes.
-    pub fn len(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Whether the index holds no boxes.
-    pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
-    }
-
-    /// The indexed box with the given insertion id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn get(&self, id: usize) -> &BBox2D {
-        // PANIC: documented contract — callers pass insertion ids.
-        &self.boxes[id]
     }
 
     /// Clamped cell coordinate of a world point.
@@ -219,22 +154,6 @@ impl GridIndex2D {
         (cx1, cy1, cx2, cy2)
     }
 
-    /// Inserts a box and returns its id (the insertion index). The box is
-    /// filed under every cell its AABB covers.
-    pub fn insert(&mut self, bbox: BBox2D) -> usize {
-        let id = self.boxes.len() as u32;
-        self.boxes.push(bbox);
-        let (cx1, cy1, cx2, cy2) = self.cell_range(&bbox);
-        // PANIC: cell_range clamps to cx < nx, cy < ny, and cells has
-        // nx * ny slots.
-        for cy in cy1..=cy2 {
-            for cx in cx1..=cx2 {
-                self.cells[cy * self.nx + cx].push(id);
-            }
-        }
-        id as usize
-    }
-
     /// Collects into `out` the ids of **exactly** the indexed boxes whose
     /// AABB intersects `query` (touching edges count), sorted ascending.
     /// `out` is cleared first; reuse it across queries to avoid
@@ -242,21 +161,8 @@ impl GridIndex2D {
     pub fn candidates_overlapping(&self, query: &BBox2D, out: &mut Vec<usize>) {
         out.clear();
         let (cx1, cy1, cx2, cy2) = self.cell_range(query);
-        // Buckets hold ids in ascending order (boxes are filed in
-        // insertion order), so a single-cell query is already sorted and
-        // duplicate-free — the common case for queries no larger than a
-        // cell, worth skipping the sort for.
         // PANIC: cell_range clamps to the grid dims, and bucket ids are
-        // indices of `boxes` by construction (filed in insert/build).
-        if cx1 == cx2 && cy1 == cy2 {
-            for &id in &self.cells[cy1 * self.nx + cx1] {
-                if self.boxes[id as usize].intersects(query) {
-                    out.push(id as usize);
-                }
-            }
-            return;
-        }
-        // PANIC: same clamped-range / filed-id argument.
+        // indices of `boxes` by construction (filed in build).
         for cy in cy1..=cy2 {
             for cx in cx1..=cx2 {
                 for &id in &self.cells[cy * self.nx + cx] {
@@ -267,145 +173,50 @@ impl GridIndex2D {
             }
         }
         // A box spanning several visited cells appears once per cell.
+        // One cell's bucket is already ascending and duplicate-free, so
+        // for the common single-cell query both passes are linear.
         out.sort_unstable();
         out.dedup();
     }
-
-    /// Collects into `out` the ids of boxes whose **center** lies within
-    /// `radius` (inclusive) of `(x, y)`, sorted ascending. `out` is
-    /// cleared first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or non-finite.
-    pub fn within_radius(&self, x: f64, y: f64, radius: f64, out: &mut Vec<usize>) {
-        assert!(
-            radius.is_finite() && radius >= 0.0,
-            "radius must be finite and non-negative, got {radius}"
-        );
-        out.clear();
-        let (cx1, cy1) = self.cell_of(x - radius, y - radius);
-        let (cx2, cy2) = self.cell_of(x + radius, y + radius);
-        let r2 = radius * radius;
-        for cy in cy1..=cy2 {
-            for cx in cx1..=cx2 {
-                for &id in &self.cells[cy * self.nx + cx] {
-                    let (bx, by) = self.boxes[id as usize].center();
-                    let (dx, dy) = (bx - x, by - y);
-                    if dx * dx + dy * dy <= r2 {
-                        out.push(id as usize);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// The `k` indexed boxes whose centers are nearest to `(x, y)`, by
-    /// ascending `(distance, id)` — an expanding-radius search over the
-    /// grid. Returns fewer than `k` ids only when the index holds fewer
-    /// than `k` boxes.
-    pub fn nearest(&self, x: f64, y: f64, k: usize) -> Vec<usize> {
-        let want = k.min(self.boxes.len());
-        if want == 0 {
-            return Vec::new();
-        }
-        let mut hits: Vec<usize> = Vec::new();
-        let mut radius = self.cell.max(1e-9);
-        loop {
-            self.within_radius(x, y, radius, &mut hits);
-            if hits.len() >= want {
-                break;
-            }
-            // No box center can be farther from the query than the grid
-            // diagonal plus its own offset, but centers of clamped
-            // out-of-bounds boxes can sit arbitrarily far out — keep
-            // doubling until enough turn up (guaranteed: want <= len and
-            // every center is at a finite distance).
-            radius *= 2.0;
-            if radius == f64::INFINITY {
-                // Fall back to taking everything.
-                hits = (0..self.boxes.len()).collect();
-                break;
-            }
-        }
-        let mut scored: Vec<(f64, usize)> = hits
-            .into_iter()
-            .map(|id| {
-                let (bx, by) = self.boxes[id].center();
-                let (dx, dy) = (bx - x, by - y);
-                (dx * dx + dy * dy, id)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored.truncate(want);
-        scored.into_iter().map(|(_, id)| id).collect()
-    }
 }
 
-/// A bird's-eye-view grid index over [`BBox3D`]s: each box is filed under
-/// its axis-aligned XY footprint ([`BBox3D::footprint_aabb`]), the same
-/// footprint [`BBox3D::iou_bev_aabb`] intersects — so candidate lookup is
-/// exact for BEV AABB matching just as [`GridIndex2D`] is for 2D.
-#[derive(Debug, Clone)]
-pub struct BevGridIndex {
-    grid: GridIndex2D,
+/// Number of cells along an axis for `span` world units.
+fn axis_cells(span: f64, cell: f64) -> usize {
+    ((span / cell).ceil() as usize).max(1)
 }
 
-impl BevGridIndex {
-    /// Builds a BEV index over `boxes` (cell size from the median
-    /// footprint extent, as in [`GridIndex2D::build`]).
-    pub fn build(boxes: &[BBox3D]) -> Self {
-        let footprints: Vec<BBox2D> = boxes.iter().map(BBox3D::footprint_aabb).collect();
-        Self {
-            grid: GridIndex2D::build(&footprints),
-        }
+/// Scales `cell` up until the grid over `bounds` fits [`MAX_CELLS`];
+/// returns the cell edge with the grid's `(nx, ny)`.
+fn fit_cells(bounds: &BBox2D, mut cell: f64) -> (f64, usize, usize) {
+    let mut nx = axis_cells(bounds.width(), cell);
+    let mut ny = axis_cells(bounds.height(), cell);
+    // A single pass is not enough: rescaling by sqrt(overshoot) assumes
+    // both axes shrink with the cell, but a thin-strip bounds clamps one
+    // axis at a single cell, leaving the other to absorb the whole
+    // reduction — so recompute and re-scale until the product fits.
+    // The product (and its f64 image for the scale) stays saturated
+    // so extreme finite extents cannot overflow the multiply.
+    // Terminates: the cell grows by at least 0.1% per iteration, and
+    // once it exceeds the larger bounds span the grid is 1×1.
+    while nx.saturating_mul(ny) > MAX_CELLS {
+        let over = nx.saturating_mul(ny) as f64 / MAX_CELLS as f64;
+        // With an axis already collapsed to one cell the shrink is
+        // linear in the other axis, not split across both.
+        let scale = if nx == 1 || ny == 1 {
+            over
+        } else {
+            over.sqrt()
+        };
+        cell *= scale.max(1.0) * 1.001;
+        nx = axis_cells(bounds.width(), cell);
+        ny = axis_cells(bounds.height(), cell);
     }
-
-    /// Inserts a box and returns its id (the insertion index).
-    pub fn insert(&mut self, bbox: &BBox3D) -> usize {
-        self.grid.insert(bbox.footprint_aabb())
-    }
-
-    /// Number of indexed boxes.
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// Whether the index holds no boxes.
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// Ids of exactly the indexed boxes whose BEV footprint intersects
-    /// `query`'s, sorted ascending (see
-    /// [`GridIndex2D::candidates_overlapping`]).
-    pub fn candidates_overlapping(&self, query: &BBox3D, out: &mut Vec<usize>) {
-        self.grid
-            .candidates_overlapping(&query.footprint_aabb(), out);
-    }
-
-    /// Ids of boxes whose footprint center lies within `radius` of
-    /// `(x, y)` in the ground plane, sorted ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or non-finite.
-    pub fn within_radius(&self, x: f64, y: f64, radius: f64, out: &mut Vec<usize>) {
-        self.grid.within_radius(x, y, radius, out);
-    }
-
-    /// The `k` boxes whose footprint centers are nearest to `(x, y)`.
-    pub fn nearest(&self, x: f64, y: f64, k: usize) -> Vec<usize> {
-        self.grid.nearest(x, y, k)
-    }
+    (cell, nx, ny)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vec3;
 
     fn bb(x: f64, y: f64, s: f64) -> BBox2D {
         BBox2D::new(x, y, x + s, y + s).unwrap()
@@ -421,11 +232,9 @@ mod tests {
     #[test]
     fn empty_grid_answers_empty() {
         let grid = GridIndex2D::build(&[]);
-        assert!(grid.is_empty());
         let mut out = vec![7usize];
         grid.candidates_overlapping(&bb(0.0, 0.0, 10.0), &mut out);
         assert!(out.is_empty(), "query must clear the scratch vec");
-        assert!(grid.nearest(0.0, 0.0, 3).is_empty());
     }
 
     #[test]
@@ -450,26 +259,31 @@ mod tests {
 
     #[test]
     fn out_of_bounds_boxes_clamp_but_stay_findable() {
-        let mut grid = GridIndex2D::new(bb(0.0, 0.0, 100.0), 10.0);
         let inside = bb(5.0, 5.0, 10.0);
-        let outside = bb(500.0, 500.0, 10.0); // far past the bounds
-        grid.insert(inside);
-        grid.insert(outside);
+        let corner = bb(90.0, 90.0, 10.0);
+        let boxes = [inside, corner];
+        let grid = GridIndex2D::build(&boxes);
         let mut out = Vec::new();
-        grid.candidates_overlapping(&bb(499.0, 499.0, 5.0), &mut out);
+        // Queries reaching past the bounds clamp onto the border cells.
+        grid.candidates_overlapping(&bb(95.0, 95.0, 500.0), &mut out);
         assert_eq!(out, vec![1]);
-        grid.candidates_overlapping(&inside, &mut out);
+        grid.candidates_overlapping(&bb(-500.0, -500.0, 510.0), &mut out);
         assert_eq!(out, vec![0]);
+        // Entirely outside: clamped cells, but the trim rejects.
+        grid.candidates_overlapping(&bb(500.0, 500.0, 10.0), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn box_straddling_many_cells_reported_once() {
-        let mut grid = GridIndex2D::new(bb(0.0, 0.0, 100.0), 5.0);
         let big = BBox2D::new(0.0, 0.0, 100.0, 100.0).unwrap();
-        grid.insert(big);
+        let mut boxes = vec![big];
+        boxes.extend((0..20).map(|i| bb(f64::from(i) * 5.0, 0.0, 5.0)));
+        let grid = GridIndex2D::build(&boxes);
+        assert!(grid.nx * grid.ny > 1, "big must span several cells");
         let mut out = Vec::new();
         grid.candidates_overlapping(&big, &mut out);
-        assert_eq!(out, vec![0]);
+        assert_eq!(out, (0..boxes.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -487,11 +301,9 @@ mod tests {
             .map(|i| bb(f64::from(i) * 3.0, 0.0, 10.0))
             .collect();
         let grid = GridIndex2D::build(&boxes);
-        assert!(grid.cell_size() > 0.0);
-        let (nx, ny) = grid.dims();
+        assert!(grid.cell > 0.0);
+        let (nx, ny) = (grid.nx, grid.ny);
         assert!(nx * ny <= 4 * boxes.len() + 64 + nx + ny, "cells stay O(n)");
-        assert_eq!(grid.len(), 100);
-        assert_eq!(grid.get(3), &boxes[3]);
     }
 
     #[test]
@@ -503,8 +315,7 @@ mod tests {
             boxes.push(bb(f64::from(i) * 0.001, 0.0, 0.01));
         }
         let grid = GridIndex2D::build(&boxes);
-        let (nx, ny) = grid.dims();
-        assert!(nx * ny <= super::MAX_CELLS);
+        assert!(grid.nx * grid.ny <= super::MAX_CELLS);
         let mut out = Vec::new();
         grid.candidates_overlapping(&boxes[0], &mut out);
         assert_eq!(out.len(), 51, "the huge box overlaps everything");
@@ -522,7 +333,7 @@ mod tests {
             })
             .collect();
         let grid = GridIndex2D::build(&boxes);
-        let (nx, ny) = grid.dims();
+        let (nx, ny) = (grid.nx, grid.ny);
         assert!(
             nx.saturating_mul(ny) <= super::MAX_CELLS,
             "thin strip must respect the cap, got {nx}x{ny}"
@@ -541,82 +352,8 @@ mod tests {
         // clamp; re-multiplying them unsaturated overflowed (debug
         // panic, release wrap). The clamp must stay saturated and still
         // land under the cap.
-        let grid = GridIndex2D::new(BBox2D::new(0.0, 0.0, 1e300, 1e300).unwrap(), 1e-300);
-        let (nx, ny) = grid.dims();
+        let bounds = BBox2D::new(0.0, 0.0, 1e300, 1e300).unwrap();
+        let (_, nx, ny) = fit_cells(&bounds, 1e-300);
         assert!(nx.saturating_mul(ny) <= super::MAX_CELLS);
-    }
-
-    #[test]
-    fn within_radius_matches_brute_force() {
-        let boxes: Vec<BBox2D> = (0..30)
-            .map(|i| bb(f64::from(i % 6) * 20.0, f64::from(i / 6) * 20.0, 8.0))
-            .collect();
-        let grid = GridIndex2D::build(&boxes);
-        let mut out = Vec::new();
-        grid.within_radius(50.0, 50.0, 35.0, &mut out);
-        let brute: Vec<usize> = (0..boxes.len())
-            .filter(|&i| {
-                let (cx, cy) = boxes[i].center();
-                ((cx - 50.0).powi(2) + (cy - 50.0).powi(2)).sqrt() <= 35.0
-            })
-            .collect();
-        assert_eq!(out, brute);
-        assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn nearest_returns_k_by_distance_then_id() {
-        let boxes = vec![
-            bb(0.0, 0.0, 2.0),
-            bb(10.0, 0.0, 2.0),
-            bb(30.0, 0.0, 2.0),
-            bb(10.0, 0.0, 2.0),
-        ];
-        let grid = GridIndex2D::build(&boxes);
-        // Query at the center of box 1 (and its duplicate 3).
-        assert_eq!(grid.nearest(11.0, 1.0, 2), vec![1, 3]);
-        assert_eq!(grid.nearest(11.0, 1.0, 3), vec![1, 3, 0]);
-        // More than the population: everything, nearest-first.
-        assert_eq!(grid.nearest(11.0, 1.0, 99), vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell size")]
-    fn zero_cell_size_rejected() {
-        GridIndex2D::new(bb(0.0, 0.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn bev_index_matches_footprint_intersection() {
-        let mk = |x: f64, y: f64, yaw: f64| {
-            BBox3D::new(Vec3::new(x, y, 1.0), Vec3::new(4.0, 2.0, 2.0), yaw).unwrap()
-        };
-        let boxes = vec![
-            mk(0.0, 0.0, 0.0),
-            mk(3.0, 0.0, 0.5),
-            mk(50.0, 0.0, 0.0),
-            mk(0.0, 3.0, 1.2),
-        ];
-        let bev = BevGridIndex::build(&boxes);
-        assert_eq!(bev.len(), 4);
-        assert!(!bev.is_empty());
-        let mut out = Vec::new();
-        for q in &boxes {
-            bev.candidates_overlapping(q, &mut out);
-            let fq = q.footprint_aabb();
-            let brute: Vec<usize> = (0..boxes.len())
-                .filter(|&i| boxes[i].footprint_aabb().intersects(&fq))
-                .collect();
-            assert_eq!(out, brute);
-        }
-        // Radius/k-NN delegate to the footprint centers.
-        bev.within_radius(0.0, 0.0, 4.0, &mut out);
-        assert_eq!(out, vec![0, 1, 3]);
-        assert_eq!(bev.nearest(49.0, 0.0, 1), vec![2]);
-        // Incremental insert.
-        let mut bev2 = BevGridIndex::build(&boxes[..1]);
-        assert_eq!(bev2.insert(&boxes[1]), 1);
-        bev2.candidates_overlapping(&boxes[0], &mut out);
-        assert_eq!(out, vec![0, 1]);
     }
 }

@@ -14,12 +14,12 @@
 //!   onto the 2D image plane for the paper's `agree` assertion
 //!   ("projects the 3D boxes onto the 2D camera plane to check for
 //!   consistency", §2.2).
-//! * [`nms`] — non-maximum suppression over scored boxes.
-//! * [`grid`] — uniform spatial grid indexes ([`grid::GridIndex2D`],
-//!   [`grid::BevGridIndex`]) that make box matching sub-quadratic.
-//! * [`matchers`] — the indexed matchers every assertion routes through
-//!   (NMS, association pairs, overlap triples, agreement counts), with a
-//!   process-wide [`matchers::MatchBackend`] toggle.
+//! * [`grid`] — a uniform spatial grid index ([`grid::GridIndex2D`]),
+//!   built once over a borrowed slice, that makes box matching
+//!   sub-quadratic.
+//! * [`matchers`] — the three indexed matchers every assertion routes
+//!   through (association pairs, overlap triples, agreement counts),
+//!   with a process-wide [`matchers::MatchBackend`] toggle.
 //! * [`reference`](mod@reference) — the preserved O(n²) pairwise
 //!   scans: equivalence oracle, benchmark baseline, and small-input
 //!   fallback.
@@ -44,7 +44,6 @@ mod camera;
 mod error;
 pub mod grid;
 pub mod matchers;
-pub mod nms;
 pub mod reference;
 mod vec3;
 

@@ -1,9 +1,11 @@
 //! Indexed box matchers and the backend toggle.
 //!
-//! Every pairwise matcher in the workspace — NMS, tracker association,
-//! duplicate-cluster detection, fusion agreement — routes through this
-//! module. Each matcher has two implementations producing **bit-for-bit
-//! identical** output:
+//! The paper's geometric assertions need three box matchers, and every
+//! pairwise matcher in the workspace routes through them:
+//! [`iou_pairs`] (tracker association behind `flicker`/`appear`),
+//! [`overlap_triples`] (`multibox` duplicate clusters) and
+//! [`count_unmatched`] (`agree` and highway fusion agreement). Each has
+//! two implementations producing **bit-for-bit identical** output:
 //!
 //! * an *indexed* path (default) that builds a [`GridIndex2D`] and only
 //!   scores candidate pairs whose AABBs intersect — near-linear in
@@ -17,8 +19,8 @@
 //! returns (see [`crate::grid`]). The indexed matchers therefore compute
 //! the very same IoU values on the very same surviving pairs, in the
 //! same deterministic order, as the reference scans. When that argument
-//! does not hold — a zero or negative threshold, where even disjoint
-//! pairs "match" — the matchers detect it and fall back to the
+//! does not hold — a zero, negative or NaN threshold, where even
+//! disjoint pairs "match" — the matchers detect it and fall back to the
 //! reference automatically.
 //!
 //! # The backend toggle
@@ -95,103 +97,14 @@ pub fn with_backend<R>(b: MatchBackend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether the indexed path may be used for a matcher whose predicate is
-/// `iou >= thr` (`strict = false`) or `iou > thr` (`strict = true`):
-/// matching must imply a positive-area intersection, or grid candidate
-/// lookup would miss "matching" disjoint pairs. NaN thresholds fail both
-/// conditions and fall back to the reference.
-fn threshold_indexable(thr: f64, strict: bool) -> bool {
-    if strict {
-        thr >= 0.0
-    } else {
-        thr > 0.0
-    }
-}
-
-/// Greedy NMS over scored boxes; see [`crate::nms::nms_indices`] for the
-/// contract. Dispatches between the grid-indexed path and
-/// [`reference::nms_indices`] by backend, input size, and threshold.
-///
-/// # Panics
-///
-/// Panics if `boxes` and `scores` have different lengths.
-pub fn nms_indices(boxes: &[BBox2D], scores: &[f64], iou_threshold: f64) -> Vec<usize> {
-    assert_eq!(
-        boxes.len(),
-        scores.len(),
-        "boxes and scores must be the same length"
-    );
-    if backend() == MatchBackend::Reference
-        || boxes.len() < INDEX_MIN
-        || !threshold_indexable(iou_threshold, true)
-    {
-        return reference::nms_indices(boxes, scores, iou_threshold);
-    }
-    let grid = GridIndex2D::build(boxes);
-    let mut kept_flag = vec![false; boxes.len()];
-    let mut kept: Vec<usize> = Vec::new();
-    let mut cands: Vec<usize> = Vec::new();
-    // PANIC: every subscript below is an index from score_order (a
-    // permutation of 0..len) or from GridIndex2D built over these same
-    // boxes, so it is structurally in bounds.
-    for i in reference::score_order(scores) {
-        grid.candidates_overlapping(&boxes[i], &mut cands);
-        let suppressed = cands
-            .iter()
-            .any(|&k| kept_flag[k] && boxes[k].iou(&boxes[i]) > iou_threshold);
-        if !suppressed {
-            kept_flag[i] = true;
-            kept.push(i);
-        }
-    }
-    kept
-}
-
-/// Class-aware greedy NMS; see [`crate::nms::nms_indices_per_class`].
-///
-/// # Panics
-///
-/// Panics if the three slices have different lengths.
-pub fn nms_indices_per_class(
-    boxes: &[BBox2D],
-    scores: &[f64],
-    classes: &[usize],
-    iou_threshold: f64,
-) -> Vec<usize> {
-    assert_eq!(
-        boxes.len(),
-        scores.len(),
-        "boxes and scores must be the same length"
-    );
-    assert_eq!(
-        boxes.len(),
-        classes.len(),
-        "boxes and classes must be the same length"
-    );
-    if backend() == MatchBackend::Reference
-        || boxes.len() < INDEX_MIN
-        || !threshold_indexable(iou_threshold, true)
-    {
-        return reference::nms_indices_per_class(boxes, scores, classes, iou_threshold);
-    }
-    let grid = GridIndex2D::build(boxes);
-    let mut kept_flag = vec![false; boxes.len()];
-    let mut kept: Vec<usize> = Vec::new();
-    let mut cands: Vec<usize> = Vec::new();
-    // PANIC: indices come from score_order (permutation of 0..len) and
-    // GridIndex2D over these boxes; `classes` length is asserted equal
-    // above, so all subscripts are in bounds.
-    for i in reference::score_order(scores) {
-        grid.candidates_overlapping(&boxes[i], &mut cands);
-        let suppressed = cands.iter().any(|&k| {
-            kept_flag[k] && classes[k] == classes[i] && boxes[k].iou(&boxes[i]) > iou_threshold
-        });
-        if !suppressed {
-            kept_flag[i] = true;
-            kept.push(i);
-        }
-    }
-    kept
+/// Whether a matcher over `pairs` candidate pairs with the predicate
+/// `iou >= thr` takes the indexed path: only under the indexed backend,
+/// only from `INDEX_MIN²` pairs (`INDEX_MIN` boxes for a one-set
+/// matcher), and only when matching implies a positive-area
+/// intersection, or grid candidate lookup would miss "matching"
+/// disjoint pairs. NaN thresholds fail `thr > 0.0` and fall back.
+fn indexed(pairs: usize, thr: f64) -> bool {
+    backend() == MatchBackend::Indexed && pairs >= INDEX_MIN * INDEX_MIN && thr > 0.0
 }
 
 /// Replaces the contents of `pairs` with every `(iou, anchor_idx,
@@ -207,10 +120,7 @@ pub fn iou_pairs(
     iou_threshold: f64,
     pairs: &mut Vec<(f64, usize, usize)>,
 ) {
-    if backend() == MatchBackend::Reference
-        || anchors.len() * queries.len() < INDEX_MIN * INDEX_MIN
-        || !threshold_indexable(iou_threshold, false)
-    {
+    if !indexed(anchors.len() * queries.len(), iou_threshold) {
         return reference::iou_pairs(anchors, queries, iou_threshold, pairs);
     }
     pairs.clear();
@@ -241,10 +151,7 @@ pub fn overlap_triples(boxes: &[BBox2D], classes: &[usize], iou_threshold: f64) 
         classes.len(),
         "boxes and classes must be the same length"
     );
-    if backend() == MatchBackend::Reference
-        || boxes.len() < INDEX_MIN
-        || !threshold_indexable(iou_threshold, false)
-    {
+    if !indexed(boxes.len() * boxes.len(), iou_threshold) {
         return reference::overlap_triples(boxes, classes, iou_threshold);
     }
     let grid = GridIndex2D::build(boxes);
@@ -280,10 +187,7 @@ pub fn overlap_triples(boxes: &[BBox2D], classes: &[usize], iou_threshold: f64) 
 /// `iou_threshold` (the `no_overlap` sensor-agreement predicate over a
 /// batch); identical to [`reference::count_unmatched`].
 pub fn count_unmatched(queries: &[BBox2D], targets: &[BBox2D], iou_threshold: f64) -> usize {
-    if backend() == MatchBackend::Reference
-        || queries.len() * targets.len() < INDEX_MIN * INDEX_MIN
-        || !threshold_indexable(iou_threshold, false)
-    {
+    if !indexed(queries.len() * targets.len(), iou_threshold) {
         return reference::count_unmatched(queries, targets, iou_threshold);
     }
     let grid = GridIndex2D::build(targets);
@@ -340,10 +244,22 @@ mod tests {
         pairs
     }
 
-    fn scores_for(boxes: &[BBox2D], seed: u64) -> Vec<f64> {
-        (0..boxes.len())
-            .map(|i| ((i as u64).wrapping_mul(seed) % 1000) as f64 / 1000.0)
-            .collect()
+    /// Asserts the three matchers equal their references on `boxes`
+    /// (with `others` as the second set of the two-set matchers).
+    fn assert_equal_to_reference(boxes: &[BBox2D], others: &[BBox2D], thr: f64) {
+        let classes: Vec<usize> = (0..boxes.len()).map(|i| i % 3).collect();
+        assert_eq!(
+            pairs_of(iou_pairs, boxes, others, thr),
+            pairs_of(reference::iou_pairs, boxes, others, thr)
+        );
+        assert_eq!(
+            overlap_triples(boxes, &classes, thr),
+            reference::overlap_triples(boxes, &classes, thr)
+        );
+        assert_eq!(
+            count_unmatched(boxes, others, thr),
+            reference::count_unmatched(boxes, others, thr)
+        );
     }
 
     #[test]
@@ -357,18 +273,9 @@ mod tests {
     #[test]
     fn indexed_matchers_match_reference_on_crowded_scene() {
         let boxes = scene(7, 300, 500.0, 20.0);
-        let scores = scores_for(&boxes, 13);
         let classes: Vec<usize> = (0..boxes.len()).map(|i| i % 3).collect();
         let others = scene(8, 250, 500.0, 20.0);
 
-        assert_eq!(
-            nms_indices(&boxes, &scores, 0.5),
-            reference::nms_indices(&boxes, &scores, 0.5)
-        );
-        assert_eq!(
-            nms_indices_per_class(&boxes, &scores, &classes, 0.5),
-            reference::nms_indices_per_class(&boxes, &scores, &classes, 0.5)
-        );
         assert_eq!(
             pairs_of(iou_pairs, &boxes, &others, 0.1),
             pairs_of(reference::iou_pairs, &boxes, &others, 0.1)
@@ -397,10 +304,7 @@ mod tests {
             "zero threshold keeps every pair"
         );
         assert_eq!(count_unmatched(&a, &b, 0.0), 0);
-        assert_eq!(
-            nms_indices(&a, &scores_for(&a, 3), -1.0),
-            reference::nms_indices(&a, &scores_for(&a, 3), -1.0)
-        );
+        assert_eq!(count_unmatched(&a, &b, -1.0), 0);
         assert_eq!(
             pairs_of(iou_pairs, &a, &b, f64::NAN),
             pairs_of(reference::iou_pairs, &a, &b, f64::NAN)
@@ -410,11 +314,17 @@ mod tests {
     #[test]
     fn reference_backend_forces_pairwise_path() {
         let boxes = scene(5, 200, 400.0, 15.0);
-        let scores = scores_for(&boxes, 17);
-        let indexed = nms_indices(&boxes, &scores, 0.5);
-        let via_reference = with_backend(MatchBackend::Reference, || {
-            nms_indices(&boxes, &scores, 0.5)
-        });
+        let others = scene(6, 200, 400.0, 15.0);
+        let classes = vec![0usize; boxes.len()];
+        let run = || {
+            (
+                pairs_of(iou_pairs, &boxes, &others, 0.3),
+                overlap_triples(&boxes, &classes, 0.3),
+                count_unmatched(&boxes, &others, 0.3),
+            )
+        };
+        let indexed = run();
+        let via_reference = with_backend(MatchBackend::Reference, run);
         assert_eq!(indexed, via_reference);
     }
 
@@ -423,12 +333,7 @@ mod tests {
         // Above INDEX_MIN so the indexed path runs with every box in
         // the same handful of cells.
         let boxes = vec![BBox2D::new(0.0, 0.0, 10.0, 10.0).unwrap(); 150];
-        let scores = scores_for(&boxes, 11);
         let classes = vec![0usize; 150];
-        assert_eq!(
-            nms_indices(&boxes, &scores, 0.5),
-            reference::nms_indices(&boxes, &scores, 0.5)
-        );
         assert_eq!(
             overlap_triples(&boxes, &classes, 0.3),
             reference::overlap_triples(&boxes, &classes, 0.3)
@@ -444,15 +349,38 @@ mod tests {
             let p = f64::from(i) * 3.0;
             boxes.push(BBox2D::new(p, p, p, p).unwrap());
         }
-        let scores = scores_for(&boxes, 19);
         let classes = vec![0usize; boxes.len()];
-        assert_eq!(
-            nms_indices(&boxes, &scores, 0.5),
-            reference::nms_indices(&boxes, &scores, 0.5)
-        );
         assert_eq!(
             overlap_triples(&boxes, &classes, 0.3),
             reference::overlap_triples(&boxes, &classes, 0.3)
+        );
+    }
+
+    #[test]
+    fn boxes_wider_than_f64_agree() {
+        // A valid box whose width or height overflows f64 makes the
+        // grid's median extent or bounds infinite, and with them its
+        // cell edge; the grid must collapse to one cell, not panic.
+        let street = scene(3, 130, 600.0, 40.0);
+        let wide = BBox2D::new(-1e308, 0.0, 1e308, 10.0).unwrap();
+        let tall = BBox2D::new(0.0, -1e308, 10.0, 1e308).unwrap();
+        let mut with_wide = street.clone();
+        with_wide.push(wide);
+        let mut with_tall = street.clone();
+        with_tall.push(tall);
+        // Most boxes overflow: the median extent itself is infinite.
+        let mut mostly_wide = street[..50].to_vec();
+        mostly_wide.extend((0..200).map(|i| if i % 2 == 0 { wide } else { tall }));
+        for boxes in [&with_wide, &with_tall, &mostly_wide] {
+            for thr in [0.1, 0.5] {
+                assert_equal_to_reference(boxes, boxes, thr);
+            }
+        }
+        // The overflow box's IoU with itself is inf/inf = NaN and with a
+        // street box is finite/inf = 0, so it adds no pair.
+        assert_eq!(
+            pairs_of(iou_pairs, &with_wide, &with_wide, 0.5),
+            pairs_of(iou_pairs, &street, &street, 0.5)
         );
     }
 }

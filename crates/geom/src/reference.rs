@@ -1,7 +1,9 @@
 //! O(n²) pairwise reference matchers.
 //!
-//! These are the original all-pairs scans the spatial index replaced.
-//! They stay alive — and exported — for three reasons:
+//! These are the original all-pairs scans the spatial index replaced,
+//! one for each matcher in [`crate::matchers`]: [`iou_pairs`],
+//! [`overlap_triples`] and [`count_unmatched`]. They stay alive — and
+//! exported — for three reasons:
 //!
 //! 1. **Equivalence oracle.** The property suite and the registry-driven
 //!    engine tests assert that every indexed matcher in
@@ -20,84 +22,6 @@
 //! ledger so O(n²) scans cannot silently reappear elsewhere.
 
 use crate::BBox2D;
-
-/// Indices `0..scores.len()` sorted by descending score, ties broken by
-/// ascending index.
-///
-/// Uses [`f64::total_cmp`], so the order is total and deterministic even
-/// for NaN scores (NaN sorts first, like an infinite score) — both NMS
-/// backends and the tracker's greedy matcher share this ordering, which
-/// is what makes their outputs comparable bit for bit.
-pub fn score_order(scores: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    // PANIC: a and b are drawn from 0..scores.len() just above.
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    order
-}
-
-/// Pairwise-scan greedy NMS: the reference for
-/// [`crate::nms::nms_indices`]. Suppresses a box whose IoU with an
-/// already-kept box exceeds `iou_threshold`; returns kept indices in
-/// descending-score order.
-///
-/// # Panics
-///
-/// Panics if `boxes` and `scores` have different lengths.
-pub fn nms_indices(boxes: &[BBox2D], scores: &[f64], iou_threshold: f64) -> Vec<usize> {
-    assert_eq!(
-        boxes.len(),
-        scores.len(),
-        "boxes and scores must be the same length"
-    );
-    let mut kept: Vec<usize> = Vec::new();
-    // PANIC: i and k come from score_order, a permutation of 0..len;
-    // boxes/scores lengths are asserted equal above.
-    for i in score_order(scores) {
-        let suppressed = kept
-            .iter()
-            .any(|&k| boxes[k].iou(&boxes[i]) > iou_threshold);
-        if !suppressed {
-            kept.push(i);
-        }
-    }
-    kept
-}
-
-/// Pairwise-scan class-aware greedy NMS: the reference for
-/// [`crate::nms::nms_indices_per_class`].
-///
-/// # Panics
-///
-/// Panics if the three slices have different lengths.
-pub fn nms_indices_per_class(
-    boxes: &[BBox2D],
-    scores: &[f64],
-    classes: &[usize],
-    iou_threshold: f64,
-) -> Vec<usize> {
-    assert_eq!(
-        boxes.len(),
-        scores.len(),
-        "boxes and scores must be the same length"
-    );
-    assert_eq!(
-        boxes.len(),
-        classes.len(),
-        "boxes and classes must be the same length"
-    );
-    let mut kept: Vec<usize> = Vec::new();
-    // PANIC: i and k come from score_order, a permutation of 0..len;
-    // boxes/scores/classes lengths are asserted equal above.
-    for i in score_order(scores) {
-        let suppressed = kept
-            .iter()
-            .any(|&k| classes[k] == classes[i] && boxes[k].iou(&boxes[i]) > iou_threshold);
-        if !suppressed {
-            kept.push(i);
-        }
-    }
-    kept
-}
 
 /// Replaces the contents of `pairs` with every `(iou, anchor_idx,
 /// query_idx)` pair whose IoU is at or above `iou_threshold`, anchors
@@ -176,17 +100,6 @@ mod tests {
 
     fn bb(x: f64, y: f64, s: f64) -> BBox2D {
         BBox2D::new(x, y, x + s, y + s).unwrap()
-    }
-
-    #[test]
-    fn score_order_is_total_and_deterministic() {
-        assert_eq!(score_order(&[0.1, 0.9, 0.5]), vec![1, 2, 0]);
-        // Ties break by index.
-        assert_eq!(score_order(&[0.5, 0.5, 0.5]), vec![0, 1, 2]);
-        // NaN sorts like an infinite score, deterministically.
-        let with_nan = score_order(&[0.5, f64::NAN, 0.9, f64::NAN]);
-        assert_eq!(with_nan, vec![1, 3, 2, 0]);
-        assert!(score_order(&[]).is_empty());
     }
 
     #[test]

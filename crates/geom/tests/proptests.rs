@@ -125,28 +125,4 @@ proptest! {
         let (u1, _) = cam.project_point(Vec3::new(30.0, yoff + 1.0, 1.5)).unwrap();
         prop_assert!(u1 < u0);
     }
-
-    #[test]
-    fn nms_output_is_subset_and_conflict_free(
-        seeds in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0, 5.0f64..40.0, 0.0f64..1.0), 1..30)
-    ) {
-        let boxes: Vec<BBox2D> = seeds
-            .iter()
-            .map(|&(x, y, s, _)| BBox2D::new(x, y, x + s, y + s).unwrap())
-            .collect();
-        let scores: Vec<f64> = seeds.iter().map(|&(_, _, _, c)| c).collect();
-        let kept = omg_geom::nms::nms_indices(&boxes, &scores, 0.5);
-        // Subset, unique.
-        let mut sorted = kept.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), kept.len());
-        prop_assert!(kept.iter().all(|&i| i < boxes.len()));
-        // No two kept boxes exceed the IoU threshold.
-        for (ai, &i) in kept.iter().enumerate() {
-            for &j in kept.iter().skip(ai + 1) {
-                prop_assert!(boxes[i].iou(&boxes[j]) <= 0.5 + 1e-12);
-            }
-        }
-    }
 }

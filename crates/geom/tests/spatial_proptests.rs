@@ -1,24 +1,23 @@
 //! Property tests for the spatial grid index and the indexed matchers.
 //!
 //! A crowded-scene strategy (dense duplicate clusters + uniform clutter)
-//! drives every public matcher — NMS, association pairs, duplicate
+//! drives the three public matchers — association pairs, duplicate
 //! triples, agreement counting — and asserts bit-for-bit equality with
 //! the O(n²) reference scans; a fixed ladder covers sizes 0/1/2/100/1000
 //! deterministically; adversarial shapes (all-identical boxes, zero-area
 //! boxes, giant boxes straddling many cells) get their own generators;
-//! and the grid's candidate/radius/nearest queries are checked against
+//! and the grid's one query, `candidates_overlapping`, is checked against
 //! brute force.
 
 use omg_geom::grid::GridIndex2D;
 use omg_geom::{matchers, reference, BBox2D};
 use proptest::prelude::*;
 
-/// A generated crowded scene: boxes plus the per-box scores and classes
-/// the matchers consume.
+/// A generated crowded scene: boxes plus the per-box classes the
+/// matchers consume.
 #[derive(Debug, Clone)]
 struct Scene {
     boxes: Vec<BBox2D>,
-    scores: Vec<f64>,
     classes: Vec<usize>,
 }
 
@@ -37,7 +36,6 @@ fn crowded_scene(max_boxes: usize) -> impl Strategy<Value = Scene> {
                 12.0f64..70.0,
                 10.0f64..55.0,
                 0usize..3,
-                0.0f64..1.0,
             ),
             0..max_boxes + 1,
         ),
@@ -45,10 +43,9 @@ fn crowded_scene(max_boxes: usize) -> impl Strategy<Value = Scene> {
         .prop_map(|(anchors, specs)| {
             let mut scene = Scene {
                 boxes: Vec::new(),
-                scores: Vec::new(),
                 classes: Vec::new(),
             };
-            for (which, clustered, dx, dy, w, h, class, score) in specs {
+            for (which, clustered, dx, dy, w, h, class) in specs {
                 let (cx, cy) = if clustered {
                     let (ax, ay) = anchors[which as usize % anchors.len()];
                     (ax + dx, ay + dy)
@@ -59,7 +56,6 @@ fn crowded_scene(max_boxes: usize) -> impl Strategy<Value = Scene> {
                 scene
                     .boxes
                     .push(BBox2D::new(cx, cy, cx + w, cy + h).unwrap());
-                scene.scores.push(score);
                 scene.classes.push(class);
             }
             scene
@@ -85,23 +81,7 @@ fn pairs_of(
 /// Asserts every public matcher equals its reference twin on `scene`
 /// (with `others` as the second side of the two-set matchers).
 fn assert_matchers_equal_reference(scene: &Scene, others: &[BBox2D], thr: f64) {
-    let Scene {
-        boxes,
-        scores,
-        classes,
-    } = scene;
-    assert_eq!(
-        matchers::nms_indices(boxes, scores, thr),
-        reference::nms_indices(boxes, scores, thr),
-        "nms_indices diverged (n={}, thr={thr})",
-        boxes.len()
-    );
-    assert_eq!(
-        matchers::nms_indices_per_class(boxes, scores, classes, thr),
-        reference::nms_indices_per_class(boxes, scores, classes, thr),
-        "nms_indices_per_class diverged (n={}, thr={thr})",
-        boxes.len()
-    );
+    let Scene { boxes, classes } = scene;
     assert_eq!(
         pairs_of(matchers::iou_pairs, boxes, others, thr),
         pairs_of(reference::iou_pairs, boxes, others, thr),
@@ -137,7 +117,6 @@ fn lcg_scene(seed: u64, n: usize) -> Scene {
     };
     let mut scene = Scene {
         boxes: Vec::new(),
-        scores: Vec::new(),
         classes: Vec::new(),
     };
     while scene.boxes.len() < n {
@@ -156,7 +135,6 @@ fn lcg_scene(seed: u64, n: usize) -> Scene {
             let w = 20.0 + next() * 60.0;
             let h = 15.0 + next() * 50.0;
             scene.boxes.push(BBox2D::new(x, y, x + w, y + h).unwrap());
-            scene.scores.push(next());
             scene.classes.push(class);
         }
     }
@@ -179,7 +157,7 @@ fn size_ladder_agrees_with_reference() {
 
 proptest! {
     /// The headline property: on arbitrary crowded scenes and
-    /// thresholds, indexed == reference for all five matchers. Sizes
+    /// thresholds, indexed == reference for all three matchers. Sizes
     /// reach past `INDEX_MIN` so the grid path itself is exercised.
     #[test]
     fn crowded_scenes_agree_with_reference(
@@ -202,11 +180,6 @@ proptest! {
         thr in 0.05f64..0.9,
     ) {
         let boxes = vec![BBox2D::new(x, y, x + s, y + s).unwrap(); n];
-        let scores: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37) % 1.0).collect();
-        prop_assert_eq!(
-            matchers::nms_indices(&boxes, &scores, thr),
-            reference::nms_indices(&boxes, &scores, thr)
-        );
         prop_assert_eq!(
             pairs_of(matchers::iou_pairs, &boxes, &boxes, thr),
             pairs_of(reference::iou_pairs, &boxes, &boxes, thr)
@@ -218,8 +191,8 @@ proptest! {
     }
 
     /// Adversarial: zero-area (point) boxes mixed into a real scene.
-    /// Degenerate boxes have IoU 0 with everything, so they survive NMS
-    /// and never match — on both paths.
+    /// Degenerate boxes have IoU 0 with everything, so they never match
+    /// — on both paths.
     #[test]
     fn zero_area_boxes_mixed_in_agree(
         mut scene in crowded_scene(140),
@@ -228,7 +201,6 @@ proptest! {
     ) {
         for (px, py) in points {
             scene.boxes.push(BBox2D::new(px, py, px, py).unwrap());
-            scene.scores.push(0.9);
             scene.classes.push(0);
         }
         let others = scene.boxes.clone();
@@ -248,7 +220,6 @@ proptest! {
     ) {
         for (x, y, w, h) in giants {
             scene.boxes.push(BBox2D::new(x, y, x + w, y + h).unwrap());
-            scene.scores.push(0.5);
             scene.classes.push(1);
         }
         let others = scene.boxes.clone();
@@ -257,6 +228,8 @@ proptest! {
 
     /// The grid's core contract: `candidates_overlapping` returns
     /// exactly the AABB-intersecting boxes, ascending, no duplicates.
+    /// The zero-area query at `(qx, qy)` always maps to one cell, so
+    /// each case also checks the single-cell walk.
     #[test]
     fn grid_candidates_are_exactly_the_intersecting_set(
         scene in crowded_scene(120),
@@ -267,66 +240,19 @@ proptest! {
     ) {
         prop_assume!(!scene.boxes.is_empty());
         let grid = GridIndex2D::build(&scene.boxes);
-        let query = BBox2D::new(qx, qy, qx + qw, qy + qh).unwrap();
+        let wide = BBox2D::new(qx, qy, qx + qw, qy + qh).unwrap();
+        let point = BBox2D::new(qx, qy, qx, qy).unwrap();
         let mut got = Vec::new();
-        grid.candidates_overlapping(&query, &mut got);
-        let want: Vec<usize> = scene
-            .boxes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.intersects(&query))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// `within_radius` equals the brute-force center-in-disk scan.
-    #[test]
-    fn grid_radius_query_matches_brute_force(
-        scene in crowded_scene(120),
-        cx in -100.0f64..1000.0,
-        cy in -100.0f64..600.0,
-        r in 0.0f64..400.0,
-    ) {
-        prop_assume!(!scene.boxes.is_empty());
-        let grid = GridIndex2D::build(&scene.boxes);
-        let mut got = Vec::new();
-        grid.within_radius(cx, cy, r, &mut got);
-        let want: Vec<usize> = scene
-            .boxes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| {
-                let (bx, by) = b.center();
-                (bx - cx).powi(2) + (by - cy).powi(2) <= r * r
-            })
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// `nearest` equals the brute-force sort by `(distance², id)`.
-    #[test]
-    fn grid_nearest_matches_brute_force(
-        scene in crowded_scene(120),
-        cx in -100.0f64..1000.0,
-        cy in -100.0f64..600.0,
-        k in 0usize..20,
-    ) {
-        prop_assume!(!scene.boxes.is_empty());
-        let grid = GridIndex2D::build(&scene.boxes);
-        let got = grid.nearest(cx, cy, k);
-        let mut by_dist: Vec<(f64, usize)> = scene
-            .boxes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let (bx, by) = b.center();
-                ((bx - cx).powi(2) + (by - cy).powi(2), i)
-            })
-            .collect();
-        by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let want: Vec<usize> = by_dist.into_iter().take(k).map(|(_, i)| i).collect();
-        prop_assert_eq!(got, want);
+        for query in [wide, point] {
+            grid.candidates_overlapping(&query, &mut got);
+            let want: Vec<usize> = scene
+                .boxes
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.intersects(&query))
+                .map(|(i, _)| i)
+                .collect();
+            prop_assert_eq!(&got, &want);
+        }
     }
 }

@@ -18,9 +18,8 @@
 //!   ordering must be NaN-total and thread-count-independent: no
 //!   `partial_cmp`, no `f64::max`/`f64::min` reduction chains, no
 //!   `==`/`!=` against float literals; route comparisons through
-//!   `total_cmp`, `omg_geom`'s `score_order`, or
-//!   `omg_core::float::{fmax, fmin}`. Exceptions carry `// FLOAT:`
-//!   justifications pinned in `rules::FLOAT_ALLOWED`.
+//!   `total_cmp` or `omg_core::float::{fmax, fmin}`. Exceptions carry
+//!   `// FLOAT:` justifications pinned in `rules::FLOAT_ALLOWED`.
 //!
 //! The call graph is an over-approximation built from identifier
 //! references: narrowing (by `Type::`, `Self::`, method position) only
@@ -207,10 +206,9 @@ pub const RULES: &[(&str, &str)] = &[
          thread-count-independent so scores are bit-for-bit reproducible at any pool \
          width: no partial_cmp (ties/NaN resolve arbitrarily), no f64::max / f64::min \
          reduction chains (they drop NaN and encode fold order), no ==/!= against \
-         float literals. Use total_cmp, omg_geom's score_order, or \
-         omg_core::float::{fmax,fmin}; justified exceptions carry `// FLOAT:` and a \
-         FLOAT_ALLOWED count pin. Parallel reductions must merge in index order \
-         (ThreadPool::map_indexed already does).",
+         float literals. Use total_cmp or omg_core::float::{fmax,fmin}; justified \
+         exceptions carry `// FLOAT:` and a FLOAT_ALLOWED count pin. Parallel \
+         reductions must merge in index order (ThreadPool::map_indexed already does).",
     ),
     (
         "hot-path-root-missing",

@@ -212,23 +212,18 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "n*n confusion matrix indexed under class-range asserts/contract",
     ),
     (
-        "crates/geom/src/box3d.rs",
-        1,
-        "corner extrema of a valid box are finite and ordered",
-    ),
-    (
         "crates/geom/src/grid.rs",
-        8,
-        "cell_range clamps to grid dims; bucket ids are filed insertion ids",
+        4,
+        "cell_range clamps to grid dims; bucket ids index the built slice",
     ),
     (
         "crates/geom/src/matchers.rs",
-        22,
-        "indices from score_order permutations and the grid index, lengths asserted",
+        10,
+        "indices from 0..n and the grid index over the same slice, lengths asserted",
     ),
     (
         "crates/geom/src/reference.rs",
-        18,
+        10,
         "pairwise scans over 0..n with lengths asserted at entry",
     ),
     (
@@ -593,7 +588,7 @@ pub fn graph_pass_with(
         "float-order-on-hot-path",
         "FLOAT_ALLOWED",
         "float ordering on the hot path must be NaN-total and thread-count-independent: \
-         use total_cmp, omg_geom's score_order, or omg_core::float::{fmax,fmin}",
+         use total_cmp or omg_core::float::{fmax,fmin}",
         out,
     );
     reachable_count
