@@ -18,7 +18,7 @@ use omg_domains::{
     NewsPrepare, VideoPrepare,
 };
 use omg_geom::BBox2D;
-use omg_scenario::Scenario;
+use omg_scenario::{clamped_window, Scenario};
 
 fn make_windows(n: usize) -> Vec<omg_domains::VideoWindow> {
     monitor_windows(n, 3)
@@ -154,10 +154,8 @@ fn scenario_items<Sc: Scenario>(scenario: &Sc, model: &Sc::Model, n: usize) -> V
 /// The sample at stream position `i`, cut the way the scoring drivers
 /// cut it: the clamped window of `window_half` items on either side.
 fn sample_at<Sc: Scenario>(scenario: &Sc, items: &[Sc::Item], i: usize) -> Sc::Sample {
-    let half = scenario.window_half();
-    let lo = i.saturating_sub(half);
-    let hi = (i + half + 1).min(items.len());
-    scenario.make_sample(&items[lo..hi], i - lo)
+    let (window, center) = clamped_window(items, i, scenario.window_half());
+    scenario.make_sample(window, center)
 }
 
 /// The first `n` windows of a scenario's stream under `model`.

@@ -39,11 +39,10 @@
 //! * [`stream`] — the streaming engine: the [`stream::Prepare`] shared
 //!   window-preparation layer (expensive derivations run once per
 //!   window, shared by every assertion via
-//!   [`AssertionSet::check_all_prepared`]), [`stream::score_rows_chunked`],
-//!   the one chunked scoring driver, and [`stream::SlidingWindows`],
-//!   borrowed windows over a mirror buffer of moved-in items for callers
-//!   that receive a stream one item at a time — all bit-for-bit equal to
-//!   the batch reference at any thread count.
+//!   [`AssertionSet::check_all_prepared`]) and
+//!   [`stream::score_rows_chunked`], the one chunked scoring driver over
+//!   windows borrowed in place from the item slice — bit-for-bit equal
+//!   to the batch reference at any thread count.
 //! * [`consistency`] — the high-level consistency-assertion API of §4:
 //!   from an identifier function, an attributes function, and a temporal
 //!   threshold `T`, OMG generates Boolean assertions *and* correction

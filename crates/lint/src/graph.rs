@@ -196,12 +196,15 @@ impl RootSpec {
 
 /// The hot-path roots: the scoring drivers the paper's replication
 /// invariants (stream==batch, indexed==reference, service==sequential)
-/// are stated over, the pool's parallel map (the closures it runs are
-/// scoring closures), the geometry matcher entry points, and the
-/// assertion factories (see module docs for why factories are roots).
+/// are stated over, the service's per-session scoring entry points, the
+/// pool's parallel map (the closures it runs are scoring closures), the
+/// geometry matcher entry points, and the assertion factories (see
+/// module docs for why factories are roots).
 pub const ROOTS: &[RootSpec] = &[
     RootSpec::File("crates/scenario/src/drivers.rs"),
     RootSpec::File("crates/geom/src/matchers.rs"),
+    RootSpec::Method("MonitorService", "drain"),
+    RootSpec::Method("MonitorService", "finish"),
     RootSpec::Method("ThreadPool", "map_indexed"),
     RootSpec::Method("ThreadPool", "map_indexed_coarse"),
     RootSpec::NameSuffix("_assertion"),
@@ -431,6 +434,10 @@ mod tests {
             (
                 "crates/geom/src/matchers.rs",
                 "pub fn nms_indices() {}",
+            ),
+            (
+                "crates/service/src/service.rs",
+                "pub struct MonitorService;\nimpl MonitorService { pub fn drain(&self) {} pub fn finish(&self) {} }",
             ),
             (
                 "crates/core/src/runtime.rs",

@@ -10,7 +10,8 @@
 //! - **`panic-on-hot-path`** — no function transitively reachable from
 //!   the hot-path roots (`score_window`, the `omg_geom::matchers`
 //!   entry points, `ThreadPool::map_indexed{,_coarse}`, the stream
-//!   drivers, and the assertion factories) may contain
+//!   drivers, the service's `MonitorService::{drain, finish}`, and the
+//!   assertion factories) may contain
 //!   `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
 //!   or a slice/array index, except sites justified by a `// PANIC:`
 //!   comment and pinned, per file, in `rules::PANIC_ALLOWED`.
@@ -192,7 +193,8 @@ pub const RULES: &[(&str, &str)] = &[
         "panic-on-hot-path",
         "No function transitively reachable from the hot-path roots (score_window, \
          omg_geom::matchers::*, ThreadPool::map_indexed{,_coarse}, the stream drivers, \
-         the assertion factories) may contain .unwrap()/.expect(), \
+         the service's MonitorService::{drain, finish}, the assertion factories) may \
+         contain .unwrap()/.expect(), \
          panic!/unreachable!/todo!/unimplemented!, or a slice/array index: a panicking \
          monitor is a silently absent monitor. Either restructure (Result/Option, \
          iterators, get()), or justify the site with a `// PANIC:` comment within 10 \

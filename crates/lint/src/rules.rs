@@ -182,11 +182,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "worker-pool lock poisoning: a sibling thread already panicked, propagate",
     ),
     (
-        "crates/core/src/stream.rs",
-        1,
-        "slider compaction never outruns emitted spans",
-    ),
-    (
         "crates/core/src/sync.rs",
         1,
         "OS thread-spawn failure at pool startup is fatal by design",
@@ -234,12 +229,12 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/scenario/src/drivers.rs",
         3,
-        "clamped_window keeps lo <= i < hi <= n for every fed index i < n",
+        "clamped_window keeps lo <= i < hi <= n for every index i < n its callers pass",
     ),
     (
         "crates/scenario/src/errors.rs",
-        2,
-        "clamped window arithmetic; assertion ids index their own set",
+        1,
+        "assertion ids index their own set",
     ),
     (
         "crates/scenario/src/tests_support.rs",
@@ -248,7 +243,7 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/service/src/service.rs",
-        3,
+        4,
         "shard lock poisoning means a scorer already panicked; propagate",
     ),
     (

@@ -16,13 +16,20 @@ use omg_core::{AssertionSet, SeverityMatrix};
 
 use crate::Scenario;
 
-/// The clamped window around stream position `i` — `half` items of
-/// context on each side, cut at the stream's ends — and the index of
-/// position `i` within it.
-fn clamped_window<T>(items: &[T], i: usize, half: usize) -> (&[T], usize) {
+/// The clamped window around position `i` of `items` — `half` items of
+/// context on each side, cut at the slice's ends — and the index of
+/// position `i` within it: `&items[max(0, i - half)..min(i + half + 1,
+/// n)]`, borrowed in place. Every window a scenario is scored over is
+/// cut here: by both drivers, by [`crate::errors_by_assertion`], and by
+/// a service session over the buffered suffix of its stream.
+///
+/// # Panics
+///
+/// Panics if `i >= items.len()`.
+pub fn clamped_window<T>(items: &[T], i: usize, half: usize) -> (&[T], usize) {
     let lo = i.saturating_sub(half);
-    // PANIC: both drivers pass i < items.len() (score_rows_chunked's
-    // contract), so lo <= i < hi <= items.len().
+    // PANIC: callers pass i < items.len() (the documented contract; both
+    // drivers get it from score_rows_chunked), so lo <= i < hi <= n.
     (&items[lo..(i + half + 1).min(items.len())], i - lo)
 }
 

@@ -1,6 +1,6 @@
 use omg_core::AssertionSet;
 
-use crate::Scenario;
+use crate::{clamped_window, Scenario};
 
 /// A model error with the confidence the paper's Figure 3 analysis
 /// attributes to it, located by stream position and source identity.
@@ -43,17 +43,15 @@ pub fn errors_by_assertion<Sc: Scenario>(
         .map(|n| (n.to_string(), Vec::new()))
         .collect();
     let half = scenario.window_half();
-    let n = items.len();
-    // PANIC: lo <= center < hi <= n by the clamped arithmetic, and
-    // aid comes from the set whose names built `out` slot for slot.
-    for center in 0..n {
-        let lo = center.saturating_sub(half);
-        let hi = (center + half + 1).min(n);
-        let sample = scenario.make_sample(&items[lo..hi], center - lo);
+    for center in 0..items.len() {
+        let (window, at) = clamped_window(items, center, half);
+        let sample = scenario.make_sample(window, at);
         for (aid, severity) in set.check_all(&sample) {
             if !severity.fired() {
                 continue;
             }
+            // PANIC: aid comes from the set whose names built `out`
+            // slot for slot.
             out[aid.0]
                 .1
                 .extend(scenario.item_errors(set.name(aid), items, center));

@@ -44,7 +44,7 @@ mod scenario;
 #[cfg(test)]
 pub(crate) mod tests_support;
 
-pub use drivers::{score_scenario, score_window, stream_score_scenario};
+pub use drivers::{clamped_window, score_scenario, score_window, stream_score_scenario};
 pub use errors::{dedup_errors, errors_by_assertion, FoundError};
 pub use harness::{DynScenario, ScenarioHarness, Scores};
 pub use learner::{claim_selection, ScenarioLearner};

@@ -1,21 +1,17 @@
-//! The type-erased runtime face of a scenario's monitor service, plus
-//! the cross-scenario service registry.
+//! The type-erased runtime face of a scenario's monitor service.
 //!
 //! Mirrors [`omg_scenario::DynScenario`]: binding a [`Scenario`] + model
 //! into a [`ServiceHarness`] erases the associated types behind
 //! [`DynService`], so the conformance suite, the soak benchmark, and any
 //! multi-tenant driver iterate heterogeneous services behind one object
-//! — a new scenario is service-tested by construction. [`ServicePool`]
-//! is the registry itself: a [`SyncMap`] from scenario name to erased
-//! service, so the first tenant to touch a scenario pays the
-//! construction and everyone after shares the `Arc`.
+//! — a new scenario is service-tested by construction.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use omg_core::runtime::ThreadPool;
 use omg_scenario::{stream_score_scenario, Scenario, Scores};
 
-use crate::{IngestError, MonitorService, ServiceConfig, SessionId, SyncMap};
+use crate::{IngestError, MonitorService, ServiceConfig, SessionId};
 
 /// The type-erased face of one scenario's [`MonitorService`], driving it
 /// through the scenario's **precomputed model output stream**: callers
@@ -195,49 +191,5 @@ impl<Sc: Scenario + 'static> DynService for ServiceHarness<Sc> {
 
     fn evict_idle(&self) -> Vec<SessionId> {
         self.service.evict_idle()
-    }
-}
-
-/// The cross-scenario service registry: scenario name → shared erased
-/// service. The first caller to touch a name constructs the service
-/// (assertion set, preparer, model bindings); every later caller — any
-/// thread, any tenant — gets the same `Arc` for the cost of a read
-/// lock. This is the SyncMap read-then-write cache applied at the
-/// coarsest grain.
-#[derive(Default)]
-pub struct ServicePool {
-    services: SyncMap<String, dyn DynService>,
-}
-
-impl ServicePool {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the service registered under `name`, constructing it
-    /// with `build` on first touch (exactly once, even under races).
-    pub fn get_or_build(
-        &self,
-        name: &str,
-        build: impl FnOnce() -> Box<dyn DynService>,
-    ) -> Arc<dyn DynService> {
-        self.services
-            .get_or_init(name.to_string(), || Arc::from(build()))
-    }
-
-    /// The service under `name`, if already built.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn DynService>> {
-        self.services.get(name)
-    }
-
-    /// Number of registered services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
     }
 }

@@ -8,17 +8,18 @@
 //! that shape over the streaming engine:
 //!
 //! * [`SyncMap`] — the concurrent `Arc`-cached map (read-then-write on
-//!   `RwLock<BTreeMap>`) behind every shared registry here: construct
-//!   once under race, share forever.
+//!   `RwLock<BTreeMap>`) behind the service's session-shard table:
+//!   construct once under race, share forever.
 //! * [`MonitorService`] — session-keyed monitor shards over one
-//!   scenario. Sessions own private sliders, bounded ingest queues
+//!   scenario, which builds the assertion set and preparer once for
+//!   every session. Each session owns one item buffer, cut into
+//!   windows in place; its ingest is bounded per drain
 //!   ([`MonitorService::try_ingest`] pushes back with
-//!   [`IngestError::QueueFull`] instead of growing), and
-//!   retention-capped databases; drains divide work at **session**
+//!   [`IngestError::QueueFull`] instead of growing), and its database
+//!   is retention-capped; drains divide work at **session**
 //!   granularity across the pool.
 //! * [`DynService`] / [`ServiceHarness`] — the type-erased face the
-//!   conformance suite and the `exp service` soak benchmark drive, and
-//!   [`ServicePool`], the name-keyed registry sharing whole services.
+//!   conformance suite and the `exp service` soak benchmark drive.
 //!
 //! The load-bearing contract: a session's output sequence is
 //! **bit-for-bit** the sequential [`omg_scenario::stream_score_scenario`]
@@ -34,7 +35,7 @@ mod harness;
 mod service;
 mod syncmap;
 
-pub use harness::{DynService, ServiceHarness, ServicePool};
+pub use harness::{DynService, ServiceHarness};
 pub use service::{IngestError, MonitorService, ServiceConfig, SessionId, SessionReport};
 pub use syncmap::SyncMap;
 
@@ -46,21 +47,58 @@ pub use omg_scenario::{Scores, ThreadPool};
 mod tests {
     use super::*;
     use omg_core::stream::{FnPrepare, Prepare};
-    use omg_core::{AssertionSet, FnAssertion, Severity};
-    use omg_scenario::Scenario;
+    use omg_core::{AssertionSet, FnAssertion, Severity, SeverityMatrix};
+    use omg_scenario::{stream_score_scenario, Scenario};
+    use proptest::TestCaseResult;
     use rand::rngs::StdRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    /// A toy stream item that counts its clones, so a test can check
+    /// that scoring moves items and never copies them.
+    pub(crate) struct Tally {
+        value: i64,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Tally {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::SeqCst);
+            Self {
+                value: self.value,
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
 
     /// A deterministic toy scenario: items are small integers, samples
     /// are the window's items, the shared preparation is the window
-    /// sum.
+    /// sum. Clones of the scenario share one item-clone counter.
     #[derive(Clone)]
-    struct Toy {
+    pub(crate) struct Toy {
         n: usize,
+        half: usize,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Toy {
+        /// A stream of `n` items, windows of `half` items on each side.
+        pub(crate) fn new(n: usize, half: usize) -> Self {
+            Self {
+                n,
+                half,
+                clones: Arc::new(AtomicUsize::new(0)),
+            }
+        }
+
+        /// Item clones performed anywhere since construction.
+        fn clones(&self) -> usize {
+            self.clones.load(Ordering::SeqCst)
+        }
     }
 
     impl Scenario for Toy {
-        type Item = i64;
+        type Item = Tally;
         type Sample = Vec<i64>;
         type Prep = i64;
         type Model = ();
@@ -71,7 +109,7 @@ mod tests {
         }
 
         fn window_half(&self) -> usize {
-            1
+            self.half
         }
 
         fn pool_len(&self) -> usize {
@@ -80,8 +118,13 @@ mod tests {
 
         fn pretrained_model(&self, _seed: u64) {}
 
-        fn run_model(&self, _model: &()) -> Vec<i64> {
-            (0..self.n as i64).map(|i| (i * 37) % 23 - 11).collect()
+        fn run_model(&self, _model: &()) -> Vec<Tally> {
+            (0..self.n as i64)
+                .map(|i| Tally {
+                    value: (i * 37) % 23 - 11,
+                    clones: Arc::clone(&self.clones),
+                })
+                .collect()
         }
 
         fn assertion_set(&self) -> AssertionSet<Vec<i64>> {
@@ -116,12 +159,12 @@ mod tests {
             Box::new(FnPrepare::new(|xs: &Vec<i64>| xs.iter().sum::<i64>()))
         }
 
-        fn make_sample(&self, items: &[i64], _center: usize) -> Vec<i64> {
-            items.to_vec()
+        fn make_sample(&self, items: &[Tally], _center: usize) -> Vec<i64> {
+            items.iter().map(|t| t.value).collect()
         }
 
-        fn uncertainty(&self, item: &i64) -> f64 {
-            (*item as f64) / 10.0
+        fn uncertainty(&self, item: &Tally) -> f64 {
+            (item.value as f64) / 10.0
         }
 
         fn trains(&self) -> bool {
@@ -140,7 +183,7 @@ mod tests {
     }
 
     fn harness(n: usize, config: ServiceConfig) -> Box<dyn DynService> {
-        ServiceHarness::boxed(Toy { n }, (), config)
+        ServiceHarness::boxed(Toy::new(n, 1), (), config)
     }
 
     #[test]
@@ -152,7 +195,7 @@ mod tests {
             // ingested round-robin with drains interleaved.
             let slices = [(0usize, 40usize), (0, 17), (11, 23)];
             let mut cursors = [0usize; 3];
-            let mut delivered: Vec<Scores> = vec![(omg_core::SeverityMatrix::new(), Vec::new()); 3];
+            let mut delivered: Vec<Scores> = vec![(SeverityMatrix::new(), Vec::new()); 3];
             loop {
                 let mut progressed = false;
                 for (s, &(start, len)) in slices.iter().enumerate() {
@@ -168,18 +211,15 @@ mod tests {
                 svc.drain(&pool);
                 // Poll mid-stream: delivery must compose.
                 for (s, out) in delivered.iter_mut().enumerate() {
-                    let (sev, unc) = svc.poll(SessionId(s as u64)).expect("open session");
-                    out.0.append(&sev);
-                    out.1.extend(unc);
+                    extend_scores(out, svc.poll(SessionId(s as u64)).expect("open session"));
                 }
                 if !progressed {
                     break;
                 }
             }
             for (s, &(start, len)) in slices.iter().enumerate() {
-                let (sev, unc) = svc.finish(SessionId(s as u64)).expect("open session");
-                delivered[s].0.append(&sev);
-                delivered[s].1.extend(unc);
+                let tail = svc.finish(SessionId(s as u64)).expect("open session");
+                extend_scores(&mut delivered[s], tail);
                 let want = svc.sequential_reference(start, len);
                 assert_eq!(
                     delivered[s], want,
@@ -314,19 +354,153 @@ mod tests {
         assert_eq!(svc.sessions(), 0, "delivered idle session evicted");
     }
 
+    /// Appends one batch of delivered outputs to a session's running total.
+    fn extend_scores(into: &mut Scores, (sev, unc): Scores) {
+        into.0.append(&sev);
+        into.1.extend(unc);
+    }
+
+    /// Feeds stream positions `0..n` into one session in bursts taken
+    /// from `cadence` (cycled), draining after every burst and polling
+    /// where the cadence says. Every offer must be accepted exactly while
+    /// fewer than `capacity` items came in since the last drain; every
+    /// drain must leave nothing queued and every center with its
+    /// lookahead in scored; the delivered rows must be the sequential
+    /// run's.
+    fn run_session(
+        half: usize,
+        n: usize,
+        capacity: usize,
+        cadence: &[(usize, bool)],
+        pool: &ThreadPool,
+    ) -> TestCaseResult {
+        let svc = ServiceHarness::boxed(
+            Toy::new(n, half),
+            (),
+            ServiceConfig::default().with_queue_capacity(capacity),
+        );
+        let session = SessionId(0);
+        let mut delivered: Scores = (SeverityMatrix::new(), Vec::new());
+        let mut pushed = 0;
+        for &(burst, poll) in cadence.iter().cycle() {
+            if pushed == n {
+                break;
+            }
+            let mut since_drain = 0;
+            while since_drain < burst && pushed < n {
+                let offered = svc.try_ingest_position(session, pushed);
+                proptest::prop_assert_eq!(offered.is_ok(), since_drain < capacity);
+                if offered.is_err() {
+                    break;
+                }
+                pushed += 1;
+                since_drain += 1;
+                proptest::prop_assert_eq!(svc.queued(), since_drain);
+            }
+            svc.drain(pool);
+            proptest::prop_assert_eq!(svc.queued(), 0);
+            proptest::prop_assert_eq!(svc.scored(), pushed.saturating_sub(half));
+            if poll {
+                extend_scores(&mut delivered, svc.poll(session).expect("open session"));
+            }
+        }
+        if let Some(tail) = svc.finish(session) {
+            extend_scores(&mut delivered, tail);
+        }
+        proptest::prop_assert_eq!(svc.scored(), n);
+        proptest::prop_assert_eq!(svc.accepted(), n);
+        proptest::prop_assert_eq!(delivered, svc.sequential_reference(0, n));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// A session fed and polled at any cadence delivers exactly the
+        /// sequential rows, scoring each center at the first drain after
+        /// its `half` items of lookahead are in. The ranges force the
+        /// clamped edges: `half = 0`, `n` of 0 and 1, `n < 2 * half + 1`.
+        #[test]
+        fn sessions_deliver_sequential_rows_at_any_cadence(
+            half in 0usize..5,
+            n in 0usize..48,
+            capacity in 1usize..6,
+            cadence in proptest::collection::vec((1usize..8, proptest::any::<bool>()), 1..6),
+        ) {
+            for workers in [1, 2, 8] {
+                run_session(half, n, capacity, &cadence, &ThreadPool::exact(workers))?;
+            }
+        }
+    }
+
+    /// The clamped edges, pinned rather than left to the draw above:
+    /// `half = 0`, `n` of 0 and 1, and streams shorter than one full
+    /// window, where both edges clamp at once.
     #[test]
-    fn service_pool_shares_one_service_per_name() {
-        let registry = ServicePool::new();
-        assert!(registry.is_empty());
-        let a = registry.get_or_build("toy", || harness(10, ServiceConfig::default()));
-        let b = registry.get_or_build("toy", || unreachable!("cached after first touch"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(registry.len(), 1);
-        assert!(registry.get("toy").is_some());
-        assert!(registry.get("other").is_none());
-        // Sessions opened through one handle are visible through the
-        // other: it is the same service.
-        a.open(SessionId(1));
-        assert_eq!(b.sessions(), 1);
+    fn sessions_deliver_sequential_rows_at_the_clamped_edges() {
+        let pool = ThreadPool::exact(2);
+        for half in 0..4 {
+            for n in [0, 1, 2, 5, 9] {
+                let run = run_session(half, n, 2, &[(3, true), (1, false)], &pool);
+                assert_eq!(run, Ok(()), "half={half} n={n}");
+            }
+        }
+    }
+
+    /// A session id reused after `finish` starts a fresh stream: its
+    /// rows are the sequential run of the new items alone, with no item
+    /// of the finished stream in any window.
+    #[test]
+    fn finished_session_id_starts_a_fresh_stream() {
+        let svc = ServiceHarness::boxed(Toy::new(30, 2), (), ServiceConfig::default());
+        let pool = ThreadPool::exact(2);
+        let session = SessionId(3);
+        for position in 0..7 {
+            svc.try_ingest_position(session, position)
+                .expect("default capacity is ample");
+        }
+        svc.drain(&pool);
+        let first = svc.finish(session).expect("open session");
+        assert_eq!(first, svc.sequential_reference(0, 7));
+        for position in 12..21 {
+            svc.try_ingest_position(session, position)
+                .expect("default capacity is ample");
+        }
+        svc.drain(&pool);
+        let second = svc.finish(session).expect("reopened session");
+        assert_eq!(second, svc.sequential_reference(12, 9));
+    }
+
+    /// Scoring moves a session's items and never clones them: items fed
+    /// straight to `MonitorService::try_ingest` are cut into windows in
+    /// place by every drain and by `finish`.
+    #[test]
+    fn sessions_score_without_cloning_items() {
+        for half in [0usize, 2] {
+            let toy = Toy::new(23, half);
+            let items = toy.run_model(&());
+            let want = stream_score_scenario(
+                &toy,
+                &toy.prepared_set(),
+                &toy.preparer(),
+                &items,
+                &ThreadPool::sequential(),
+            );
+            let svc = MonitorService::new(toy.clone(), ServiceConfig::default());
+            let pool = ThreadPool::exact(2);
+            let session = SessionId(0);
+            let mut got: Scores = (SeverityMatrix::new(), Vec::new());
+            let mut stream = items.into_iter().peekable();
+            while stream.peek().is_some() {
+                for item in stream.by_ref().take(4) {
+                    svc.try_ingest(session, item)
+                        .expect("default capacity is ample");
+                }
+                svc.drain(&pool);
+                extend_scores(&mut got, svc.poll(session).expect("open session"));
+            }
+            let report = svc.finish(session).expect("open session");
+            extend_scores(&mut got, report.scores);
+            assert_eq!(got, want, "half={half}");
+            assert_eq!(toy.clones(), 0, "half={half}: scoring cloned an item");
+        }
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! One [`MonitorService`] serves many concurrent sessions of **one**
 //! scenario. The expensive scenario resources — the prepared assertion
-//! set and its preparer — are built once and shared by every session
-//! behind `Arc`s, so opening a session is O(1) allocation, not O(set).
-//! Each session owns a [`SessionShard`]-worth of private state: a
-//! bounded ingest queue (backpressure, not unbounded growth), a
-//! [`SlidingWindows`] slider, an [`AssertionDb`] with optional
-//! retention, and the not-yet-polled score outputs.
+//! set and its preparer — are built once per service and read by every
+//! session, so opening a session is O(1) allocation, not O(set).
+//! Each session owns a [`SessionShard`]-worth of private state: one
+//! buffer holding the live suffix of its item stream, which accepts at
+//! most `queue_capacity` items between drains (backpressure, not
+//! unbounded growth), an [`AssertionDb`] with optional retention, and
+//! the not-yet-polled score outputs. Windows are cut from the buffer in
+//! place by [`clamped_window`], the same cut the scenario drivers use.
 //!
 //! Work divides at **session granularity**: a drain pass hands whole
 //! sessions to pool workers ([`ThreadPool::map_indexed_coarse`]), so a
@@ -22,14 +24,13 @@
 //! same items (the conformance suite enforces this for every registered
 //! scenario at 1/2/8 workers).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use omg_core::runtime::ThreadPool;
-use omg_core::stream::{Prepare, SlidingWindows};
+use omg_core::stream::Prepare;
 use omg_core::{AssertionDb, AssertionSet, SeverityMatrix};
-use omg_scenario::{score_window, Scenario, Scores};
+use omg_scenario::{clamped_window, score_window, Scenario, Scores};
 
 use crate::SyncMap;
 
@@ -73,8 +74,8 @@ impl std::error::Error for IngestError {}
 /// Tuning knobs for a [`MonitorService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Maximum items a session may have queued (accepted but not yet
-    /// scored) before [`MonitorService::try_ingest`] pushes back with
+    /// Maximum items a session may have queued (accepted since its last
+    /// drain) before [`MonitorService::try_ingest`] pushes back with
     /// [`IngestError::QueueFull`].
     pub queue_capacity: usize,
     /// Per-session [`AssertionDb`] retention: keep at most this many
@@ -123,8 +124,15 @@ impl ServiceConfig {
     }
 
     /// Evicts sessions idle for `ticks` consecutive drain passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ticks` is zero: a session idle for zero passes would
+    /// be evicted by the very drain that scored its items, taking the
+    /// items still waiting for their lookahead with it.
     #[must_use]
     pub fn with_idle_eviction(mut self, ticks: u64) -> Self {
+        assert!(ticks > 0, "idle eviction must wait at least one drain pass");
         self.idle_ticks = Some(ticks);
         self
     }
@@ -170,10 +178,15 @@ impl SessionLog {
 
 /// One session's private monitoring state.
 struct SessionShard<Sc: Scenario> {
-    /// Accepted-but-unscored items (bounded by the config's capacity).
-    queue: VecDeque<Sc::Item>,
-    /// The session's window slider (owns the live item suffix).
-    windows: SlidingWindows<Sc::Item>,
+    /// The session's stream from position `base` on: the items of every
+    /// center not yet scored, plus the `window_half` items before them
+    /// that those centers' windows still read.
+    items: Vec<Sc::Item>,
+    /// Stream position of `items[0]`.
+    base: usize,
+    /// Items accepted since the last drain (bounded by the config's
+    /// capacity).
+    queued: usize,
     /// The reusable dense severity row for `score_window`.
     values: Vec<f64>,
     /// The session's database and undelivered outputs.
@@ -185,10 +198,11 @@ struct SessionShard<Sc: Scenario> {
 }
 
 impl<Sc: Scenario> SessionShard<Sc> {
-    fn new(half: usize, retained: Option<usize>, now: u64) -> Self {
+    fn new(retained: Option<usize>, now: u64) -> Self {
         Self {
-            queue: VecDeque::new(),
-            windows: SlidingWindows::new(half),
+            items: Vec::new(),
+            base: 0,
+            queued: 0,
             values: Vec::new(),
             log: SessionLog {
                 db: AssertionDb::new(),
@@ -222,13 +236,11 @@ pub struct SessionReport {
 
 /// A long-lived multi-tenant monitor for one scenario.
 ///
-/// See the [crate docs](crate) for the architecture; see
-/// [`crate::ServicePool`] for the cross-scenario registry that shares
-/// whole services by name.
+/// See the [crate docs](crate) for the architecture.
 pub struct MonitorService<Sc: Scenario> {
-    scenario: Arc<Sc>,
-    set: Arc<AssertionSet<Sc::Sample, Sc::Prep>>,
-    preparer: Arc<dyn Prepare<Sc::Sample, Prepared = Sc::Prep>>,
+    scenario: Sc,
+    set: AssertionSet<Sc::Sample, Sc::Prep>,
+    preparer: Box<dyn Prepare<Sc::Sample, Prepared = Sc::Prep>>,
     config: ServiceConfig,
     shards: SyncMap<SessionId, Mutex<SessionShard<Sc>>>,
     /// Monotonic drain counter — the service's notion of time.
@@ -238,28 +250,13 @@ pub struct MonitorService<Sc: Scenario> {
 }
 
 impl<Sc: Scenario> MonitorService<Sc> {
-    /// Builds a service around a scenario, constructing the shared
-    /// prepared assertion set and preparer once.
+    /// Builds a service around a scenario, constructing once the
+    /// prepared assertion set and preparer that every session shares.
     pub fn new(scenario: Sc, config: ServiceConfig) -> Self {
-        let set = Arc::new(scenario.prepared_set());
-        let preparer: Arc<dyn Prepare<Sc::Sample, Prepared = Sc::Prep>> =
-            Arc::from(scenario.preparer());
-        Self::with_shared(Arc::new(scenario), set, preparer, config)
-    }
-
-    /// Builds a service around **already-shared** scenario resources —
-    /// how several services (say, per tenant tier) reuse one assertion
-    /// set and preparer without rebuilding them.
-    pub fn with_shared(
-        scenario: Arc<Sc>,
-        set: Arc<AssertionSet<Sc::Sample, Sc::Prep>>,
-        preparer: Arc<dyn Prepare<Sc::Sample, Prepared = Sc::Prep>>,
-        config: ServiceConfig,
-    ) -> Self {
         Self {
+            set: scenario.prepared_set(),
+            preparer: scenario.preparer(),
             scenario,
-            set,
-            preparer,
             config,
             shards: SyncMap::new(),
             clock: AtomicU64::new(0),
@@ -289,11 +286,10 @@ impl<Sc: Scenario> MonitorService<Sc> {
     }
 
     fn shard(&self, session: SessionId) -> Arc<Mutex<SessionShard<Sc>>> {
-        let half = self.scenario.window_half();
         let retained = self.config.retained_samples;
         let now = self.clock.load(Ordering::Relaxed);
         self.shards.get_or_init(session, || {
-            Arc::new(Mutex::new(SessionShard::new(half, retained, now)))
+            Arc::new(Mutex::new(SessionShard::new(retained, now)))
         })
     }
 
@@ -314,42 +310,60 @@ impl<Sc: Scenario> MonitorService<Sc> {
     pub fn try_ingest(&self, session: SessionId, item: Sc::Item) -> Result<(), IngestError> {
         let shard = self.shard(session);
         let mut shard = shard.lock().expect("shard poisoned");
-        if shard.queue.len() >= self.config.queue_capacity {
+        if shard.queued >= self.config.queue_capacity {
             return Err(IngestError::QueueFull {
                 session,
                 capacity: self.config.queue_capacity,
             });
         }
-        shard.queue.push_back(item);
+        shard.items.push(item);
+        shard.queued += 1;
         shard.accepted += 1;
         shard.last_active = self.clock.load(Ordering::Relaxed);
         self.accepted_total.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Scores one shard's whole backlog: the coarse per-session work
-    /// unit a drain pass hands to a pool worker. Returns the number of
-    /// windows scored.
-    fn drain_shard(
-        scenario: &Sc,
-        set: &AssertionSet<Sc::Sample, Sc::Prep>,
-        preparer: &(dyn Prepare<Sc::Sample, Prepared = Sc::Prep> + '_),
-        shard: &mut SessionShard<Sc>,
-    ) -> usize {
+    /// Scores one shard's backlog — the coarse per-session work unit a
+    /// drain pass hands to a pool worker — and returns the number of
+    /// windows scored. Centers are scored in stream order, each over
+    /// its clamped window cut from the shard's buffer: every center
+    /// whose `window_half` lookahead is in, or, `to_end`, every center
+    /// left (the right edge clamps). The items no later window reads
+    /// are then dropped, so at most `2 * window_half` stay buffered.
+    fn drain_shard(&self, shard: &mut SessionShard<Sc>, to_end: bool) -> usize {
+        let half = self.scenario.window_half();
         let SessionShard {
-            queue,
-            windows,
+            items,
+            base,
+            queued,
             values,
             log,
+            accepted,
             ..
         } = shard;
+        let end = if to_end {
+            *accepted
+        } else {
+            accepted.saturating_sub(half)
+        };
         let before = log.scored;
-        while let Some(item) = queue.pop_front() {
-            if let Some(w) = windows.push(item) {
-                let unc = score_window(scenario, set, preparer, w.items, w.center, values);
-                log.commit_window(w.index, values, unc);
-            }
+        for c in before..end {
+            let (window, center) = clamped_window(items, c - *base, half);
+            let unc = score_window(
+                &self.scenario,
+                &self.set,
+                &*self.preparer,
+                window,
+                center,
+                values,
+            );
+            log.commit_window(c, values, unc);
         }
+        let keep = log.scored.saturating_sub(half);
+        items.drain(..keep - *base);
+        *base = keep;
+        *queued = 0;
         log.scored - before
     }
 
@@ -361,16 +375,13 @@ impl<Sc: Scenario> MonitorService<Sc> {
     pub fn drain(&self, pool: &ThreadPool) -> usize {
         self.clock.fetch_add(1, Ordering::Relaxed);
         let shards = self.shards.entries();
-        let scenario = &*self.scenario;
-        let set = &*self.set;
-        let preparer = self.preparer.as_ref();
         let scored: usize = pool
             // PANIC: i < shards.len() by map_indexed_coarse's contract;
             // a poisoned shard means a scorer panicked mid-drain, so
             // the shard state is unusable — propagate.
             .map_indexed_coarse(shards.len(), |i| {
                 let mut shard = shards[i].1.lock().expect("shard poisoned");
-                Self::drain_shard(scenario, set, preparer, &mut shard)
+                self.drain_shard(&mut shard, false)
             })
             .into_iter()
             .sum();
@@ -391,32 +402,18 @@ impl<Sc: Scenario> MonitorService<Sc> {
         Some(shard.log.take_scores())
     }
 
-    /// Finishes a session: drains its remaining queue, flushes the
-    /// right-edge tail windows (every accepted position ends up
-    /// scored), removes the shard, and returns the final report. `None`
-    /// if the session does not exist.
+    /// Finishes a session: scores every window it has left, the
+    /// right-edge tail windows included (every accepted position ends
+    /// up scored), removes the shard, and returns the final report.
+    /// `None` if the session does not exist. The session id is free
+    /// again afterwards: ingesting into it opens a fresh stream.
     pub fn finish(&self, session: SessionId) -> Option<SessionReport> {
         let shard = self.shards.remove(&session)?;
         // PANIC: poisoning propagation — the drain already panicked.
         let mut shard = shard.lock().expect("shard poisoned");
-        let (scenario, set, preparer) = (&*self.scenario, &*self.set, self.preparer.as_ref());
-        let before = shard.log.scored;
-        Self::drain_shard(scenario, set, preparer, &mut shard);
-        let half = scenario.window_half();
-        let slider = std::mem::replace(&mut shard.windows, SlidingWindows::new(half));
-        let mut tail = slider.finish();
-        let SessionShard {
-            values,
-            log,
-            accepted,
-            ..
-        } = &mut *shard;
-        while let Some(w) = tail.next() {
-            let unc = score_window(scenario, set, preparer, w.items, w.center, values);
-            log.commit_window(w.index, values, unc);
-        }
-        self.scored_total
-            .fetch_add(log.scored - before, Ordering::Relaxed);
+        let scored = self.drain_shard(&mut shard, true);
+        self.scored_total.fetch_add(scored, Ordering::Relaxed);
+        let SessionShard { log, accepted, .. } = &mut *shard;
         Some(SessionReport {
             session,
             scores: log.take_scores(),
@@ -444,7 +441,7 @@ impl<Sc: Scenario> MonitorService<Sc> {
             .retain(|_, shard| {
                 // PANIC: poisoning propagation, as in drain/finish.
                 let s = shard.lock().expect("shard poisoned");
-                let drained = s.queue.is_empty() && s.log.severities.is_empty();
+                let drained = s.queued == 0 && s.log.severities.is_empty();
                 !(drained && s.last_active < cutoff)
             })
             .into_iter()
@@ -457,13 +454,13 @@ impl<Sc: Scenario> MonitorService<Sc> {
         self.shards.len()
     }
 
-    /// Items currently queued (accepted, not yet scored) across all
-    /// sessions.
+    /// Items queued across all sessions: those accepted since each
+    /// session's last drain, which the queue capacity bounds.
     pub fn queued(&self) -> usize {
         self.shards
             .entries()
             .iter()
-            .map(|(_, s)| s.lock().expect("shard poisoned").queue.len())
+            .map(|(_, s)| s.lock().expect("shard poisoned").queued)
             .sum()
     }
 
@@ -493,5 +490,50 @@ impl<Sc: Scenario> MonitorService<Sc> {
         let shard = self.shards.get(&session)?;
         let shard = shard.lock().expect("shard poisoned");
         Some(shard.log.db.lifetime_fire_counts())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::Toy;
+
+    /// However long a session's stream runs, after every drain its shard
+    /// buffers only the `2 * window_half` items its next windows read.
+    #[test]
+    fn drained_shards_buffer_at_most_two_window_halves() {
+        let n = 500;
+        for half in [0usize, 1, 3] {
+            let toy = Toy::new(n, half);
+            let mut stream = toy.run_model(&()).into_iter().peekable();
+            let svc = MonitorService::new(toy, ServiceConfig::default());
+            let pool = ThreadPool::exact(2);
+            let session = SessionId(1);
+            let (mut pushed, mut burst) = (0, 0);
+            while stream.peek().is_some() {
+                burst = burst % 5 + 1;
+                for item in stream.by_ref().take(burst) {
+                    svc.try_ingest(session, item)
+                        .expect("default capacity is ample");
+                    pushed += 1;
+                }
+                svc.drain(&pool);
+                let shard = svc.shards.get(&session).expect("open session");
+                let buffered = shard.lock().expect("shard poisoned").items.len();
+                assert_eq!(
+                    buffered,
+                    pushed.min(2 * half),
+                    "half={half} pushed={pushed}"
+                );
+            }
+            let report = svc.finish(session).expect("open session");
+            assert_eq!((report.accepted, report.scored), (n, n), "half={half}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one drain pass")]
+    fn zero_idle_eviction_rejected() {
+        let _ = ServiceConfig::default().with_idle_eviction(0);
     }
 }
