@@ -4,20 +4,23 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use omg_bench::avx::{shared_pretrained_camera, AvScenario};
+use omg_bench::crowd::crowd_windows;
 use omg_bench::ecgx::{pretrained_classifier, EcgScenario};
 use omg_bench::highway::{shared_pretrained_primary, HighwayScenario};
 use omg_bench::newsx::NewsScenario;
-use omg_bench::video::{monitor_windows, shared_pretrained_detector, VideoScenario};
+use omg_bench::video::{monitor_windows, shared_pretrained_detector, VideoScenario, FLICKER_T};
 use omg_core::consistency::{ConsistencyEngine, ConsistencyWindow};
 use omg_core::runtime::ThreadPool;
 use omg_core::stream::Prepare;
 use omg_core::{AssertionDb, Monitor};
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
+use omg_domains::multibox::MULTIBOX_IOU;
 use omg_domains::{
     video_assertion_set, video_prepared_assertion_set, AvPrepare, EcgPrepare, FusionPrepare,
-    NewsPrepare, VideoPrepare,
+    NewsPrepare, VideoFrame, VideoPrepare, VideoWindow,
 };
-use omg_geom::BBox2D;
+use omg_geom::grid::GridIndex2D;
+use omg_geom::{matchers, BBox2D};
 use omg_scenario::{clamped_window, Scenario};
 
 fn make_windows(n: usize) -> Vec<omg_domains::VideoWindow> {
@@ -234,6 +237,94 @@ fn make_sample_cost(c: &mut Criterion) {
     bench_make_sample(c, &highway, shared_pretrained_primary(), N);
 }
 
+/// Boxes per frame of the crowd benches: the crowded workload's two
+/// densities, both above the grid cutoff (`matchers::INDEX_MIN`).
+const CROWD_DENSITIES: [usize; 2] = [300, 1000];
+
+/// The video preparer's association threshold (`omg_domains::prepared`).
+const TRACK_IOU: f64 = 0.25;
+
+/// A frame's boxes, as the matchers take them.
+fn frame_boxes(frame: &VideoFrame) -> Vec<BBox2D> {
+    frame.dets.iter().map(|d| d.bbox).collect()
+}
+
+/// The layers under crowded association and `multibox`, per density
+/// over the same 4 clutter-heavy windows of 3 frames (seed 11), all 12
+/// frames or 8 adjacent frame pairs per iteration:
+/// `geom/grid_build/<n>` builds a `GridIndex2D` over each frame,
+/// `geom/iou_pairs/<n>` matches each frame's boxes against the next
+/// frame's at the association threshold, `geom/overlap_triples/<n>`
+/// counts each frame's `multibox` triples, and `prepare/crowd_window/<n>`
+/// runs the video `Prepare` (association and run counting) on each
+/// window.
+fn crowd_cost(c: &mut Criterion) {
+    let crowds: Vec<(usize, Vec<VideoWindow>)> = CROWD_DENSITIES
+        .iter()
+        .map(|&n| (n, crowd_windows(n, 4, 11)))
+        .collect();
+    let mut group = c.benchmark_group("geom/grid_build");
+    for (n, windows) in &crowds {
+        let frames: Vec<Vec<BBox2D>> = windows
+            .iter()
+            .flat_map(|w| w.frames.iter().map(frame_boxes))
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &frames, |b, frames| {
+            b.iter(|| {
+                for boxes in frames {
+                    criterion::black_box(GridIndex2D::build(boxes));
+                }
+            });
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("geom/iou_pairs");
+    for (n, windows) in &crowds {
+        let pairs: Vec<(Vec<BBox2D>, Vec<BBox2D>)> = windows
+            .iter()
+            .flat_map(|w| {
+                w.frames
+                    .windows(2)
+                    .map(|f| (frame_boxes(&f[0]), frame_boxes(&f[1])))
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &pairs, |b, pairs| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                for (anchors, queries) in pairs {
+                    matchers::iou_pairs(anchors, queries, TRACK_IOU, &mut out);
+                    criterion::black_box(&out);
+                }
+            });
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("geom/overlap_triples");
+    for (n, windows) in &crowds {
+        let frames: Vec<(Vec<BBox2D>, Vec<usize>)> = windows
+            .iter()
+            .flat_map(|w| w.frames.iter())
+            .map(|f| (frame_boxes(f), f.dets.iter().map(|d| d.class).collect()))
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &frames, |b, frames| {
+            b.iter(|| {
+                for (boxes, classes) in frames {
+                    criterion::black_box(matchers::overlap_triples(boxes, classes, MULTIBOX_IOU));
+                }
+            });
+        });
+    }
+    group.finish();
+    for (n, windows) in &crowds {
+        bench_prepare(
+            c,
+            &format!("prepare/crowd_window/{n}"),
+            &VideoPrepare::new(FLICKER_T),
+            windows,
+        );
+    }
+}
+
 /// `AssertionDb` recording as a service session does it: each row goes
 /// in with `record_row`, then `retain_recent(32)` evicts all but the
 /// latest 32 samples (the service's retention in the soak benchmark).
@@ -265,6 +356,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = monitor_throughput, stream_monitor_throughput, consistency_scaling, tracker_cost,
-        prepare_cost, make_sample_cost, record_cost
+        prepare_cost, make_sample_cost, record_cost, crowd_cost
 }
 criterion_main!(benches);

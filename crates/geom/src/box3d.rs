@@ -80,17 +80,25 @@ impl BBox3D {
         let hx = self.size.x / 2.0;
         let hy = self.size.y / 2.0;
         let hz = self.size.z / 2.0;
-        let locals = [
-            Vec3::new(hx, hy, -hz),
-            Vec3::new(-hx, hy, -hz),
-            Vec3::new(-hx, -hy, -hz),
-            Vec3::new(hx, -hy, -hz),
-            Vec3::new(hx, hy, hz),
-            Vec3::new(-hx, hy, hz),
-            Vec3::new(-hx, -hy, hz),
-            Vec3::new(hx, -hy, hz),
-        ];
-        locals.map(|p| p.rotated_z(self.yaw) + self.center)
+        // Each corner is `local.rotated_z(yaw) + center`, written out with
+        // the rotation's arithmetic rather than as an `array::map`: the
+        // map instantiates `core::array::try_map`, which can stay an
+        // out-of-line call from `CameraModel::project_box` depending on
+        // how the crate is split into codegen units, while the written
+        // form keeps every corner's arithmetic inside `corners`.
+        let (s, c) = self.yaw.sin_cos();
+        let corner =
+            |x: f64, y: f64, z: f64| Vec3::new(c * x - s * y, s * x + c * y, z) + self.center;
+        [
+            corner(hx, hy, -hz),
+            corner(-hx, hy, -hz),
+            corner(-hx, -hy, -hz),
+            corner(hx, -hy, -hz),
+            corner(hx, hy, hz),
+            corner(-hx, hy, hz),
+            corner(-hx, -hy, hz),
+            corner(hx, -hy, hz),
+        ]
     }
 
     /// Translates the box by `delta`.
@@ -232,6 +240,41 @@ mod tests {
         assert!((max_y - 2.0).abs() < 1e-9);
         let max_x = cs.iter().map(|c| c.x).fold(f64::NEG_INFINITY, f64::max);
         assert!((max_x - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn corners_equal_the_mapped_rotation_to_the_bit() {
+        let yaws = [0.0, 0.3, -0.7, 1.2, std::f64::consts::FRAC_PI_4, 3.0, -2.5];
+        let sizes = [
+            (4.0, 2.0, 1.6),
+            (0.0, 0.0, 0.0),
+            (12.5, 2.6, 3.9),
+            (0.3, 7.0, 1e-3),
+        ];
+        for &yaw in &yaws {
+            for &(l, w, h) in &sizes {
+                let center = Vec3::new(13.7, -4.2, 0.8);
+                let b = BBox3D::new(center, Vec3::new(l, w, h), yaw).unwrap();
+                let (hx, hy, hz) = (l / 2.0, w / 2.0, h / 2.0);
+                let locals = [
+                    Vec3::new(hx, hy, -hz),
+                    Vec3::new(-hx, hy, -hz),
+                    Vec3::new(-hx, -hy, -hz),
+                    Vec3::new(hx, -hy, -hz),
+                    Vec3::new(hx, hy, hz),
+                    Vec3::new(-hx, hy, hz),
+                    Vec3::new(-hx, -hy, hz),
+                    Vec3::new(hx, -hy, hz),
+                ];
+                let want = locals.map(|p| p.rotated_z(yaw) + center);
+                let bits = |cs: [Vec3; 8]| cs.map(|c| [c.x, c.y, c.z].map(f64::to_bits));
+                assert_eq!(
+                    bits(b.corners()),
+                    bits(want),
+                    "yaw {yaw}, size ({l}, {w}, {h})"
+                );
+            }
+        }
     }
 
     #[test]

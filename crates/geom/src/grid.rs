@@ -14,15 +14,33 @@
 //! substrate of tracker association, duplicate-cluster detection, and
 //! fusion agreement (see [`crate::matchers`]).
 //!
+//! # Layout
+//!
+//! The cells' entries live in one flat array, row-major by cell and
+//! ascending by box id within a cell, with `nx·ny + 1` offsets marking
+//! where each cell's run starts (a CSR layout). A build counts the
+//! entries per cell, prefix-sums the counts into the offsets and fills
+//! the array: two allocations whatever the box count. Each entry also
+//! records whether its cell is the box's first column and whether it is
+//! the box's first row.
+//!
 //! # Correctness argument
 //!
 //! Cell coordinates are a monotone, clamped function of world
 //! coordinates, so two intersecting AABBs always cover intersecting cell
 //! ranges — including queries outside the grid bounds, which clamp onto
-//! the border cells. [`GridIndex2D::candidates_overlapping`] therefore
-//! returns **exactly** the indexed boxes whose AABB intersects the query
-//! (the cell walk yields a superset; a final [`BBox2D::intersects`] check
-//! trims it). Matchers built on it compute the same IoU values on the
+//! the border cells. The query reports a box only in the **first** cell
+//! it shares with the query, `(max(bx1, qx1), max(by1, qy1))` in cell
+//! coordinates. A visited cell holding the box lies inside both clamped
+//! ranges, so its column is at least both first columns, and it equals
+//! their maximum exactly when it equals one of them: the query's first
+//! column, or (the entry's first-column mark) the box's. The same holds
+//! for rows. So every box sharing a cell with the query is looked at
+//! exactly once, and a [`BBox2D::intersects`] check keeps the ones whose
+//! AABB intersects the query. [`GridIndex2D::candidates_overlapping`]
+//! therefore returns **exactly** those boxes, each once; a query that
+//! spans one cell already has them ascending, and a wider one sorts them
+//! once. Matchers built on it compute the same IoU values on the
 //! surviving pairs as the pairwise reference scans in
 //! [`crate::reference`] — the equivalence the spatial property suite and
 //! the registry-driven engine tests pin bit-for-bit.
@@ -34,12 +52,23 @@ use crate::BBox2D;
 /// adversarial extents (one huge box next to thousands of tiny ones).
 const MAX_CELLS: usize = 1 << 18;
 
+/// Entry mark: the entry's cell is in its box's first column.
+const FIRST_COL: u32 = 1;
+
+/// Entry mark: the entry's cell is in its box's first row.
+const FIRST_ROW: u32 = 2;
+
+/// An entry is a box id shifted past the two marks.
+const ID_SHIFT: u32 = 2;
+
 /// A uniform grid index over a borrowed slice of [`BBox2D`]s.
 ///
 /// Built in one shot by [`GridIndex2D::build`], which derives the cell
-/// size from the median box extent. Queries return indices into the
-/// slice, always sorted ascending and deduplicated, so every consumer
-/// iterates candidates in a deterministic order.
+/// size from the median box extent. The cells' box ids are stored in one
+/// flat array, cell after cell (see the [module docs](self)). Queries
+/// return indices into the slice, always sorted ascending and
+/// duplicate-free, so every consumer iterates candidates in a
+/// deterministic order.
 ///
 /// # Example
 ///
@@ -64,8 +93,11 @@ pub struct GridIndex2D<'a> {
     cell: f64,
     nx: usize,
     ny: usize,
-    /// Per-cell buckets of box indices, row-major, each ascending.
-    cells: Vec<Vec<u32>>,
+    /// Row-major cell `c`'s entries are `entries[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Every cell's run of entries, `id << ID_SHIFT` plus the marks,
+    /// ascending by id within a run.
+    entries: Vec<u32>,
     boxes: &'a [BBox2D],
 }
 
@@ -76,6 +108,11 @@ impl<'a> GridIndex2D<'a> {
     /// box count). Median sizing keeps the common case — many
     /// similarly-sized objects — at a handful of candidates per query
     /// without letting one outlier box dictate the resolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boxes` holds more than 2³⁰ boxes, the most an entry's
+    /// id field can number.
     pub fn build(boxes: &'a [BBox2D]) -> Self {
         let Some((first, rest)) = boxes.split_first() else {
             return Self {
@@ -84,16 +121,22 @@ impl<'a> GridIndex2D<'a> {
                 cell: 1.0,
                 nx: 1,
                 ny: 1,
-                cells: vec![Vec::new()],
+                starts: vec![0, 0],
+                entries: Vec::new(),
                 boxes,
             };
         };
+        assert!(
+            boxes.len() <= (u32::MAX >> ID_SHIFT) as usize + 1,
+            "a grid indexes at most 2^30 boxes, got {}",
+            boxes.len()
+        );
         let bounds = rest.iter().fold(*first, |acc, b| acc.union_bounds(b));
         let mut extents: Vec<f64> = boxes.iter().map(|b| b.width().max(b.height())).collect();
-        extents.sort_by(f64::total_cmp);
-        // PANIC: boxes (hence extents) is non-empty here — the empty
-        // case returned above — so len/2 < len.
-        let median = extents[extents.len() / 2];
+        // The extents are non-empty (the empty case returned above), so
+        // len/2 < len is a valid rank.
+        let mid = extents.len() / 2;
+        let (_, &mut median, _) = extents.select_nth_unstable_by(mid, f64::total_cmp);
         // Degenerate inputs (all zero-area boxes) fall back to carving
         // the bounds into ~sqrt(n) cells per axis.
         let span = bounds.width().max(bounds.height()).max(1e-9);
@@ -108,10 +151,10 @@ impl<'a> GridIndex2D<'a> {
         }
         // A valid box may still be wider or taller than f64 can hold
         // (x2 - x1 overflows), which makes the median or the bounds
-        // infinite and `cell` with them. That is safe: `axis_cells` and
-        // `cell_of` map inf/NaN quotients to cell 0, so an infinite cell
-        // is a 1×1 grid whose single bucket holds every box, and the
-        // `intersects` trim keeps the answer exact.
+        // infinite and `cell` with them. That is safe: `axis_cells` turns
+        // an inf/NaN quotient into one cell, so an infinite cell is a 1×1
+        // grid whose single cell holds every box, and the `intersects`
+        // trim keeps the answer exact.
         let (cell, nx, ny) = fit_cells(&bounds, cell);
         let mut grid = Self {
             x0: bounds.x1(),
@@ -119,31 +162,66 @@ impl<'a> GridIndex2D<'a> {
             cell,
             nx,
             ny,
-            cells: vec![Vec::new(); nx * ny],
+            starts: vec![0; nx * ny + 1],
+            entries: Vec::new(),
             boxes,
         };
-        for (id, b) in boxes.iter().enumerate() {
+        // Count each cell's entries, then prefix-sum the counts in place:
+        // `starts[c]` becomes the end of cell `c`'s run.
+        for b in boxes {
             let (cx1, cy1, cx2, cy2) = grid.cell_range(b);
-            // PANIC: cell_range clamps to cx < nx, cy < ny, and cells
-            // has nx * ny slots.
             for cy in cy1..=cy2 {
-                for cx in cx1..=cx2 {
-                    grid.cells[cy * nx + cx].push(id as u32);
+                for end in grid.row_offsets(cy, cx1, cx2) {
+                    *end += 1;
                 }
             }
         }
+        let mut total = 0;
+        for end in &mut grid.starts {
+            total += *end;
+            *end = total;
+        }
+        // Fill each run back to front, boxes in descending id order, so
+        // every run reads ascending; each entry moves its cell's offset
+        // down by one, leaving `starts[c]` at the start of run `c`.
+        let mut entries = vec![0; total];
+        for (id, b) in boxes.iter().enumerate().rev() {
+            let (cx1, cy1, cx2, cy2) = grid.cell_range(b);
+            let id = (id as u32) << ID_SHIFT;
+            for cy in cy1..=cy2 {
+                let row = if cy == cy1 { id | FIRST_ROW } else { id };
+                let mut mark = FIRST_COL;
+                for start in grid.row_offsets(cy, cx1, cx2) {
+                    *start -= 1;
+                    if let Some(slot) = entries.get_mut(*start) {
+                        *slot = row | mark;
+                    }
+                    mark = 0;
+                }
+            }
+        }
+        grid.entries = entries;
         grid
     }
 
-    /// Clamped cell coordinate of a world point.
+    /// The offsets of cells `cx1..=cx2` in row `cy`: one contiguous run,
+    /// since cells are row-major. Empty if the range leaves the grid,
+    /// which `cell_range` never lets happen.
+    fn row_offsets(&mut self, cy: usize, cx1: usize, cx2: usize) -> &mut [usize] {
+        let row = cy * self.nx;
+        self.starts
+            .get_mut(row + cx1..=row + cx2)
+            .unwrap_or_default()
+    }
+
+    /// Clamped cell coordinate of a world point: the floor of its offset
+    /// in cells, clamped to the grid. The saturating `as usize` cast is
+    /// that floor for offsets at or above zero, and maps negative and NaN
+    /// offsets to cell 0 and `+inf` to the last cell.
     fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {
-        let cx = ((x - self.x0) / self.cell).floor();
-        let cy = ((y - self.y0) / self.cell).floor();
-        let cx = if cx.is_nan() { 0.0 } else { cx };
-        let cy = if cy.is_nan() { 0.0 } else { cy };
         (
-            (cx.max(0.0) as usize).min(self.nx - 1),
-            (cy.max(0.0) as usize).min(self.ny - 1),
+            (((x - self.x0) / self.cell) as usize).min(self.nx - 1),
+            (((y - self.y0) / self.cell) as usize).min(self.ny - 1),
         )
     }
 
@@ -161,22 +239,42 @@ impl<'a> GridIndex2D<'a> {
     pub fn candidates_overlapping(&self, query: &BBox2D, out: &mut Vec<usize>) {
         out.clear();
         let (cx1, cy1, cx2, cy2) = self.cell_range(query);
-        // PANIC: cell_range clamps to the grid dims, and bucket ids are
-        // indices of `boxes` by construction (filed in build).
         for cy in cy1..=cy2 {
-            for cx in cx1..=cx2 {
-                for &id in &self.cells[cy * self.nx + cx] {
-                    if self.boxes[id as usize].intersects(query) {
-                        out.push(id as usize);
-                    }
-                }
+            // The row's visited cells are one run of entries; its first
+            // cell is the query's first column, so only the rest need the
+            // first-column mark, and rows past the query's first need the
+            // first-row mark.
+            let row = cy * self.nx;
+            let need_row = if cy == cy1 { 0 } else { FIRST_ROW };
+            let first = self.cell_run(row + cx1, row + cx1 + 1);
+            self.push_hits(first, need_row, query, out);
+            let rest = self.cell_run(row + cx1 + 1, row + cx2 + 1);
+            self.push_hits(rest, need_row | FIRST_COL, query, out);
+        }
+        // Each cell's run is ascending, so one visited cell needs no sort.
+        if cx2 > cx1 || cy2 > cy1 {
+            out.sort_unstable();
+        }
+    }
+
+    /// The entries of row-major cells `from..to`: one contiguous run.
+    /// Empty if the cells leave the grid, which `cell_range` never lets
+    /// happen.
+    fn cell_run(&self, from: usize, to: usize) -> &[u32] {
+        let lo = self.starts.get(from).copied().unwrap_or_default();
+        let hi = self.starts.get(to).copied().unwrap_or_default();
+        self.entries.get(lo..hi).unwrap_or_default()
+    }
+
+    /// Pushes the ids of the `entries` that carry every mark in `need`
+    /// and whose box intersects `query`.
+    fn push_hits(&self, entries: &[u32], need: u32, query: &BBox2D, out: &mut Vec<usize>) {
+        for &entry in entries {
+            let id = (entry >> ID_SHIFT) as usize;
+            if entry & need == need && self.boxes.get(id).is_some_and(|b| b.intersects(query)) {
+                out.push(id);
             }
         }
-        // A box spanning several visited cells appears once per cell.
-        // One cell's bucket is already ascending and duplicate-free, so
-        // for the common single-cell query both passes are linear.
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -227,6 +325,44 @@ mod tests {
         (0..boxes.len())
             .filter(|&i| boxes[i].intersects(q))
             .collect()
+    }
+
+    #[test]
+    fn cell_of_is_the_clamped_floor() {
+        let boxes: Vec<BBox2D> = (0..10)
+            .map(|i| bb(f64::from(i) * 10.0, f64::from(i) * 5.0, 10.0))
+            .collect();
+        let grid = GridIndex2D::build(&boxes);
+        let clamped_floor = |v: f64, n: usize| {
+            let v = v.floor();
+            let v = if v.is_nan() { 0.0 } else { v };
+            (v.max(0.0) as usize).min(n - 1)
+        };
+        let offsets = [
+            -1e300,
+            -10.0,
+            -0.5,
+            -0.0,
+            0.0,
+            9.999,
+            10.0,
+            10.001,
+            95.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &dx in &offsets {
+            for &dy in &offsets {
+                let (x, y) = (grid.x0 + dx, grid.y0 + dy);
+                let want = (
+                    clamped_floor((x - grid.x0) / grid.cell, grid.nx),
+                    clamped_floor((y - grid.y0) / grid.cell, grid.ny),
+                );
+                assert_eq!(grid.cell_of(x, y), want, "offset ({dx}, {dy})");
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the O(n²) reference scans; a fixed ladder covers sizes 0/1/2/100/1000
 //! deterministically; adversarial shapes (all-identical boxes, zero-area
 //! boxes, giant boxes straddling many cells) get their own generators;
-//! and the grid's one query, `candidates_overlapping`, is checked against
-//! brute force.
+//! a lattice generator puts box and query edges exactly on the grid's
+//! cell lines; and the grid's one query, `candidates_overlapping`, is
+//! checked against brute force.
 
 use omg_geom::grid::GridIndex2D;
 use omg_geom::{matchers, reference, BBox2D};
@@ -141,6 +142,107 @@ fn lcg_scene(seed: u64, n: usize) -> Scene {
     scene
 }
 
+/// The cell edges lattice scenes use. Powers of two keep every lattice
+/// coordinate, and every `(x - x0) / cell` quotient the grid takes,
+/// exact.
+const LATTICE_CELLS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 16.0];
+
+/// Thresholds for lattice scenes: their IoUs are exact ratios such as
+/// 1/7, 1/3, 1/2 and 1, so a threshold can equal an IoU.
+const LATTICE_THRESHOLDS: [f64; 6] = [1.0 / 7.0, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0];
+
+/// Two box sets on one lattice, with the lattice's cell edge, origin and
+/// size, for queries drawn on the same lattice.
+#[derive(Debug, Clone)]
+struct Lattice {
+    cell: f64,
+    origin: (f64, f64),
+    /// Lattice points per axis past the origin, in half-cell steps.
+    steps: u32,
+    scene: Scene,
+    others: Vec<BBox2D>,
+}
+
+impl Lattice {
+    /// The box with its corner at lattice point `(i, j)`, `w` × `h`
+    /// half-cell steps.
+    fn boxed(&self, i: i64, j: i64, w: u32, h: u32) -> BBox2D {
+        let half = self.cell / 2.0;
+        let x = self.origin.0 + i as f64 * half;
+        let y = self.origin.1 + j as f64 * half;
+        BBox2D::new(x, y, x + f64::from(w) * half, y + f64::from(h) * half).unwrap()
+    }
+
+    /// A query drawn from raw numbers: its corner from 4 steps before the
+    /// origin, its far edge up to 4 steps past the lattice's far edge, and
+    /// zero widths allowed.
+    fn query(&self, (i, j, w, h): (u32, u32, u32, u32)) -> BBox2D {
+        let reach = self.steps + 9;
+        let (i, j) = (i % reach, j % reach);
+        self.boxed(
+            i64::from(i) - 4,
+            i64::from(j) - 4,
+            w % (reach - i + 2),
+            h % (reach - j + 2),
+        )
+    }
+}
+
+/// Box specs for one lattice set: a lattice point, a shape, a class.
+type LatticeSpecs = Vec<(u32, u32, usize, usize)>;
+
+/// Lattice scenes of 128–200 boxes per set. Every box is one cell by
+/// one cell, or one cell by half a cell, so every box's extent is the
+/// cell edge, and so is the median the grid sizes its cells by; the
+/// lattice spans at most 13 cells per axis, well inside the `4n + 64`
+/// cell budget, so the grid keeps that edge. Boxes sit on a half-cell
+/// lattice from one origin, and two boxes pin both sets' bounds to the
+/// lattice's corners, so about half of all box edges lie exactly on cell
+/// lines, the others halfway between. Boxes one cell apart touch, boxes
+/// at one point coincide, and half-step neighbours overlap partially.
+fn lattice() -> impl Strategy<Value = Lattice> {
+    let specs =
+        || proptest::collection::vec((any::<u32>(), any::<u32>(), 0usize..3, 0usize..3), 126..199);
+    (
+        0..LATTICE_CELLS.len(),
+        -40i32..40,
+        -40i32..40,
+        4u32..25,
+        specs(),
+        specs(),
+    )
+        .prop_map(|(cell, ox, oy, steps, mine, theirs)| {
+            let mut lattice = Lattice {
+                cell: LATTICE_CELLS[cell],
+                origin: (f64::from(ox), f64::from(oy)),
+                steps,
+                scene: Scene {
+                    boxes: Vec::new(),
+                    classes: Vec::new(),
+                },
+                others: Vec::new(),
+            };
+            let place = |lattice: &Lattice, specs: LatticeSpecs| {
+                let pins = [(0, 0, 0, 0), (steps, steps, 0, 1)];
+                pins.into_iter()
+                    .chain(specs)
+                    .map(|(i, j, shape, class)| {
+                        let (w, h) = [(2, 2), (2, 1), (1, 2)][shape];
+                        let at = |k: u32| i64::from(k % (steps + 1));
+                        (lattice.boxed(at(i), at(j), w, h), class)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let (boxes, classes) = place(&lattice, mine).into_iter().unzip();
+            lattice.scene = Scene { boxes, classes };
+            lattice.others = place(&lattice, theirs)
+                .into_iter()
+                .map(|(b, _)| b)
+                .collect();
+            lattice
+        })
+}
+
 /// The fixed size ladder from the issue: 0, 1, 2 (edge cases), 100
 /// (below the index cutoff — dispatch must fall back), 1000 (well above
 /// it — the grid path runs for every matcher).
@@ -254,5 +356,46 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got, &want);
         }
+    }
+
+    /// The grid's contract on a lattice, where box and query edges lie
+    /// on cell lines and boxes touch: each box a query intersects is
+    /// reported once however many visited cells hold it, including
+    /// queries whose first cells are clamped onto the border.
+    #[test]
+    fn lattice_candidates_are_exactly_the_intersecting_set(
+        lattice in lattice(),
+        queries in proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            16,
+        ),
+    ) {
+        let boxes = &lattice.scene.boxes;
+        let grid = GridIndex2D::build(boxes);
+        let mut got = Vec::new();
+        let drawn = queries.into_iter().map(|q| lattice.query(q));
+        for query in drawn.chain(boxes.iter().copied()) {
+            grid.candidates_overlapping(&query, &mut got);
+            let want: Vec<usize> = boxes
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.intersects(&query))
+                .map(|(i, _)| i)
+                .collect();
+            prop_assert_eq!(&got, &want, "query {:?}", query);
+        }
+    }
+
+    /// The three matchers equal their references on lattice scenes,
+    /// whose touching boxes, exact IoU ties and cell-line edges the
+    /// crowded scenes almost never produce.
+    #[test]
+    fn lattice_scenes_agree_with_reference(
+        lattice in lattice(),
+        thr in 0..LATTICE_THRESHOLDS.len(),
+    ) {
+        let thr = LATTICE_THRESHOLDS[thr];
+        assert_matchers_equal_reference(&lattice.scene, &lattice.others, thr);
+        assert_matchers_equal_reference(&lattice.scene, &lattice.scene.boxes, thr);
     }
 }

@@ -207,11 +207,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "n*n confusion matrix indexed under class-range asserts/contract",
     ),
     (
-        "crates/geom/src/grid.rs",
-        4,
-        "cell_range clamps to grid dims; bucket ids index the built slice",
-    ),
-    (
         "crates/geom/src/matchers.rs",
         10,
         "indices from 0..n and the grid index over the same slice, lengths asserted",

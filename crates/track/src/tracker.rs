@@ -1,3 +1,5 @@
+use std::cmp::Reverse;
+
 use omg_geom::BBox2D;
 
 use crate::track::{Observation, Track, TrackId};
@@ -121,9 +123,13 @@ impl IouAssociator {
 
         // Candidate pairs via the spatial matcher (grid-indexed in
         // crowded frames, pairwise otherwise), matched greedily by
-        // descending IoU. The order is total: `total_cmp` on the IoU
-        // keeps it NaN-safe and deterministic, and (live position,
-        // query index) is unique per pair, so an unstable sort is exact.
+        // descending IoU, then ascending live position and query index.
+        // Every kept pair has `iou >= iou_threshold > 0` (`new` asserts
+        // the threshold, and a NaN never passes `>=`), so every IoU is a
+        // positive float, and the bit patterns of positive floats order
+        // like their values: the integer key gives `total_cmp`'s order
+        // exactly. (live position, query index) is unique per pair, so
+        // an unstable sort is exact.
         omg_geom::matchers::iou_pairs(
             &self.anchors,
             &self.queries,
@@ -131,7 +137,7 @@ impl IouAssociator {
             &mut self.pairs,
         );
         self.pairs
-            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            .sort_unstable_by_key(|&(iou, p, qi)| (Reverse(iou.to_bits()), p, qi));
 
         // A pair assigns only if its query is unassigned and its track
         // still free.

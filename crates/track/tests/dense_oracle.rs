@@ -6,7 +6,9 @@
 //! frame-sorted `Vec`. The `OracleTracker` and `OracleTrack` below are
 //! the earlier implementation, with a `BTreeMap` of tracks keyed by id
 //! and a `BTreeMap` of observations keyed by frame, kept as the one
-//! oracle. The prepared scoring path runs the associator and its
+//! oracle. It finds candidate pairs with the O(n²) reference scan and
+//! sorts them with a `total_cmp` comparator, so it shares neither the
+//! grid index nor the integer sort key with the associator. The prepared scoring path runs the associator and its
 //! self-contained reference runs the tracker built on it, so the
 //! stream==batch suites cannot see an association change; these
 //! properties are the check that can.
@@ -98,8 +100,11 @@ impl OracleTracker {
             .map(|id| self.tracks[id].latest().bbox)
             .collect();
         let det_boxes: Vec<BBox2D> = detections.iter().map(|d| d.bbox).collect();
+        // The O(n²) reference scan and a `total_cmp` comparator sort: the
+        // grid index and the associator's integer sort key are both code
+        // under test, so the oracle uses neither.
         let mut pairs = Vec::new();
-        omg_geom::matchers::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold, &mut pairs);
+        omg_geom::reference::iou_pairs(&track_boxes, &det_boxes, self.iou_threshold, &mut pairs);
         pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let mut track_taken = vec![false; self.live.len()];
         let mut det_assignment: Vec<Option<TrackId>> = vec![None; detections.len()];
