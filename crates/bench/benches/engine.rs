@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use omg_bench::avx::{shared_pretrained_camera, AvScenario};
-use omg_bench::crowd::crowd_windows;
+use omg_bench::crowd::{crowd_windows, frame_boxes, CROWD_SIZES};
 use omg_bench::ecgx::{pretrained_classifier, EcgScenario};
 use omg_bench::highway::{shared_pretrained_primary, HighwayScenario};
 use omg_bench::newsx::NewsScenario;
@@ -15,9 +15,10 @@ use omg_core::stream::Prepare;
 use omg_core::{AssertionDb, Monitor};
 use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
 use omg_domains::multibox::MULTIBOX_IOU;
+use omg_domains::prepared::TRACK_IOU;
 use omg_domains::{
     video_assertion_set, video_prepared_assertion_set, AvPrepare, EcgPrepare, FusionPrepare,
-    NewsPrepare, VideoFrame, VideoPrepare, VideoWindow,
+    NewsPrepare, VideoPrepare, VideoWindow,
 };
 use omg_geom::grid::GridIndex2D;
 use omg_geom::{matchers, BBox2D};
@@ -237,19 +238,8 @@ fn make_sample_cost(c: &mut Criterion) {
     bench_make_sample(c, &highway, shared_pretrained_primary(), N);
 }
 
-/// Boxes per frame of the crowd benches: the crowded workload's two
-/// densities, both above the grid cutoff (`matchers::INDEX_MIN`).
-const CROWD_DENSITIES: [usize; 2] = [300, 1000];
-
-/// The video preparer's association threshold (`omg_domains::prepared`).
-const TRACK_IOU: f64 = 0.25;
-
-/// A frame's boxes, as the matchers take them.
-fn frame_boxes(frame: &VideoFrame) -> Vec<BBox2D> {
-    frame.dets.iter().map(|d| d.bbox).collect()
-}
-
 /// The layers under crowded association and `multibox`, per density
+/// of the crowded ladder (`CROWD_SIZES`, both above the grid cutoff)
 /// over the same 4 clutter-heavy windows of 3 frames (seed 11), all 12
 /// frames or 8 adjacent frame pairs per iteration:
 /// `geom/grid_build/<n>` builds a `GridIndex2D` over each frame,
@@ -259,7 +249,7 @@ fn frame_boxes(frame: &VideoFrame) -> Vec<BBox2D> {
 /// runs the video `Prepare` (association and run counting) on each
 /// window.
 fn crowd_cost(c: &mut Criterion) {
-    let crowds: Vec<(usize, Vec<VideoWindow>)> = CROWD_DENSITIES
+    let crowds: Vec<(usize, Vec<VideoWindow>)> = CROWD_SIZES
         .iter()
         .map(|&n| (n, crowd_windows(n, 4, 11)))
         .collect();

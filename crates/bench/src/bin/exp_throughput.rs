@@ -26,14 +26,13 @@
 //! reference rate); unset, the strict indexed > reference contract
 //! applies.
 //!
-//! `--crowded` runs the asymptotic matcher benchmark: clutter-heavy
-//! windows at 100/300/1000 boxes per frame through the full video
-//! assertion set (tracker association inside `flicker`, duplicate
-//! triples inside `multibox`) under both matcher backends — the
-//! grid-indexed default and the preserved O(n²) reference
-//! (`omg_geom::reference`) — asserting bit-for-bit identical severities
-//! on every run and archiving both timing curves as
-//! `BENCH_crowded.json`.
+//! `--crowded` runs the asymptotic matcher benchmark: the matcher calls
+//! of clutter-heavy windows at 300 and 1,000 boxes per frame (each
+//! window's center-frame `multibox` triples and both adjacent frame
+//! pairs' association pairs), through the grid-indexed
+//! `omg_geom::matchers` and then the O(n²) `omg_geom::reference`,
+//! asserting equal outputs on every run and archiving both timing
+//! curves as `BENCH_crowded.json`.
 //!
 //! Default mode runs the sequential `Monitor::process` loop, then
 //! `process_batch` at 1, 2, 4, … up to a ceiling of `--threads` workers
@@ -71,10 +70,14 @@
 
 use std::time::Instant;
 
+use omg_bench::crowd::frame_boxes;
 use omg_bench::video::{monitor_windows, FLICKER_T};
 use omg_core::runtime::ThreadPool;
 use omg_core::Monitor;
+use omg_domains::multibox::MULTIBOX_IOU;
+use omg_domains::prepared::TRACK_IOU;
 use omg_domains::{video_assertion_set, VideoWindow};
+use omg_geom::{matchers, reference, BBox2D};
 use omg_scenario::DynScenario;
 
 /// Thread counts the `--stream` equivalence + throughput runs cover.
@@ -174,7 +177,7 @@ fn archived_rate(json: &str, id: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Validates the archived `BENCH_crowded.json`: both backends' rows must
+/// Validates the archived `BENCH_crowded.json`: both paths' rows must
 /// be present at the densest sweep point, and the indexed matchers must
 /// clear `margin` × the O(n²) reference rate there — the asymptotic win
 /// is a gated contract, not a claim. Local runs use the strict default
@@ -271,20 +274,49 @@ fn check_stream_archive() {
     }
 }
 
+/// An association pair list, as `iou_pairs` fills it.
+type Pairs = Vec<(f64, usize, usize)>;
+
+/// Runs one crowd window's matcher calls through the grid-indexed
+/// `omg_geom::matchers` or, with `indexed` false, through their O(n²)
+/// `omg_geom::reference`: the center frame's `multibox` triples at
+/// `MULTIBOX_IOU`, then each adjacent frame pair's association pairs at
+/// the tracker's `TRACK_IOU`.
+fn window_matches(w: &VideoWindow, indexed: bool) -> (usize, Vec<Pairs>) {
+    let frames: Vec<Vec<BBox2D>> = w.frames.iter().map(frame_boxes).collect();
+    let classes: Vec<usize> = w.center_frame().dets.iter().map(|d| d.class).collect();
+    let triples = if indexed {
+        matchers::overlap_triples(&frames[w.center], &classes, MULTIBOX_IOU)
+    } else {
+        reference::overlap_triples(&frames[w.center], &classes, MULTIBOX_IOU)
+    };
+    let pairs = frames
+        .windows(2)
+        .map(|f| {
+            let mut pairs = Vec::new();
+            if indexed {
+                matchers::iou_pairs(&f[0], &f[1], TRACK_IOU, &mut pairs);
+            } else {
+                reference::iou_pairs(&f[0], &f[1], TRACK_IOU, &mut pairs);
+            }
+            pairs
+        })
+        .collect();
+    (triples, pairs)
+}
+
 /// The `--crowded` mode: the asymptotic matcher benchmark. For each
-/// density on the [`omg_bench::crowd::CROWD_SIZES`] ladder, scores
-/// `n_windows` clutter-heavy windows through the full video assertion
-/// set under both matcher backends, asserts the severities are
-/// bit-for-bit identical, and archives both timing curves as
-/// `BENCH_crowded.json`.
+/// density on the [`omg_bench::crowd::CROWD_SIZES`] ladder, runs the
+/// matcher calls of `n_windows` clutter-heavy windows (see
+/// [`window_matches`]) through `omg_geom::matchers` and then
+/// `omg_geom::reference`, asserts equal outputs, and archives both
+/// timing curves as `BENCH_crowded.json`.
 ///
 /// Timing is paired like the other modes: each round times the indexed
 /// pass then the reference pass back-to-back, and the quietest whole
 /// round per density is archived, so the comparison is made under one
 /// machine-load epoch.
 fn run_crowded_mode(n_windows: usize, reps: usize) {
-    use omg_geom::matchers::{with_backend, MatchBackend};
-    let set = video_assertion_set(FLICKER_T);
     println!(
         "== crowded-scene matchers: grid-indexed vs O(n²) reference, \
          {n_windows} windows per density ==\n"
@@ -292,33 +324,29 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
     let mut rows: Vec<(String, Rate)> = Vec::new();
     for &size in &omg_bench::crowd::CROWD_SIZES {
         let windows = omg_bench::crowd::crowd_windows(size, n_windows, 3);
-        let score = || -> Vec<_> { windows.iter().map(|w| set.check_all(w)).collect() };
-        // Correctness first (and a warm-up pass per backend): identical
-        // severities through the full assertion set on every run.
+        let pass =
+            |indexed| -> Vec<_> { windows.iter().map(|w| window_matches(w, indexed)).collect() };
+        // Correctness first (and a warm-up pass per path): equal
+        // outputs from every matcher call.
         let t0 = Instant::now();
-        let indexed_sev = with_backend(MatchBackend::Indexed, score);
+        let indexed_out = pass(true);
         let est_pass = t0.elapsed().as_secs_f64();
-        let reference_sev = with_backend(MatchBackend::Reference, score);
         assert_eq!(
-            indexed_sev, reference_sev,
-            "indexed severities diverged from the O(n²) reference at {size} boxes/frame"
+            indexed_out,
+            pass(false),
+            "indexed matchers diverged from the O(n²) reference at {size} boxes/frame"
         );
         let inner = inner_passes(est_pass);
         let mut best_round = [f64::INFINITY; 2];
         let mut best_total = f64::INFINITY;
         for _ in 0..reps {
             let mut times = [0.0f64; 2];
-            for (slot, backend) in [MatchBackend::Indexed, MatchBackend::Reference]
-                .into_iter()
-                .enumerate()
-            {
+            for (time, indexed) in times.iter_mut().zip([true, false]) {
                 let t0 = Instant::now();
-                with_backend(backend, || {
-                    for _ in 0..inner {
-                        std::hint::black_box(score());
-                    }
-                });
-                times[slot] = t0.elapsed().as_secs_f64() / inner as f64;
+                for _ in 0..inner {
+                    std::hint::black_box(pass(indexed));
+                }
+                *time = t0.elapsed().as_secs_f64() / inner as f64;
             }
             let total: f64 = times.iter().sum();
             if total < best_total {
@@ -345,7 +373,7 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
         rows.push((format!("indexed x{size}"), Rate::Measured(indexed_wps)));
         rows.push((format!("reference x{size}"), Rate::Measured(reference_wps)));
     }
-    println!("  (severities verified bit-for-bit across backends at every density)");
+    println!("  (matcher outputs verified equal to the reference at every density)");
     write_archive("crowded", n_windows, &rows);
 }
 
@@ -636,14 +664,15 @@ fn main() {
     let reps = 3;
 
     if omg_bench::has_flag(&args, "--crowded") {
-        // The crowded benchmark compares matcher backends, not thread
-        // counts: it is single-threaded by construction, so a co-passed
-        // `--threads`, `--stream`, or ladder conflicts with it.
+        // The crowded benchmark compares the grid-indexed matchers with
+        // their reference, not thread counts: it is single-threaded by
+        // construction, so a co-passed `--threads`, `--stream`, or
+        // ladder conflicts with it.
         if threads_flag.is_some() || omg_bench::has_flag(&args, "--stream") || sweep_flag.is_some()
         {
             eprintln!(
                 "error: --crowded is its own mode; it takes --windows only \
-                 (it compares matcher backends, not thread counts)"
+                 (it compares the matchers with their reference, not thread counts)"
             );
             std::process::exit(2);
         }

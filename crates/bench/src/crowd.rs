@@ -3,16 +3,20 @@
 //!
 //! [`omg_sim::crowd::CrowdWorld`] generates frames with an exact box
 //! count; this module packages them as the [`VideoWindow`]s the video
-//! assertion set consumes, so the benchmark exercises the real
-//! matcher-bound code paths (tracker association inside `flicker`,
-//! duplicate triples inside `multibox`) at 100/300/1000 boxes per frame
-//! under both matcher backends.
+//! assertion set consumes. `exp_throughput --crowded` times each
+//! window's matcher calls (the center frame's `multibox` triples and
+//! both adjacent frame pairs' association pairs) through
+//! `omg_geom::matchers` and `omg_geom::reference` at 300 and 1,000
+//! boxes per frame, both above the grid cutoff
+//! (`omg_geom::matchers::INDEX_MIN`); the engine bench and the
+//! crowd-frame equivalence tests build their windows here too.
 
 use omg_domains::{VideoFrame, VideoWindow};
+use omg_geom::BBox2D;
 use omg_sim::crowd::{CrowdConfig, CrowdWorld};
 
 /// The boxes-per-frame ladder the crowded benchmark sweeps.
-pub const CROWD_SIZES: [usize; 3] = [100, 300, 1000];
+pub const CROWD_SIZES: [usize; 2] = [300, 1000];
 
 /// Frames per crowded window (center frame in the middle).
 pub const CROWD_WINDOW_FRAMES: usize = 3;
@@ -44,12 +48,14 @@ pub fn crowd_windows(boxes_per_frame: usize, n_windows: usize, seed: u64) -> Vec
         .collect()
 }
 
+/// A frame's boxes, as the matchers take them.
+pub fn frame_boxes(frame: &VideoFrame) -> Vec<BBox2D> {
+    frame.dets.iter().map(|d| d.bbox).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::video::FLICKER_T;
-    use omg_domains::video_assertion_set;
-    use omg_geom::matchers::{with_backend, MatchBackend};
 
     #[test]
     fn windows_have_exact_density() {
@@ -67,19 +73,5 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(crowd_windows(50, 2, 9), crowd_windows(50, 2, 9));
         assert_ne!(crowd_windows(50, 2, 9), crowd_windows(50, 2, 10));
-    }
-
-    #[test]
-    fn video_set_severities_match_across_backends() {
-        // The full video assertion set over crowded windows — the exact
-        // computation the benchmark times — must be bit-for-bit
-        // identical under both matcher backends. Dense enough to clear
-        // the INDEX_MIN cutoff so the grid path really runs.
-        let windows = crowd_windows(200, 2, 3);
-        let set = video_assertion_set(FLICKER_T);
-        let score = || -> Vec<_> { windows.iter().map(|w| set.check_all(w)).collect() };
-        let indexed = with_backend(MatchBackend::Indexed, score);
-        let reference = with_backend(MatchBackend::Reference, score);
-        assert_eq!(indexed, reference);
     }
 }

@@ -172,52 +172,9 @@ fn raw_flag_value<'a>(args: &'a [String], flag: &str) -> Option<Option<&'a str>>
     None
 }
 
-/// Parses a `--flag N` / `--flag=N` option from an argument list with a
-/// caller-supplied value parser (shared by the usize and u64 variants).
-///
-/// # Panics
-///
-/// Panics (via `parse`) if the flag is present with a missing or invalid
-/// value — a mistyped knob must fail loudly, not silently fall back.
-fn parse_flag_with<T>(args: &[String], flag: &str, parse: impl Fn(&str) -> T) -> Option<T> {
-    let value = raw_flag_value(args, flag)?.unwrap_or_else(|| panic!("{flag} expects a value"));
-    Some(parse(value))
-}
-
-/// Parses a `--flag N` / `--flag=N` positive-integer option from an
-/// argument list.
-///
-/// # Panics
-///
-/// Panics if the flag is present with a missing, zero, or non-numeric
-/// value.
-pub fn parse_usize_flag(args: &[String], flag: &str) -> Option<usize> {
-    parse_flag_with(args, flag, |value| {
-        value
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or_else(|| panic!("{flag} expects a positive integer, got {value:?}"))
-    })
-}
-
-/// Parses a `--flag N` / `--flag=N` unsigned-seed option from an
-/// argument list (zero is a legitimate seed).
-///
-/// # Panics
-///
-/// Panics if the flag is present with a missing or non-numeric value.
-pub fn parse_u64_flag(args: &[String], flag: &str) -> Option<u64> {
-    parse_flag_with(args, flag, |value| {
-        value
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} expects an unsigned integer, got {value:?}"))
-    })
-}
-
-/// [`parse_usize_flag`] for binary `main`s: a missing, zero, or
-/// non-numeric value exits with a one-line error and status 2 (a CLI
-/// mistake, not a crash — no backtrace) instead of panicking.
+/// Parses a `--flag N` / `--flag=N` positive-integer option for binary
+/// `main`s: a missing, zero, or non-numeric value exits with a one-line
+/// error and status 2 (a CLI mistake, not a crash — no backtrace).
 pub fn parse_usize_flag_cli(args: &[String], flag: &str) -> Option<usize> {
     let value = match raw_flag_value(args, flag)? {
         Some(v) => v,
@@ -242,9 +199,9 @@ pub fn parse_string_flag_cli(args: &[String], flag: &str) -> Option<String> {
     }
 }
 
-/// [`parse_u64_flag`] for binary `main`s (zero is a legitimate seed):
-/// a missing or non-numeric value exits with a one-line error and
-/// status 2 instead of panicking.
+/// Parses a `--flag N` / `--flag=N` unsigned-seed option for binary
+/// `main`s (zero is a legitimate seed): a missing or non-numeric value
+/// exits with a one-line error and status 2.
 pub fn parse_u64_flag_cli(args: &[String], flag: &str) -> Option<u64> {
     let value = match raw_flag_value(args, flag)? {
         Some(v) => v,
@@ -474,52 +431,25 @@ mod tests {
     }
 
     #[test]
-    fn parse_usize_flag_accepts_both_forms() {
+    fn raw_flag_value_accepts_both_forms() {
         assert_eq!(
-            parse_usize_flag(&args(&["bin", "--threads", "4"]), "--threads"),
-            Some(4)
+            raw_flag_value(&args(&["bin", "--threads", "4"]), "--threads"),
+            Some(Some("4"))
         );
         assert_eq!(
-            parse_usize_flag(&args(&["bin", "--threads=8"]), "--threads"),
-            Some(8)
+            raw_flag_value(&args(&["bin", "--threads=8"]), "--threads"),
+            Some(Some("8"))
         );
-        assert_eq!(parse_usize_flag(&args(&["bin"]), "--threads"), None);
+        assert_eq!(
+            raw_flag_value(&args(&["bin", "--threads"]), "--threads"),
+            Some(None)
+        );
+        assert_eq!(raw_flag_value(&args(&["bin"]), "--threads"), None);
         // A different flag's prefix must not match.
         assert_eq!(
-            parse_usize_flag(&args(&["bin", "--threadstorm=2"]), "--threads"),
+            raw_flag_value(&args(&["bin", "--threadstorm=2"]), "--threads"),
             None
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "expects a value")]
-    fn parse_usize_flag_rejects_missing_value() {
-        parse_usize_flag(&args(&["bin", "--threads"]), "--threads");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn parse_usize_flag_rejects_zero() {
-        parse_usize_flag(&args(&["bin", "--threads", "0"]), "--threads");
-    }
-
-    #[test]
-    fn parse_u64_flag_accepts_zero_seeds() {
-        assert_eq!(
-            parse_u64_flag(&args(&["bin", "--seed", "0"]), "--seed"),
-            Some(0)
-        );
-        assert_eq!(
-            parse_u64_flag(&args(&["bin", "--seed=77"]), "--seed"),
-            Some(77)
-        );
-        assert_eq!(parse_u64_flag(&args(&["bin"]), "--seed"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsigned integer")]
-    fn parse_u64_flag_rejects_garbage() {
-        parse_u64_flag(&args(&["bin", "--seed", "x"]), "--seed");
     }
 
     #[test]

@@ -218,15 +218,6 @@ impl<S: 'static, P: Send + 'static> Monitor<S, P> {
         self.commit(sample, outcomes)
     }
 
-    /// Processes a batch of samples, returning one report per sample.
-    pub fn process_all<'a, I>(&mut self, samples: I) -> Vec<SampleReport>
-    where
-        I: IntoIterator<Item = &'a S>,
-        S: 'a,
-    {
-        samples.into_iter().map(|s| self.process(s)).collect()
-    }
-
     /// Processes a batch of samples, scoring them (one preparation plus
     /// every check per sample) across the pool's workers, then
     /// committing deterministically.
@@ -348,16 +339,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn abstain_threshold_rejected() {
         monitor().on_severity(Severity::ABSTAIN, |_, _| {});
-    }
-
-    #[test]
-    fn process_all_batches() {
-        let mut m = monitor();
-        let samples = vec![-1, 2, -3];
-        let reports = m.process_all(&samples);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(m.db().fire_count(AssertionId(0)), 2);
-        assert_eq!(m.db().any_fired_samples(), vec![0, 1, 2]); // magnitude fires on all
     }
 
     #[test]

@@ -230,12 +230,6 @@ impl SeverityMatrix {
         self.values.extend_from_slice(&other.values);
         self.rows += other.rows;
     }
-
-    /// The matrix as owned per-window rows (`Vec<Vec<f64>>`), for
-    /// callers that need the AoS shape.
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.iter_rows().map(<[f64]>::to_vec).collect()
-    }
 }
 
 /// Matrices are equal when they hold the same rows: same row count, same
@@ -314,8 +308,8 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 0.25, 0.0]);
         assert_eq!(m[1], [0.0, 2.0, 3.5]);
         assert_eq!(m.values(), &[1.0, 0.25, 0.0, 0.0, 2.0, 3.5]);
-        assert_eq!(m.to_rows(), vec![vec![1.0, 0.25, 0.0], vec![0.0, 2.0, 3.5]]);
-        assert_eq!(m.iter_rows().count(), 2);
+        let rows: Vec<&[f64]> = m.iter_rows().collect();
+        assert_eq!(rows, [&[1.0, 0.25, 0.0][..], &[0.0, 2.0, 3.5][..]]);
     }
 
     #[test]
@@ -365,7 +359,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.width(), 0);
         assert_eq!(m.row(1), &[] as &[f64]);
-        assert_eq!(m.iter_rows().count(), 2);
-        assert_eq!(m.to_rows(), vec![Vec::<f64>::new(); 2]);
+        let rows: Vec<&[f64]> = m.iter_rows().collect();
+        assert_eq!(rows, [&[] as &[f64]; 2]);
     }
 }

@@ -34,7 +34,7 @@ use crate::{appear, ecg, flicker, multibox, news};
 
 /// The IoU threshold of the tracker in [`crate::helpers::track_window`],
 /// which the prepared path must share.
-const TRACK_IOU: f64 = 0.25;
+pub const TRACK_IOU: f64 = 0.25;
 /// The maximum age of the tracker in [`crate::helpers::track_window`].
 const TRACK_MAX_AGE: usize = 3;
 /// The initial capacity of a window's run list, one entry per track. A
@@ -160,11 +160,6 @@ impl VideoPrepare {
     /// threshold `t` (seconds).
     pub fn new(t: f64) -> Self {
         Self { t }
-    }
-
-    /// The temporal threshold.
-    pub fn threshold(&self) -> f64 {
-        self.t
     }
 }
 

@@ -19,7 +19,7 @@
 //!   sub-quadratic.
 //! * [`matchers`] — the three indexed matchers every assertion routes
 //!   through (association pairs, overlap triples, agreement counts),
-//!   with a process-wide [`matchers::MatchBackend`] toggle.
+//!   each picking the grid or the reference scan from its input.
 //! * [`reference`](mod@reference) — the preserved O(n²) pairwise
 //!   scans: equivalence oracle, benchmark baseline, and small-input
 //!   fallback.

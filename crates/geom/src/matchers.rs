@@ -1,16 +1,18 @@
-//! Indexed box matchers and the backend toggle.
+//! Indexed box matchers.
 //!
 //! The paper's geometric assertions need three box matchers, and every
 //! pairwise matcher in the workspace routes through them:
 //! [`iou_pairs`] (tracker association behind `flicker`/`appear`),
 //! [`overlap_triples`] (`multibox` duplicate clusters) and
-//! [`count_unmatched`] (`agree` and highway fusion agreement). Each has
-//! two implementations producing **bit-for-bit identical** output:
+//! [`count_unmatched`] (`agree` and highway fusion agreement). Each
+//! picks one of two paths from its input, and both produce
+//! **bit-for-bit identical** output:
 //!
-//! * an *indexed* path (default) that builds a [`GridIndex2D`] and only
-//!   scores candidate pairs whose AABBs intersect — near-linear in
-//!   crowded scenes;
-//! * the O(n²) *reference* path in [`crate::reference`].
+//! * an *indexed* path that builds a [`GridIndex2D`] and only scores
+//!   candidate pairs whose AABBs intersect — near-linear in crowded
+//!   scenes;
+//! * the O(n²) *reference* path in [`crate::reference`], taken below
+//!   [`INDEX_MIN`] boxes and for thresholds the grid cannot serve.
 //!
 //! # Why candidate lookup is exact, not approximate
 //!
@@ -21,90 +23,30 @@
 //! same deterministic order, as the reference scans. When that argument
 //! does not hold — a zero, negative or NaN threshold, where even
 //! disjoint pairs "match" — the matchers detect it and fall back to the
-//! reference automatically.
-//!
-//! # The backend toggle
-//!
-//! [`set_backend`] / [`with_backend`] switch the whole process between
-//! the two paths. This exists for verification and benchmarking: the
-//! equivalence suite runs entire scenario engines under both backends
-//! and asserts identical severities, and `exp_throughput --crowded`
-//! records both timing curves. Production code never needs to touch it.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+//! reference automatically. Tests check the claim by calling both
+//! modules on the same input.
 
 use crate::grid::GridIndex2D;
 use crate::{reference, BBox2D};
 
 /// Below this many boxes the matchers skip the grid and run the
-/// reference scan directly: building an index costs more than the IoU
-/// calls it would save. On the crowded benchmark the crossover sits
-/// between 100 and 300 boxes per frame (`exp_throughput --crowded`), so
-/// 128 keeps every measured density at least as fast as the reference.
-/// (Both paths are exact, so this is purely a performance cutoff.)
+/// reference scan directly. Street, AV and highway frames hold tens of
+/// boxes, where building an index costs more than the IoU calls it
+/// would save; crowd frames hold hundreds to thousands, where the scan
+/// is quadratic. The cutoff sits between the two, below the crowded
+/// benchmark's 300 and 1,000 boxes per frame, so only crowd frames take
+/// the grid. Both paths are exact, so this is purely a performance
+/// cutoff.
 pub const INDEX_MIN: usize = 128;
 
-/// Which matcher implementation the process is using.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchBackend {
-    /// Spatial-grid candidate lookup (the default).
-    Indexed,
-    /// The O(n²) pairwise scans in [`crate::reference`].
-    Reference,
-}
-
-/// Process-global backend flag; `false` = indexed (the default).
-static USE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Serializes [`with_backend`] sections so concurrent equivalence tests
-/// cannot observe each other's toggles.
-static BACKEND_GUARD: Mutex<()> = Mutex::new(());
-
-/// The currently selected matcher backend.
-pub fn backend() -> MatchBackend {
-    if USE_REFERENCE.load(Ordering::SeqCst) {
-        MatchBackend::Reference
-    } else {
-        MatchBackend::Indexed
-    }
-}
-
-/// Selects the matcher backend process-wide.
-///
-/// Prefer [`with_backend`] in tests — it scopes and restores the
-/// setting, and serializes against other togglers.
-pub fn set_backend(b: MatchBackend) {
-    USE_REFERENCE.store(b == MatchBackend::Reference, Ordering::SeqCst);
-}
-
-/// Runs `f` with the given backend selected, restoring the previous
-/// backend afterwards (also on panic). Sections are serialized by a
-/// global lock so parallel tests toggling backends cannot interleave;
-/// worker threads spawned inside `f` observe the selected backend.
-///
-/// Not reentrant: calling `with_backend` inside `f` deadlocks.
-pub fn with_backend<R>(b: MatchBackend, f: impl FnOnce() -> R) -> R {
-    let _guard = BACKEND_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(MatchBackend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_backend(self.0);
-        }
-    }
-    let _restore = Restore(backend());
-    set_backend(b);
-    f()
-}
-
 /// Whether a matcher over `pairs` candidate pairs with the predicate
-/// `iou >= thr` takes the indexed path: only under the indexed backend,
-/// only from `INDEX_MIN²` pairs (`INDEX_MIN` boxes for a one-set
-/// matcher), and only when matching implies a positive-area
-/// intersection, or grid candidate lookup would miss "matching"
-/// disjoint pairs. NaN thresholds fail `thr > 0.0` and fall back.
+/// `iou >= thr` takes the indexed path: only from `INDEX_MIN²` pairs
+/// (`INDEX_MIN` boxes for a one-set matcher), and only when matching
+/// implies a positive-area intersection, or grid candidate lookup would
+/// miss "matching" disjoint pairs. NaN thresholds fail `thr > 0.0` and
+/// fall back.
 fn indexed(pairs: usize, thr: f64) -> bool {
-    backend() == MatchBackend::Indexed && pairs >= INDEX_MIN * INDEX_MIN && thr > 0.0
+    pairs >= INDEX_MIN * INDEX_MIN && thr > 0.0
 }
 
 /// Replaces the contents of `pairs` with every `(iou, anchor_idx,
@@ -263,14 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_toggle_roundtrip() {
-        assert_eq!(backend(), MatchBackend::Indexed);
-        let got = with_backend(MatchBackend::Reference, backend);
-        assert_eq!(got, MatchBackend::Reference);
-        assert_eq!(backend(), MatchBackend::Indexed, "restored after scope");
-    }
-
-    #[test]
     fn indexed_matchers_match_reference_on_crowded_scene() {
         let boxes = scene(7, 300, 500.0, 20.0);
         let classes: Vec<usize> = (0..boxes.len()).map(|i| i % 3).collect();
@@ -309,23 +243,6 @@ mod tests {
             pairs_of(iou_pairs, &a, &b, f64::NAN),
             pairs_of(reference::iou_pairs, &a, &b, f64::NAN)
         );
-    }
-
-    #[test]
-    fn reference_backend_forces_pairwise_path() {
-        let boxes = scene(5, 200, 400.0, 15.0);
-        let others = scene(6, 200, 400.0, 15.0);
-        let classes = vec![0usize; boxes.len()];
-        let run = || {
-            (
-                pairs_of(iou_pairs, &boxes, &others, 0.3),
-                overlap_triples(&boxes, &classes, 0.3),
-                count_unmatched(&boxes, &others, 0.3),
-            )
-        };
-        let indexed = run();
-        let via_reference = with_backend(MatchBackend::Reference, run);
-        assert_eq!(indexed, via_reference);
     }
 
     #[test]

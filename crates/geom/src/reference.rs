@@ -5,12 +5,13 @@
 //! [`overlap_triples`] and [`count_unmatched`]. They stay alive — and
 //! exported — for three reasons:
 //!
-//! 1. **Equivalence oracle.** The property suite and the registry-driven
-//!    engine tests assert that every indexed matcher in
-//!    [`crate::matchers`] produces bit-for-bit identical output to the
-//!    function of the same name here.
-//! 2. **Benchmark baseline.** `exp_throughput --crowded` times both
-//!    backends so the asymptotic win is a recorded curve, not a claim.
+//! 1. **Equivalence oracle.** The property suite, the matcher unit
+//!    tests and the crowd-frame tests assert that every indexed matcher
+//!    in [`crate::matchers`] produces bit-for-bit identical output to
+//!    the function of the same name here.
+//! 2. **Benchmark baseline.** `exp_throughput --crowded` times each
+//!    crowd window's matcher calls through both modules, so the
+//!    asymptotic win is a recorded curve, not a claim.
 //! 3. **Fallback.** The indexed paths delegate here for tiny inputs
 //!    (grid build costs more than it saves) and for degenerate
 //!    thresholds where "overlaps above the threshold" no longer implies

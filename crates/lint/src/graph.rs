@@ -54,6 +54,7 @@ pub fn build(files: &[FileModel], eligible: &[bool]) -> Graph {
             None => continue,
         };
         let fm = &files[fns[i].file];
+        let lets = let_scopes(fm, b0, b1);
         for k in b0..=b1 {
             if fm.kind(k) != TokKind::Ident {
                 continue;
@@ -70,7 +71,7 @@ pub fn build(files: &[FileModel], eligible: &[bool]) -> Graph {
             if k > 0 && fm.t(k - 1) == "fn" {
                 continue;
             }
-            for t in resolve(fm, k, &fns[i], cands, &fns, files) {
+            for t in resolve(fm, k, &fns[i], &lets, cands, &fns, files) {
                 edges[i].insert(t);
             }
         }
@@ -100,6 +101,13 @@ pub fn build(files: &[FileModel], eligible: &[bool]) -> Graph {
 ///   is caught as a value reference at the store site). No edge.
 /// - bare `name:` — a struct-literal/pattern field name, parameter,
 ///   or binding annotation; never a value. No edge.
+/// - bare `name` bound by the caller itself — a parameter, which is in
+///   scope over the whole body, or a `let` statement that ended before
+///   `k` in a block still open at `k` (see [`let_scopes`]) — or the
+///   `let` pattern's own name: a local, never a fn. A free fn of the
+///   same name is then reachable only through a path, which the first
+///   branch resolves. No edge. Closure parameters and `match`/`if
+///   let`/`for` patterns are not tracked, so their names keep edges.
 /// - any other bare `name` — a possible fn-as-value reference
 ///   (`map(helper)`, `fold(acc, merge)`) or direct call `name(…)`;
 ///   both resolve only to free functions, since naming a method
@@ -108,6 +116,7 @@ fn resolve(
     fm: &FileModel,
     k: usize,
     caller: &FnDef,
+    lets: &[LetScope],
     cands: &[usize],
     fns: &[FnDef],
     files: &[FileModel],
@@ -150,7 +159,7 @@ fn resolve(
         } else {
             Vec::new()
         }
-    } else if next == ":" {
+    } else if next == ":" || (prev != "::" && binds_local(fm, k, caller, lets)) {
         Vec::new()
     } else {
         cands
@@ -159,6 +168,53 @@ fn resolve(
             .filter(|&c| fns[c].self_type.is_none())
             .collect()
     }
+}
+
+/// A `let name` statement's `(name, ;, })` token indices: the binding
+/// is in scope strictly between its `;` and the `}` closing its block.
+type LetScope = (usize, usize, usize);
+
+/// The `let name` and `let mut name` statements of the body `b0..=b1`.
+/// A `let` counts only where a statement starts (after `;`, `{` or `}`,
+/// so not `if let` or `while let`) and only with a plain name pattern;
+/// any other binds nothing here, so its names keep their edges.
+fn let_scopes(fm: &FileModel, b0: usize, b1: usize) -> Vec<LetScope> {
+    let mut out = Vec::new();
+    for l in b0 + 1..b1 {
+        let name = if fm.t(l + 1) == "mut" { l + 2 } else { l + 1 };
+        if fm.t(l) != "let"
+            || !matches!(fm.t(l - 1), ";" | "{" | "}")
+            || fm.kind(name) != TokKind::Ident
+            || !matches!(fm.t(name + 1), ":" | "=" | ";")
+        {
+            continue;
+        }
+        let (mut depth, mut semi) = (0i32, None);
+        for j in name + 1..=b1 {
+            match fm.t(j) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth > 0 => depth -= 1,
+                ")" | "]" | "}" => {
+                    out.extend(semi.map(|semi| (name, semi, j)));
+                    break;
+                }
+                ";" if depth == 0 && semi.is_none() => semi = Some(j),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Whether bare reference `k` names a binding of `caller` rather than a
+/// function: one of its parameters, a `let` pattern's own name, or a
+/// `let` binding in scope at `k`.
+fn binds_local(fm: &FileModel, k: usize, caller: &FnDef, lets: &[LetScope]) -> bool {
+    let nm = fm.t(k).trim_start_matches("r#");
+    caller.params.iter().any(|p| p == nm)
+        || lets.iter().any(|&(name, semi, close)| {
+            k == name || (semi < k && k < close && fm.t(name).trim_start_matches("r#") == nm)
+        })
 }
 
 /// `crates/geom/src/matchers.rs` → `matchers`.
@@ -386,6 +442,33 @@ mod tests {
             .unwrap();
         assert!(g.edges[f].contains(&a_g));
         assert!(!g.edges[f].contains(&b_g));
+    }
+
+    #[test]
+    fn parameters_and_earlier_lets_shadow_free_fns() {
+        let (_m, g) = ws(&[(
+            "crates/x/src/lib.rs",
+            "pub fn run(_n: u8) -> u8 { 0 }\n\
+             fn param(run: &dyn Fn()) { run(); }\n\
+             fn path(run: u8) { crate::run(run); }\n\
+             fn closure() { let run = || 1; run(); }\n\
+             fn mut_local() { let mut run = 0; run += 1; }\n\
+             fn block() { { let run = || 1; } run(1); }\n\
+             fn init() { let run = run(1); }\n\
+             fn if_let(x: Option<u8>) { if let Some(run) = x { run(); } }",
+        )]);
+        let run = idx(&g, "run");
+        let edges = |f: &str| g.edges[idx(&g, f)].contains(&run);
+        assert!(!edges("param"), "a parameter shadows the free fn");
+        assert!(edges("path"), "a path still names the free fn");
+        assert!(!edges("closure"), "a let-bound closure shadows it");
+        assert!(
+            !edges("mut_local"),
+            "a let pattern's own name is no reference"
+        );
+        assert!(edges("block"), "the let's block closed before the call");
+        assert!(edges("init"), "the initializer still sees the free fn");
+        assert!(edges("if_let"), "untracked patterns keep their edges");
     }
 
     #[test]

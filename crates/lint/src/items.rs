@@ -29,6 +29,9 @@ pub struct FnDef {
     /// Code-token index range of the body, **inclusive** of both braces.
     /// `None` for body-less trait requirements.
     pub body: Option<(usize, usize)>,
+    /// The names its parameters bind as plain `name: T` or `mut name:
+    /// T`; a destructuring parameter binds none here.
+    pub(crate) params: Vec<String>,
 }
 
 /// One analyzed source file: its code tokens (comments split out), its
@@ -176,6 +179,7 @@ pub fn extract_fns(file: &FileModel, file_idx: usize) -> Vec<FnDef> {
                     file: file_idx,
                     line,
                     body,
+                    params: param_names(file, i + 2, toks.len()),
                 });
                 i += 2;
             }
@@ -230,6 +234,35 @@ fn parse_typed_header(file: &FileModel, i: usize, end: usize) -> Option<(String,
         j += 1;
     }
     None
+}
+
+/// From just past `fn name`, the names the parameter list binds
+/// directly: an identifier right after `(`, `,` or `mut` and followed
+/// by `:`, at the top level of the first parenthesized list outside
+/// the generics.
+fn param_names(file: &FileModel, mut j: usize, end: usize) -> Vec<String> {
+    let (mut paren, mut angle, mut names) = (0i32, 0i32, Vec::new());
+    while j < end {
+        match file.t(j) {
+            "<" if paren == 0 => angle += 1,
+            ">" if paren == 0 => angle -= 1,
+            "(" => paren += 1,
+            ")" if paren == 1 && angle <= 0 => break,
+            ")" => paren -= 1,
+            "{" | ";" if paren == 0 => break,
+            nm if paren == 1
+                && angle <= 0
+                && file.kind(j) == TokKind::Ident
+                && file.t(j + 1) == ":"
+                && matches!(file.t(j - 1), "(" | "," | "mut") =>
+            {
+                names.push(nm.trim_start_matches("r#").to_string());
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    names
 }
 
 /// From just past `fn name`, finds the body's opening `{` (skipping

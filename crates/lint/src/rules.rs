@@ -141,11 +141,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "make_sample center is in range by the scenario-driver contract",
     ),
     (
-        "crates/bench/src/lib.rs",
-        1,
-        "documented startup panic on a garbage OMG_THREADS value",
-    ),
-    (
         "crates/bench/src/newsx.rs",
         1,
         "make_sample center is in range by the scenario-driver contract",
@@ -243,7 +238,7 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/service/src/syncmap.rs",
-        8,
+        6,
         "RwLock poisoning propagation; removals re-checked under the same lock",
     ),
     (

@@ -280,11 +280,6 @@ impl<Sc: Scenario> MonitorService<Sc> {
         self.preparer.as_ref()
     }
 
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     fn shard(&self, session: SessionId) -> Arc<Mutex<SessionShard<Sc>>> {
         let retained = self.config.retained_samples;
         let now = self.clock.load(Ordering::Relaxed);

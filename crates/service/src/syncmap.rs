@@ -1,14 +1,13 @@
 //! A concurrent `Arc`-cached map with read-then-write get-or-insert.
 //!
-//! The service's shared registries — scenario resources shared by every
-//! session, and the session-shard table itself — all want the same
-//! access pattern: almost every lookup hits an existing entry, and the
-//! rare miss must construct the entry **exactly once** even when many
-//! threads race for the same key. [`SyncMap`] provides that with plain
-//! `std` primitives: a [`RwLock`] around a [`BTreeMap`] of [`Arc`]s.
-//! Reads take the shared lock and clone the `Arc` (cheap, concurrent);
-//! a miss upgrades to the exclusive lock and re-checks under it, so two
-//! racers agree on one winner and the loser's constructor never runs.
+//! The service keeps its session-shard table in one: almost every
+//! lookup hits an existing entry, and the rare miss must construct the
+//! entry **exactly once** even when many threads race for the same key.
+//! [`SyncMap`] provides that with plain `std` primitives: a [`RwLock`]
+//! around a [`BTreeMap`] of [`Arc`]s. Reads take the shared lock and
+//! clone the `Arc` (cheap, concurrent); a miss upgrades to the
+//! exclusive lock and re-checks under it, so two racers agree on one
+//! winner and the loser's constructor never runs.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;

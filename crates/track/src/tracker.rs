@@ -392,30 +392,4 @@ mod tests {
             assert_eq!(ids2[0], ids[0], "exact tie goes to the first live track");
         }
     }
-
-    #[test]
-    fn crowded_frame_matches_reference_association() {
-        // A frame dense enough to clear the indexed-matcher cutoff must
-        // associate identically under both backends.
-        use omg_geom::matchers::{with_backend, MatchBackend};
-        let frame0: Vec<Observation> = (0..140)
-            .map(|i| obs(f64::from(i % 8) * 15.0, f64::from(i / 8) * 15.0))
-            .collect();
-        let frame1: Vec<Observation> = frame0
-            .iter()
-            .map(|o| Observation {
-                bbox: o.bbox.translated(1.0, 0.5),
-                ..*o
-            })
-            .collect();
-        let run = || {
-            let mut tr = IouTracker::new(0.3, 2);
-            tr.update(0, &frame0);
-            tr.update(1, &frame1)
-        };
-        let indexed = with_backend(MatchBackend::Indexed, run);
-        let reference = with_backend(MatchBackend::Reference, run);
-        assert_eq!(indexed, reference);
-        assert_eq!(indexed.len(), 140);
-    }
 }

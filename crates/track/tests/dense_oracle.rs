@@ -220,6 +220,41 @@ fn frame_sequence(seed: u64, max_age: usize) -> Vec<(usize, Vec<Observation>)> {
     out
 }
 
+/// One pinned crowded sequence in the `CrowdConfig::clutter_heavy`
+/// shape: `n_frames` frames of exactly 1,000 boxes on a 1280×720 image,
+/// 40% of them in clusters of 5 exact duplicates (exact IoU ties among
+/// tracks and detections alike) and the rest alone. Each cluster and
+/// lone box drifts up to 6 pixels per frame on each axis, wrapping at
+/// the image's side edges, so boxes also cross the grid's row lines.
+fn crowd_sequence(seed: u64, n_frames: usize) -> Vec<Vec<Observation>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Position, velocity and size, then class and copies per frame: 80
+    // clusters of 5, then 600 lone boxes.
+    let mut drifters: Vec<([f64; 5], usize, usize)> = (0..680)
+        .map(|i| {
+            let state = [
+                rng.gen_range(0.0..1280.0),
+                rng.gen_range(0.0..648.0),
+                rng.gen_range(-6.0..6.0),
+                rng.gen_range(-6.0..6.0),
+                rng.gen_range(25.0..90.0),
+            ];
+            (state, rng.gen_range(0..3usize), if i < 80 { 5 } else { 1 })
+        })
+        .collect();
+    (0..n_frames)
+        .map(|_| {
+            let mut dets = Vec::with_capacity(1000);
+            for ([x, y, vx, vy, w], class, copies) in &mut drifters {
+                *x = (*x + *vx + rng.gen_range(-1.0..1.0)).rem_euclid(1280.0);
+                *y += *vy + rng.gen_range(-1.0..1.0);
+                dets.extend(std::iter::repeat(obs(*x, *y, *w, *class)).take(*copies));
+            }
+            dets
+        })
+        .collect()
+}
+
 const THRESHOLDS: [f64; 4] = [0.1, 0.25, 0.3, 0.5];
 
 proptest! {
@@ -354,6 +389,41 @@ fn frame_sequences_cover_the_promised_cases() {
         counts.iter().all(|&c| c * 8 >= seeds as usize),
         "{counts:?}"
     );
+}
+
+/// Association at the crowded workload's density, pinned rather than
+/// generated to bound the debug test time: four frames of 1,000 boxes
+/// (`crowd_sequence`) through the associator and the tracker against
+/// the oracle, at the video preparer's association threshold (0.25) and
+/// at 0.5. Most boxes keep their track (the oracle creates fewer than
+/// 1,100), so the grid's candidate pairs decide nearly every id.
+#[test]
+fn thousand_box_frames_match_btree_oracle() {
+    // The first box whose id differs, so a failure names one box
+    // instead of printing 2,000 ids.
+    let first_diff = |a: &[TrackId], b: &[TrackId]| a.iter().zip(b).position(|(x, y)| x != y);
+    let frames = crowd_sequence(11, 4);
+    for threshold in [0.25, 0.5] {
+        let mut associator = IouAssociator::new(threshold, 3);
+        let mut dense = IouTracker::new(threshold, 3);
+        let mut oracle = OracleTracker::new(threshold, 3);
+        for (frame, dets) in frames.iter().enumerate() {
+            assert_eq!(dets.len(), 1000);
+            let want = oracle.update(frame, dets);
+            let got = associator.assign(frame, dets.iter().map(|d| d.bbox));
+            let at = format!("at {threshold}, frame {frame}");
+            assert_eq!(first_diff(got, &want), None, "associator {at}");
+            assert_eq!(
+                first_diff(&dense.update(frame, dets), &want),
+                None,
+                "tracker {at}"
+            );
+        }
+        assert!(oracle.tracks.len() < 1100, "{} tracks", oracle.tracks.len());
+        let got: Vec<_> = dense.tracks().map(observe).collect();
+        let want: Vec<_> = oracle.tracks.values().map(observe_oracle).collect();
+        assert_eq!(got, want, "tracks at {threshold}");
+    }
 }
 
 /// A frame earlier than one already recorded panics, in the tracker and

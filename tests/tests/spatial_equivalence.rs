@@ -1,82 +1,92 @@
-//! Matcher-backend equivalence through the full engine: **every
-//! scenario in the runtime registry** must score bit-for-bit identically
-//! whether the pairwise matchers run on the spatial grid index or the
-//! O(n²) reference scans — across world seeds, stream sizes, and the
-//! 1/2/8-thread ladder — and so must crowded video windows dense enough
-//! to clear the indexed cutoff (`omg_geom::matchers::INDEX_MIN`).
+//! The grid-indexed matchers against the O(n²) reference on crowd
+//! frames, and crowded windows through the prepared monitor.
 //!
-//! This is the system-level half of the equivalence argument in
-//! `omg_geom::matchers`: the property tests prove the matchers agree on
-//! arbitrary scenes; this suite proves nothing between the matcher and
-//! the severity — tracking, windowing, monitors, thread chunking —
-//! reintroduces a difference.
+//! The matchers take the grid only from `omg_geom::matchers::INDEX_MIN`
+//! boxes, far above the tens of boxes of a street, AV or highway frame,
+//! so scoring the registered scenarios does not exercise it; crowd
+//! frames do. The property suite (`crates/geom/tests/spatial_proptests.rs`)
+//! checks the matchers on arbitrary scenes, and
+//! `crates/track/tests/dense_oracle.rs` checks association against the
+//! reference scan. This suite checks the very calls the assertions make,
+//! at their thresholds, on the crowded benchmark's frames, and that
+//! nothing between the matcher and the severity — tracking, windowing,
+//! monitors, thread chunking — changes a crowded window's result.
 
-use omg_bench::crowd::crowd_windows;
-use omg_bench::scenarios::all_scenarios;
+use omg_bench::crowd::{crowd_windows, frame_boxes};
 use omg_bench::video::FLICKER_T;
 use omg_core::runtime::ThreadPool;
 use omg_core::Monitor;
+use omg_domains::agree::AGREE_IOU;
+use omg_domains::multibox::MULTIBOX_IOU;
+use omg_domains::prepared::TRACK_IOU;
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
-use omg_geom::matchers::{with_backend, MatchBackend};
-use proptest::prelude::*;
+use omg_geom::matchers::{self, INDEX_MIN};
+use omg_geom::reference;
 
-const THREADS: [usize; 3] = [1, 2, 8];
-
-proptest! {
-    /// Registry-wide: each scenario's batch severities under the indexed
-    /// backend equal those under the reference backend, at every thread
-    /// count. (Scenarios are rebuilt inside each backend scope so no
-    /// state crosses over.)
-    #[test]
-    fn every_scenario_scores_equal_under_both_backends(seed in 0u64..60, size in 8usize..24) {
-        for threads in THREADS {
-            let pool = ThreadPool::exact(threads);
-            let score = || -> Vec<_> {
-                all_scenarios(seed, size)
-                    .iter()
-                    .map(|s| s.score_batch(&pool))
-                    .collect()
-            };
-            let indexed = with_backend(MatchBackend::Indexed, score);
-            let reference = with_backend(MatchBackend::Reference, score);
-            prop_assert_eq!(
-                &indexed, &reference,
-                "backend divergence (seed={}, size={}, threads={})",
-                seed, size, threads
-            );
+/// Crowd frames at 300 and 1,000 boxes, every one above the grid
+/// cutoff: each frame's `multibox` triples, and each adjacent frame
+/// pair's association pairs and agreement count, equal the reference
+/// scan's. A failure lists every call that differs.
+#[test]
+fn crowd_frame_matchers_equal_the_reference() {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let (mut differ, mut triples, mut pairs) = (Vec::new(), 0, 0);
+    for size in [300, 1000] {
+        for (wi, w) in crowd_windows(size, 6, 17).iter().enumerate() {
+            let frames: Vec<_> = w.frames.iter().map(frame_boxes).collect();
+            for (fi, (frame, boxes)) in w.frames.iter().zip(&frames).enumerate() {
+                assert!(boxes.len() >= INDEX_MIN, "{size} boxes: below the cutoff");
+                let classes: Vec<usize> = frame.dets.iter().map(|d| d.class).collect();
+                let oracle = reference::overlap_triples(boxes, &classes, MULTIBOX_IOU);
+                if matchers::overlap_triples(boxes, &classes, MULTIBOX_IOU) != oracle {
+                    differ.push(format!("{size}/{wi}/{fi} overlap_triples"));
+                }
+                triples += oracle;
+            }
+            for (fi, pair) in frames.windows(2).enumerate() {
+                let (a, b) = (&pair[0], &pair[1]);
+                matchers::iou_pairs(a, b, TRACK_IOU, &mut got);
+                reference::iou_pairs(a, b, TRACK_IOU, &mut want);
+                if got != want {
+                    differ.push(format!("{size}/{wi}/{fi} iou_pairs"));
+                }
+                if matchers::count_unmatched(a, b, AGREE_IOU)
+                    != reference::count_unmatched(a, b, AGREE_IOU)
+                {
+                    differ.push(format!("{size}/{wi}/{fi} count_unmatched"));
+                }
+                pairs += want.len();
+            }
         }
     }
+    assert!(
+        differ.is_empty(),
+        "{} calls differ: {differ:?}",
+        differ.len()
+    );
+    assert!(triples > 0 && pairs > 0, "crowd frames must overlap");
 }
 
-/// Crowded windows — dense enough that every matcher takes the grid
-/// path — through the plain video assertion set.
+/// Crowded windows through the prepared monitor at the thread ladder:
+/// reports and assertion database equal those of the sequential
+/// self-contained monitor, whose assertions track each window
+/// themselves, so the fast path may not change a single logged severity.
 #[test]
-fn crowded_windows_score_equal_under_both_backends() {
-    let windows = crowd_windows(300, 4, 17);
-    let set = video_assertion_set(FLICKER_T);
-    let score = || -> Vec<_> { windows.iter().map(|w| set.check_all(w)).collect() };
-    let indexed = with_backend(MatchBackend::Indexed, score);
-    let reference = with_backend(MatchBackend::Reference, score);
-    assert_eq!(indexed, reference);
-}
-
-/// Crowded windows through the streaming monitor at the thread ladder:
-/// reports and assertion database must match the reference backend
-/// exactly, so the fast path may not change a single logged severity.
-#[test]
-fn crowded_stream_monitor_matches_reference_backend_at_every_thread_count() {
+fn crowded_prepared_monitor_matches_the_self_contained_one_at_every_thread_count() {
     let windows = crowd_windows(300, 6, 23);
-    let run = |threads: usize| {
+    let mut self_contained = Monitor::with_assertions(video_assertion_set(FLICKER_T));
+    let want: Vec<_> = windows.iter().map(|w| self_contained.process(w)).collect();
+    for threads in [1, 2, 8] {
         let mut m = Monitor::with_preparer(
             video_prepared_assertion_set(FLICKER_T),
             VideoPrepare::new(FLICKER_T),
         );
         let reports = m.process_batch(&windows, &ThreadPool::exact(threads));
-        (reports, m.db().clone())
-    };
-    let want = with_backend(MatchBackend::Reference, || run(1));
-    for threads in THREADS {
-        let got = with_backend(MatchBackend::Indexed, || run(threads));
-        assert_eq!(got, want, "diverged at {threads} threads");
+        assert_eq!(reports, want, "reports diverged at {threads} threads");
+        assert_eq!(
+            m.db(),
+            self_contained.db(),
+            "db diverged at {threads} threads"
+        );
     }
 }
