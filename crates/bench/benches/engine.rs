@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use omg_bench::avx::{shared_pretrained_camera, AvScenario};
-use omg_bench::crowd::{crowd_windows, frame_boxes, CROWD_SIZES};
+use omg_bench::crowd::{crowd_stream, crowd_windows, frame_boxes, sliding_windows, CROWD_SIZES};
 use omg_bench::ecgx::{pretrained_classifier, EcgScenario};
 use omg_bench::highway::{shared_pretrained_primary, HighwayScenario};
 use omg_bench::newsx::NewsScenario;
@@ -247,7 +247,13 @@ fn make_sample_cost(c: &mut Criterion) {
 /// frame's at the association threshold, `geom/overlap_triples/<n>`
 /// counts each frame's `multibox` triples, and `prepare/crowd_window/<n>`
 /// runs the video `Prepare` (association and run counting) on each
-/// window.
+/// window. These windows are disjoint, so every lookup of the
+/// preparer's pair memo misses and the group times the miss path.
+/// `prepare/crowd_stream/<n>` runs one video `Prepare` over 12
+/// consecutive sliding windows of one seed-11 stream (frames 0–13,
+/// centers 1–12) in stream order, as the crowded workload scores a
+/// stream: each window's first frame pair is its predecessor's last, so
+/// 11 of the 24 lookups per iteration hit.
 fn crowd_cost(c: &mut Criterion) {
     let crowds: Vec<(usize, Vec<VideoWindow>)> = CROWD_SIZES
         .iter()
@@ -311,6 +317,15 @@ fn crowd_cost(c: &mut Criterion) {
             &format!("prepare/crowd_window/{n}"),
             &VideoPrepare::new(FLICKER_T),
             windows,
+        );
+    }
+    for &n in &CROWD_SIZES {
+        let windows = sliding_windows(&crowd_stream(n, 14, 11));
+        bench_prepare(
+            c,
+            &format!("prepare/crowd_stream/{n}"),
+            &VideoPrepare::new(FLICKER_T),
+            &windows[1..13],
         );
     }
 }

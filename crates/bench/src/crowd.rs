@@ -3,7 +3,11 @@
 //!
 //! [`omg_sim::crowd::CrowdWorld`] generates frames with an exact box
 //! count; this module packages them as the [`VideoWindow`]s the video
-//! assertion set consumes. `exp_throughput --crowded` times each
+//! assertion set consumes, in two forms: disjoint windows
+//! ([`crowd_windows`]), which share no frame, and the sliding windows of
+//! one stream ([`crowd_stream`] cut by [`sliding_windows`]), which share
+//! each adjacent frame pair between two windows, as perfbench's crowded
+//! workload does. `exp_throughput --crowded` times each disjoint
 //! window's matcher calls (the center frame's `multibox` triples and
 //! both adjacent frame pairs' association pairs) through
 //! `omg_geom::matchers` and `omg_geom::reference` at 300 and 1,000
@@ -13,6 +17,7 @@
 
 use omg_domains::{VideoFrame, VideoWindow};
 use omg_geom::BBox2D;
+use omg_scenario::clamped_window;
 use omg_sim::crowd::{CrowdConfig, CrowdWorld};
 
 /// The boxes-per-frame ladder the crowded benchmark sweeps.
@@ -21,12 +26,20 @@ pub const CROWD_SIZES: [usize; 2] = [300, 1000];
 /// Frames per crowded window (center frame in the middle).
 pub const CROWD_WINDOW_FRAMES: usize = 3;
 
-/// Builds `n_windows` consecutive clutter-heavy windows with exactly
-/// `boxes_per_frame` boxes on every frame, deterministic per seed.
+/// Frames of context on each side of a sliding crowded window's center.
+const CROWD_WINDOW_HALF: usize = CROWD_WINDOW_FRAMES / 2;
+
+/// Frames per second of a crowd stream.
+const CROWD_FPS: f64 = 10.0;
+
+/// Builds `n_windows` disjoint clutter-heavy windows with exactly
+/// `boxes_per_frame` boxes on every frame, deterministic per seed: one
+/// stream cut into consecutive chunks of [`CROWD_WINDOW_FRAMES`]
+/// frames, each with window-local indices and times, so no two windows
+/// share a frame.
 pub fn crowd_windows(boxes_per_frame: usize, n_windows: usize, seed: u64) -> Vec<VideoWindow> {
     let mut world = CrowdWorld::new(CrowdConfig::clutter_heavy(boxes_per_frame), seed);
     let frames = world.steps(n_windows * CROWD_WINDOW_FRAMES);
-    let fps = 10.0;
     frames
         .chunks(CROWD_WINDOW_FRAMES)
         .map(|chunk| {
@@ -38,12 +51,47 @@ pub fn crowd_windows(boxes_per_frame: usize, n_windows: usize, seed: u64) -> Vec
                     // exactly like the sliding night-street windows.
                     VideoFrame {
                         index: fi as u64,
-                        time: fi as f64 / fps,
+                        time: fi as f64 / CROWD_FPS,
                         dets: dets.clone(),
                     }
                 })
                 .collect();
             VideoWindow::new(vf, CROWD_WINDOW_FRAMES / 2)
+        })
+        .collect()
+}
+
+/// One clutter-heavy stream of `n_frames` frames with exactly
+/// `boxes_per_frame` boxes each, deterministic per seed, with stream
+/// indices and times.
+pub fn crowd_stream(boxes_per_frame: usize, n_frames: usize, seed: u64) -> Vec<VideoFrame> {
+    let mut world = CrowdWorld::new(CrowdConfig::clutter_heavy(boxes_per_frame), seed);
+    world
+        .steps(n_frames)
+        .into_iter()
+        .zip(0u64..)
+        .map(|(dets, index)| VideoFrame {
+            index,
+            time: index as f64 / CROWD_FPS,
+            dets,
+        })
+        .collect()
+}
+
+/// The sliding windows of a frame stream, one per frame in stream
+/// order: window `i` is the [`clamped_window`] of one frame on either
+/// side of frame `i`, as the scoring drivers cut a crowded stream.
+/// Each adjacent frame pair (`k`, `k + 1`) is in exactly two windows,
+/// `k` and `k + 1`.
+///
+/// # Panics
+///
+/// Panics if the frames' times are not strictly increasing.
+pub fn sliding_windows(frames: &[VideoFrame]) -> Vec<VideoWindow> {
+    (0..frames.len())
+        .map(|i| {
+            let (window, center) = clamped_window(frames, i, CROWD_WINDOW_HALF);
+            VideoWindow::new(window.to_vec(), center)
         })
         .collect()
 }
@@ -73,5 +121,22 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(crowd_windows(50, 2, 9), crowd_windows(50, 2, 9));
         assert_ne!(crowd_windows(50, 2, 9), crowd_windows(50, 2, 10));
+        assert_eq!(crowd_stream(50, 4, 9), crowd_stream(50, 4, 9));
+        assert_ne!(crowd_stream(50, 4, 9), crowd_stream(50, 4, 10));
+    }
+
+    #[test]
+    fn sliding_windows_share_adjacent_frames() {
+        let frames = crowd_stream(40, 5, 3);
+        let windows = sliding_windows(&frames);
+        assert_eq!(windows.len(), 5);
+        assert_eq!(windows[0].frames, frames[..2]);
+        assert_eq!(windows[0].center, 0);
+        for (i, w) in windows.iter().enumerate().skip(1).take(3) {
+            assert_eq!(w.frames, frames[i - 1..=i + 1]);
+            assert_eq!(w.center, 1);
+        }
+        assert_eq!(windows[4].frames, frames[3..]);
+        assert_eq!(windows[4].center, 1);
     }
 }

@@ -24,7 +24,7 @@ use omg_core::{AssertionSet, FnAssertion, Severity};
 use omg_eval::ScoredBox;
 
 use crate::helpers::{count_no_overlap, track_window};
-use crate::prepared::count_short_presence_runs;
+use crate::prepared::{count_short_presence_runs, PairMemo};
 use crate::{flicker, VideoFrame, VideoPrep, VideoWindow};
 
 /// IoU at or above which a secondary box counts as confirmed by a
@@ -139,16 +139,25 @@ pub fn fusion_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow> {
 /// [`IouAssociator`](omg_track::IouAssociator) pass over each frame's
 /// primary boxes that counts the short presence runs of the issued
 /// track ids.
-#[derive(Debug, Clone, Copy)]
+///
+/// Like [`crate::VideoPrepare`], the preparer owns one memo of crowded
+/// adjacent-frame candidate pairs, shared by every window it prepares
+/// and every worker that calls it; the counts are the same whether it
+/// hits or misses.
+#[derive(Debug)]
 pub struct FusionPrepare {
     t: f64,
+    memo: PairMemo,
 }
 
 impl FusionPrepare {
     /// Creates the preparer for a fusion set built with the same
     /// temporal threshold `t` (seconds).
     pub fn new(t: f64) -> Self {
-        Self { t }
+        Self {
+            t,
+            memo: PairMemo::default(),
+        }
     }
 }
 
@@ -157,7 +166,7 @@ impl Prepare<FusionWindow> for FusionPrepare {
 
     fn prepare(&self, window: &FusionWindow) -> VideoPrep {
         let frames = window.frames.iter().map(|f| (f.time, f.primary.as_slice()));
-        count_short_presence_runs(frames, self.t)
+        count_short_presence_runs(frames, self.t, &self.memo)
     }
 }
 

@@ -10,6 +10,7 @@ use omg_eval::ScoredBox;
 use omg_geom::BBox2D;
 use omg_track::{IouTracker, Observation};
 
+use crate::prepared::{TRACK_IOU, TRACK_MAX_AGE};
 use crate::VideoWindow;
 
 // BEGIN HELPER tracked_box
@@ -53,7 +54,7 @@ impl ConsistencySpec for VideoTrackSpec {
 /// Runs the IoU tracker over a video window and returns the tracked
 /// outputs as a consistency window (time → tracked boxes).
 pub fn track_window(window: &VideoWindow) -> ConsistencyWindow<TrackedBox> {
-    let mut tracker = IouTracker::new(0.25, 3);
+    let mut tracker = IouTracker::new(TRACK_IOU, TRACK_MAX_AGE);
     let mut out = ConsistencyWindow::new();
     for (fi, frame) in window.frames.iter().enumerate() {
         let observations: Vec<Observation> = frame

@@ -1,5 +1,6 @@
 use std::cmp::Reverse;
 
+use omg_geom::matchers::{self, INDEX_MIN};
 use omg_geom::BBox2D;
 
 use crate::track::{Observation, Track, TrackId};
@@ -19,10 +20,16 @@ use crate::track::{Observation, Track, TrackId};
 /// time, so the associator must not use the class to decide identity.
 ///
 /// Only the live tracks are kept, contiguously in creation order, each
-/// as its id, last frame and latest box; the query, candidate-pair and
-/// assignment buffers are reused across frames. Track ids are issued as
-/// 0, 1, 2, … in creation order. [`IouTracker`] adds the per-track
-/// history on top.
+/// as its id, last frame and latest box, and the call and box index it
+/// was last placed by; the query, candidate-pair and assignment buffers
+/// are reused across frames. Track ids are issued as 0, 1, 2, … in
+/// creation order. [`IouTracker`] adds the per-track history on top.
+///
+/// A crowded step can take part of its candidate pairs from the caller
+/// ([`assign_with`](IouAssociator::assign_with)): the pairs of the
+/// previous call's boxes against the current ones. In a sliding stream
+/// of windows, the window before has already scanned that frame pair,
+/// as its last step.
 #[derive(Debug, Clone)]
 pub struct IouAssociator {
     iou_threshold: f64,
@@ -33,7 +40,10 @@ pub struct IouAssociator {
     created: usize,
     /// The latest frame any track was observed in.
     latest: Option<usize>,
-    /// The live tracks' latest boxes, aligned with `live`.
+    /// Number of completed `assign` calls, which numbers the next call.
+    calls: usize,
+    /// The live tracks' latest boxes, aligned with `live`, or on a split
+    /// step aligned with `positions`.
     anchors: Vec<BBox2D>,
     /// The current frame's boxes.
     queries: Vec<BBox2D>,
@@ -45,6 +55,11 @@ pub struct IouAssociator {
     assigned: Vec<Option<usize>>,
     /// The ids issued for the current frame, aligned with `queries`.
     ids: Vec<TrackId>,
+    /// On a split step, the live positions of the previous call's
+    /// tracks by box index, then those of the older tracks.
+    positions: Vec<usize>,
+    /// On a split step, the older tracks' candidate pairs.
+    older_pairs: Vec<(f64, usize, usize)>,
 }
 
 /// The initial capacity of the associator's per-frame buffers. A street
@@ -52,12 +67,15 @@ pub struct IouAssociator {
 /// grow a buffer past it; a crowded frame grows them as usual.
 const FRAME_CAPACITY: usize = 16;
 
-/// One live track: what association needs of it.
+/// One live track: what association needs of it, and the call and box
+/// index that last placed it, which a split step reads.
 #[derive(Debug, Clone, Copy)]
 struct LiveTrack {
     id: TrackId,
     last_frame: usize,
     bbox: BBox2D,
+    call: usize,
+    box_index: usize,
 }
 
 impl IouAssociator {
@@ -83,17 +101,22 @@ impl IouAssociator {
             live: Vec::with_capacity(FRAME_CAPACITY),
             created: 0,
             latest: None,
+            calls: 0,
             anchors: Vec::with_capacity(FRAME_CAPACITY),
             queries: Vec::with_capacity(FRAME_CAPACITY),
             pairs: Vec::with_capacity(FRAME_CAPACITY),
             free: Vec::with_capacity(FRAME_CAPACITY),
             assigned: Vec::with_capacity(FRAME_CAPACITY),
             ids: Vec::with_capacity(FRAME_CAPACITY),
+            positions: Vec::new(),
+            older_pairs: Vec::new(),
         }
     }
 
     /// Associates one frame's boxes and returns the track id assigned to
-    /// each, aligned with the input order.
+    /// each, aligned with the input order. This is
+    /// [`assign_with`](IouAssociator::assign_with) with
+    /// [`omg_geom::matchers::iou_pairs`] as the scan.
     ///
     /// A frame's ids are distinct: each live track claims at most one
     /// box. A box that claims none starts a track with the next unissued
@@ -107,6 +130,50 @@ impl IouAssociator {
     /// Panics if `frame` precedes an already-processed frame while a
     /// track is live.
     pub fn assign(&mut self, frame: usize, boxes: impl IntoIterator<Item = BBox2D>) -> &[TrackId] {
+        self.assign_with(frame, boxes, matchers::iou_pairs)
+    }
+
+    /// [`assign`](IouAssociator::assign), taking the candidate pairs of
+    /// the previous call's boxes from `scan` on a crowded step. The ids
+    /// are the same whatever `scan` is, as long as it meets the contract
+    /// below.
+    ///
+    /// `scan` has the signature of [`omg_geom::matchers::iou_pairs`] and
+    /// must do what it does: replace the contents of its buffer with
+    /// every `(iou, anchor index, query index)` pair whose IoU, computed
+    /// as `anchor.iou(query)`, is at or above the threshold it is given,
+    /// each pair once, in any order.
+    ///
+    /// It is called at most once per call, and only on a *split* step:
+    /// when the previous call's tracks are still live and its boxes
+    /// times this call's reach the grid cutoff of the matchers
+    /// (`prev_len * boxes.len() >= INDEX_MIN²`, see
+    /// [`INDEX_MIN`](omg_geom::matchers::INDEX_MIN)). Its anchors are
+    /// then the previous call's boxes, bit for bit and in that call's
+    /// order, its queries this call's boxes, and its threshold the
+    /// associator's. The previous call is chosen by call, not by frame
+    /// number, since frame numbers may repeat: every box of that call
+    /// placed exactly one track, and those tracks share one last frame,
+    /// so they are live together or retired together. The associator
+    /// re-keys the pairs from box index to live position, scans the
+    /// older live tracks itself, and sorts the union as a single scan's
+    /// pairs are sorted. Below the cutoff a step is one scan of every
+    /// live track, made with `matchers::iou_pairs`, and `scan` is not
+    /// called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` precedes an already-processed frame while a
+    /// track is live.
+    pub fn assign_with<F>(
+        &mut self,
+        frame: usize,
+        boxes: impl IntoIterator<Item = BBox2D>,
+        scan: F,
+    ) -> &[TrackId]
+    where
+        F: FnOnce(&[BBox2D], &[BBox2D], f64, &mut Vec<(f64, usize, usize)>),
+    {
         if let Some(last) = self.latest {
             assert!(
                 frame >= last || self.live.is_empty(),
@@ -118,8 +185,6 @@ impl IouAssociator {
             .retain(|t| frame.saturating_sub(t.last_frame) <= max_age);
         self.queries.clear();
         self.queries.extend(boxes);
-        self.anchors.clear();
-        self.anchors.extend(self.live.iter().map(|t| t.bbox));
 
         // Candidate pairs via the spatial matcher (grid-indexed in
         // crowded frames, pairwise otherwise), matched greedily by
@@ -129,13 +194,18 @@ impl IouAssociator {
         // positive float, and the bit patterns of positive floats order
         // like their values: the integer key gives `total_cmp`'s order
         // exactly. (live position, query index) is unique per pair, so
-        // an unstable sort is exact.
-        omg_geom::matchers::iou_pairs(
-            &self.anchors,
-            &self.queries,
-            self.iou_threshold,
-            &mut self.pairs,
-        );
+        // an unstable sort is exact, and a split step's union sorts
+        // into the single scan's order.
+        if !self.split_scan(scan) {
+            self.anchors.clear();
+            self.anchors.extend(self.live.iter().map(|t| t.bbox));
+            matchers::iou_pairs(
+                &self.anchors,
+                &self.queries,
+                self.iou_threshold,
+                &mut self.pairs,
+            );
+        }
         self.pairs
             .sort_unstable_by_key(|&(iou, p, qi)| (Reverse(iou.to_bits()), p, qi));
 
@@ -157,12 +227,15 @@ impl IouAssociator {
         if !self.queries.is_empty() {
             self.latest = Some(self.latest.map_or(frame, |last| last.max(frame)));
         }
+        let call = self.calls;
         self.ids.clear();
-        for (&bbox, assigned) in self.queries.iter().zip(&self.assigned) {
+        for (box_index, (&bbox, assigned)) in self.queries.iter().zip(&self.assigned).enumerate() {
             let id = match assigned.and_then(|p| self.live.get_mut(p)) {
                 Some(track) => {
                     track.last_frame = frame;
                     track.bbox = bbox;
+                    track.call = call;
+                    track.box_index = box_index;
                     track.id
                 }
                 None => {
@@ -172,13 +245,84 @@ impl IouAssociator {
                         id,
                         last_frame: frame,
                         bbox,
+                        call,
+                        box_index,
                     });
                     id
                 }
             };
             self.ids.push(id);
         }
+        self.calls += 1;
         &self.ids
+    }
+
+    /// On a split step (see [`assign_with`](IouAssociator::assign_with)),
+    /// fills `pairs` with every candidate pair of the live tracks, keyed
+    /// by live position, and returns `true`: the previous call's pairs
+    /// from `scan`, the older tracks' from the matcher. Otherwise
+    /// returns `false` without calling `scan`.
+    fn split_scan<F>(&mut self, scan: F) -> bool
+    where
+        F: FnOnce(&[BBox2D], &[BBox2D], f64, &mut Vec<(f64, usize, usize)>),
+    {
+        // `ids` still holds the previous call's ids, one per box.
+        let prev_len = self.ids.len();
+        if prev_len * self.queries.len() < INDEX_MIN * INDEX_MIN {
+            return false;
+        }
+        // The previous call's tracks by box index (each box of that call
+        // placed one track), then the older tracks in live order. The
+        // previous call's tracks share its frame as their last frame, so
+        // they are all live or all retired.
+        let previous = self.calls.wrapping_sub(1);
+        self.positions.clear();
+        self.positions.resize(prev_len, usize::MAX);
+        for (p, t) in self.live.iter().enumerate() {
+            if t.call == previous {
+                if let Some(at) = self.positions.get_mut(t.box_index) {
+                    *at = p;
+                }
+            }
+        }
+        if self.positions.contains(&usize::MAX) {
+            return false;
+        }
+        self.anchors.clear();
+        self.anchors.extend(
+            self.positions
+                .iter()
+                .filter_map(|&p| self.live.get(p))
+                .map(|t| t.bbox),
+        );
+        for (p, t) in self.live.iter().enumerate() {
+            if t.call != previous {
+                self.positions.push(p);
+                self.anchors.push(t.bbox);
+            }
+        }
+        let Some((recent, older)) = self.anchors.split_at_checked(prev_len) else {
+            return false;
+        };
+        scan(recent, &self.queries, self.iou_threshold, &mut self.pairs);
+        matchers::iou_pairs(
+            older,
+            &self.queries,
+            self.iou_threshold,
+            &mut self.older_pairs,
+        );
+        // Re-key both lists from anchor index to live position.
+        let positions = &self.positions;
+        let position = |anchor: usize| positions.get(anchor).copied().unwrap_or(usize::MAX);
+        for pair in &mut self.pairs {
+            pair.1 = position(pair.1);
+        }
+        self.pairs.extend(
+            self.older_pairs
+                .iter()
+                .map(|&(iou, oi, qi)| (iou, position(prev_len + oi), qi)),
+        );
+        true
     }
 
     /// Number of tracks ever created.

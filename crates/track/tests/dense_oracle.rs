@@ -11,11 +11,14 @@
 //! grid index nor the integer sort key with the associator. The prepared scoring path runs the associator and its
 //! self-contained reference runs the tracker built on it, so the
 //! stream==batch suites cannot see an association change; these
-//! properties are the check that can.
+//! properties are the check that can. The prepared path calls
+//! `assign_with`, whose crowded steps take the previous call's pairs
+//! from a caller's scan; the properties drive it with a scan that
+//! answers from the reference and checks what it is asked.
 
 use std::collections::BTreeMap;
 
-use omg_geom::BBox2D;
+use omg_geom::{reference, BBox2D};
 use omg_track::{IouAssociator, IouTracker, Observation, Track, TrackId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -164,21 +167,26 @@ fn obs(x: f64, y: f64, w: f64, class: usize) -> Observation {
 /// A seeded frame sequence with non-decreasing frame numbers: drifting
 /// objects that sometimes flicker out, exact duplicates (exact IoU
 /// ties), random clutter, empty frames, repeated frame numbers and gaps
-/// longer than `max_age`. About one frame in four is crowded (128–300
-/// boxes), enough for the matcher's grid index once the previous frame
-/// left as many live tracks.
+/// longer than `max_age`. About one frame in four starts a run of
+/// crowded frames (128–300 boxes), enough for the matcher's grid index
+/// once the previous frame left as many live tracks.
 fn frame_sequence(seed: u64, max_age: usize) -> Vec<(usize, Vec<Observation>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_frames = rng.gen_range(1..10usize);
     let mut objects: Vec<(f64, f64, f64)> = Vec::new();
     let mut frame = rng.gen_range(0..3usize);
     let mut out = Vec::with_capacity(n_frames);
+    let mut crowded = false;
     for _ in 0..n_frames {
         let target = match rng.gen_range(0..8u32) {
             0 => 0,
             1 | 2 => rng.gen_range(128..301usize),
+            // Crowded frames come in runs, so the associator splits
+            // steps while older tracks are live.
+            3..=6 if crowded => rng.gen_range(128..301usize),
             _ => rng.gen_range(1..24usize),
         };
+        crowded = target >= 128;
         while objects.len() < target {
             objects.push((
                 rng.gen_range(0.0..600.0),
@@ -257,6 +265,46 @@ fn crowd_sequence(seed: u64, n_frames: usize) -> Vec<Vec<Observation>> {
 
 const THRESHOLDS: [f64; 4] = [0.1, 0.25, 0.3, 0.5];
 
+/// Whether two box lists are equal coordinate for coordinate, bit for
+/// bit.
+fn same_bits(a: &[BBox2D], b: &[BBox2D]) -> bool {
+    let bits = |b: &BBox2D| [b.x1(), b.y1(), b.x2(), b.y2()].map(f64::to_bits);
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| bits(a) == bits(b))
+}
+
+/// `assign_with` over one frame, with a scan that answers from the
+/// reference and asserts that it is asked for `previous` (the previous
+/// call's boxes, bit for bit) against this frame's boxes. Returns the
+/// ids and the number of anchors the scan was given, if it was called.
+fn assign_with_reference_scan(
+    associator: &mut IouAssociator,
+    frame: usize,
+    dets: &[Observation],
+    previous: &[BBox2D],
+) -> (Vec<TrackId>, Option<usize>) {
+    let boxes: Vec<BBox2D> = dets.iter().map(|d| d.bbox).collect();
+    let mut scanned = None;
+    let ids = associator
+        .assign_with(
+            frame,
+            boxes.iter().copied(),
+            |anchors, queries, thr, out| {
+                assert!(
+                    same_bits(anchors, previous),
+                    "anchors are not the previous call's boxes"
+                );
+                assert!(
+                    same_bits(queries, &boxes),
+                    "queries are not this call's boxes"
+                );
+                scanned = Some(anchors.len());
+                reference::iou_pairs(anchors, queries, thr, out);
+            },
+        )
+        .to_vec();
+    (ids, scanned)
+}
+
 proptest! {
     /// The dense tracker issues the oracle's ids frame by frame and ends
     /// with the oracle's tracks, observations and counts.
@@ -302,6 +350,27 @@ proptest! {
         for (frame, dets) in frame_sequence(seed, max_age) {
             let got = associator.assign(frame, dets.iter().map(|d| d.bbox)).to_vec();
             prop_assert_eq!(got, oracle.update(frame, &dets));
+        }
+        prop_assert_eq!(associator.num_tracks(), oracle.tracks.len());
+    }
+
+    /// The associator with a caller's scan, which answers from the
+    /// reference, issues the oracle's ids frame by frame: a split step's
+    /// re-keyed pairs plus the older tracks' sort as one scan's do.
+    #[test]
+    fn associator_with_a_reference_scan_matches_btree_oracle(
+        seed in any::<u64>(),
+        threshold in 0usize..THRESHOLDS.len(),
+        max_age in 0usize..4,
+    ) {
+        let threshold = THRESHOLDS[threshold];
+        let mut associator = IouAssociator::new(threshold, max_age);
+        let mut oracle = OracleTracker::new(threshold, max_age);
+        let mut previous: Vec<BBox2D> = Vec::new();
+        for (frame, dets) in frame_sequence(seed, max_age) {
+            let (got, _) = assign_with_reference_scan(&mut associator, frame, &dets, &previous);
+            prop_assert_eq!(got, oracle.update(frame, &dets));
+            previous = dets.iter().map(|d| d.bbox).collect();
         }
         prop_assert_eq!(associator.num_tracks(), oracle.tracks.len());
     }
@@ -358,19 +427,47 @@ proptest! {
     }
 }
 
+/// Whether `assign_with` over `seq` makes a split step while older
+/// tracks are live too, and a single-scan step with live tracks and
+/// boxes, at threshold 0.25.
+fn split_and_single_steps(seq: &[(usize, Vec<Observation>)], max_age: usize) -> [bool; 2] {
+    let mut associator = IouAssociator::new(0.25, max_age);
+    let mut oracle = OracleTracker::new(0.25, max_age);
+    let mut previous: Vec<BBox2D> = Vec::new();
+    let (mut split_with_older, mut single) = (false, false);
+    for (frame, dets) in seq {
+        let live = oracle
+            .live
+            .iter()
+            .filter(|id| frame.saturating_sub(oracle.tracks[id].last_frame()) <= max_age)
+            .count();
+        match assign_with_reference_scan(&mut associator, *frame, dets, &previous).1 {
+            Some(recent) => split_with_older |= live > recent,
+            None => single |= live > 0 && !dets.is_empty(),
+        }
+        oracle.update(*frame, dets);
+        previous = dets.iter().map(|d| d.bbox).collect();
+    }
+    [split_with_older, single]
+}
+
 /// The sequence generator reaches the grid index (both sides of an
-/// association at or above 128 boxes) and each promised edge case in a
-/// good share of sequences, so the property's 64 random seeds cover them
+/// association at or above 128 boxes), split steps with older tracks
+/// live and single-scan steps, and each promised edge case in a good
+/// share of sequences, so the properties' 64 random seeds cover them
 /// all.
 #[test]
 fn frame_sequences_cover_the_promised_cases() {
-    let mut counts = [0usize; 5];
+    let mut counts = [0usize; 7];
     let seeds = 256;
     for seed in 0..seeds {
         let max_age = (seed % 4) as usize;
         let seq = frame_sequence(seed, max_age);
         let pairs = || seq.windows(2);
+        let [split_with_older, single] = split_and_single_steps(&seq, max_age);
         let has = [
+            split_with_older,
+            single,
             pairs().any(|w| w[0].1.len() >= 128 && w[1].1.len() >= 128),
             seq.iter().any(|(_, d)| d.is_empty()),
             pairs().any(|w| w[0].0 == w[1].0),
@@ -393,10 +490,12 @@ fn frame_sequences_cover_the_promised_cases() {
 
 /// Association at the crowded workload's density, pinned rather than
 /// generated to bound the debug test time: four frames of 1,000 boxes
-/// (`crowd_sequence`) through the associator and the tracker against
-/// the oracle, at the video preparer's association threshold (0.25) and
-/// at 0.5. Most boxes keep their track (the oracle creates fewer than
-/// 1,100), so the grid's candidate pairs decide nearly every id.
+/// (`crowd_sequence`) through the associator, the associator with a
+/// reference scan (a split step on every frame after the first) and
+/// the tracker against the oracle, at the video preparer's association
+/// threshold (0.25) and at 0.5. Most boxes keep their track (the oracle
+/// creates fewer than 1,100), so the grid's candidate pairs decide
+/// nearly every id.
 #[test]
 fn thousand_box_frames_match_btree_oracle() {
     // The first box whose id differs, so a failure names one box
@@ -405,14 +504,20 @@ fn thousand_box_frames_match_btree_oracle() {
     let frames = crowd_sequence(11, 4);
     for threshold in [0.25, 0.5] {
         let mut associator = IouAssociator::new(threshold, 3);
+        let mut split = IouAssociator::new(threshold, 3);
         let mut dense = IouTracker::new(threshold, 3);
         let mut oracle = OracleTracker::new(threshold, 3);
+        let mut previous: Vec<BBox2D> = Vec::new();
         for (frame, dets) in frames.iter().enumerate() {
             assert_eq!(dets.len(), 1000);
             let want = oracle.update(frame, dets);
             let got = associator.assign(frame, dets.iter().map(|d| d.bbox));
             let at = format!("at {threshold}, frame {frame}");
             assert_eq!(first_diff(got, &want), None, "associator {at}");
+            let (got, scanned) = assign_with_reference_scan(&mut split, frame, dets, &previous);
+            assert_eq!(scanned.is_some(), frame > 0, "split step {at}");
+            assert_eq!(first_diff(&got, &want), None, "associator with a scan {at}");
+            previous = dets.iter().map(|d| d.bbox).collect();
             assert_eq!(
                 first_diff(&dense.update(frame, dets), &want),
                 None,

@@ -10,7 +10,8 @@
 //! reference scan. This suite checks the very calls the assertions make,
 //! at their thresholds, on the crowded benchmark's frames, and that
 //! nothing between the matcher and the severity — tracking, windowing,
-//! monitors, thread chunking — changes a crowded window's result.
+//! the preparer's pair memo, monitors, thread chunking — changes a
+//! crowded window's result.
 
 use omg_bench::crowd::{crowd_windows, frame_boxes};
 use omg_bench::video::FLICKER_T;
@@ -19,9 +20,10 @@ use omg_core::Monitor;
 use omg_domains::agree::AGREE_IOU;
 use omg_domains::multibox::MULTIBOX_IOU;
 use omg_domains::prepared::TRACK_IOU;
-use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare};
+use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrepare, VideoWindow};
 use omg_geom::matchers::{self, INDEX_MIN};
 use omg_geom::reference;
+use omg_tests::sliding_crowd_windows;
 
 /// Crowd frames at 300 and 1,000 boxes, every one above the grid
 /// cutoff: each frame's `multibox` triples, and each adjacent frame
@@ -71,9 +73,22 @@ fn crowd_frame_matchers_equal_the_reference() {
 /// reports and assertion database equal those of the sequential
 /// self-contained monitor, whose assertions track each window
 /// themselves, so the fast path may not change a single logged severity.
+/// The windows are disjoint ones, and the sliding windows of one stream
+/// at 300 and 1,000 boxes, whose frame pairs `process_batch` splits
+/// across workers that share the preparer's pair memo.
 #[test]
 fn crowded_prepared_monitor_matches_the_self_contained_one_at_every_thread_count() {
-    let windows = crowd_windows(300, 6, 23);
+    let sets = [
+        crowd_windows(300, 6, 23),
+        sliding_crowd_windows(300, 10),
+        sliding_crowd_windows(1000, 7),
+    ];
+    for windows in &sets {
+        assert_prepared_monitor_matches_the_self_contained_one(windows);
+    }
+}
+
+fn assert_prepared_monitor_matches_the_self_contained_one(windows: &[VideoWindow]) {
     let mut self_contained = Monitor::with_assertions(video_assertion_set(FLICKER_T));
     let want: Vec<_> = windows.iter().map(|w| self_contained.process(w)).collect();
     for threads in [1, 2, 8] {
@@ -81,7 +96,7 @@ fn crowded_prepared_monitor_matches_the_self_contained_one_at_every_thread_count
             video_prepared_assertion_set(FLICKER_T),
             VideoPrepare::new(FLICKER_T),
         );
-        let reports = m.process_batch(&windows, &ThreadPool::exact(threads));
+        let reports = m.process_batch(windows, &ThreadPool::exact(threads));
         assert_eq!(reports, want, "reports diverged at {threads} threads");
         assert_eq!(
             m.db(),

@@ -12,9 +12,10 @@
 //! classes, and news' tuple `(scene, slot)` ids). The tests after them
 //! hold the prepared `(gaps, blips)` to the per-kind counts of `check`
 //! over `track_window`: on stream windows, on 300-box crowded windows,
-//! and on generated windows that reach what the streams miss (windows
-//! shorter than 3, runs at the edges, a gap of exactly `T`, and an
-//! absence long enough to give an object a new id).
+//! on sliding crowd windows that share frame pairs through the
+//! preparers' pair memo, and on generated windows that reach what the
+//! streams miss (windows shorter than 3, runs at the edges, a gap of
+//! exactly `T`, and an absence long enough to give an object a new id).
 
 use std::collections::BTreeMap;
 
@@ -33,6 +34,7 @@ use omg_geom::matchers::INDEX_MIN;
 use omg_geom::BBox2D;
 use omg_scenario::Scenario;
 use omg_sim::news::NewsFace;
+use omg_tests::sliding_crowd_windows;
 use proptest::prelude::*;
 
 /// One window's worth of raw outputs: per invocation, a time step in
@@ -332,6 +334,43 @@ fn fusion_prepare_equals_check_over_primary_view() {
     assert!(gaps > 0 && blips > 0, "stream: {gaps} gaps, {blips} blips");
     let (gaps, _) = count(&crowded);
     assert!(gaps > 0, "crowded: no gap fired");
+}
+
+/// Sliding crowd windows at 300 and 1,000 boxes, through one
+/// `VideoPrepare` and one `FusionPrepare` reused across every window: in
+/// stream order each window's first adjacent pair is the one its
+/// predecessor scanned last, so the preparers' pair memo hits; in
+/// reverse and on a second pass it mostly misses, and a repeated frame
+/// puts a same-anchors, other-queries lookup right after a store. Every
+/// window's counts equal the reference's however the memo answers.
+#[test]
+fn prepared_counts_on_sliding_crowd_windows_hold_in_any_order() {
+    for (boxes, n_frames) in [(300, 10), (1000, 7)] {
+        let windows = sliding_crowd_windows(boxes, n_frames);
+        let fusion: Vec<FusionWindow> = windows.iter().map(as_fusion).collect();
+        let want: Vec<(usize, usize)> = windows
+            .iter()
+            .map(|w| reference_counts(w, FLICKER_T))
+            .collect();
+        assert!(want.iter().any(|&(g, _)| g > 0), "{boxes}: no gap fired");
+        let n = windows.len();
+        let video = VideoPrepare::new(FLICKER_T);
+        let fusion_prepare = FusionPrepare::new(FLICKER_T);
+        let orders: [(&str, Vec<usize>); 3] = [
+            ("stream order", (0..n).collect()),
+            ("reverse", (0..n).rev().collect()),
+            ("twice", (0..n).chain(0..n).collect()),
+        ];
+        for (order, positions) in &orders {
+            for &i in positions {
+                let at = format!("{boxes} boxes, {order}, window {i}");
+                let v = video.prepare(&windows[i]);
+                assert_eq!((v.gaps, v.blips), want[i], "video, {at}");
+                let f = fusion_prepare.prepare(&fusion[i]);
+                assert_eq!((f.gaps, f.blips), want[i], "fusion, {at}");
+            }
+        }
+    }
 }
 
 /// A generated tracked window: per frame, a time step in quarter
