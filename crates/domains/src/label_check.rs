@@ -139,4 +139,64 @@ mod tests {
         let report = check_labels(&frames);
         assert_eq!(report.flagged, vec![(5, 0)]);
     }
+
+    #[test]
+    fn majority_class_votes() {
+        let frames = vec![
+            vec![lb(0.0, 2, 2, 1)],
+            vec![lb(2.0, 2, 2, 1)],
+            vec![lb(4.0, 1, 2, 1)],
+        ];
+        let report = check_labels(&frames);
+        assert_eq!(report.flagged, vec![(2, 0)]);
+        assert_eq!(report.tracks, 1);
+    }
+
+    #[test]
+    fn majority_class_tie_breaks_to_smaller() {
+        // One vote each: the tie goes to class 1, so the label 3 is the
+        // one flagged.
+        let frames = vec![vec![lb(0.0, 3, 3, 1)], vec![lb(2.0, 1, 1, 1)]];
+        let report = check_labels(&frames);
+        assert_eq!(report.flagged, vec![(0, 0)]);
+        assert_eq!(report.tracks, 1);
+    }
+
+    /// Seeded night-street clips with a class slip injected into every
+    /// 11th label: many tracks per clip, crossing and short-lived ones
+    /// among them. The flagged positions and track counts of every clip
+    /// are pinned as one FNV-1a digest, so any change in which labels
+    /// the check flags, or in how the boxes are tracked, changes it.
+    #[test]
+    fn seeded_clips_with_injected_slips_flag_a_pinned_set() {
+        use omg_sim::labeler::HumanLabeler;
+        use omg_sim::traffic::{TrafficConfig, TrafficWorld};
+
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut feed = |value: usize| {
+            for byte in (value as u64).to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let (mut flags, mut tracks) = (0, 0);
+        for clip in 0..120u64 {
+            let frames = TrafficWorld::new(TrafficConfig::night_street(), 500 + clip).steps(60);
+            let labeler = HumanLabeler::scale_like(clip);
+            let mut labeled: Vec<Vec<LabeledBox>> =
+                frames.iter().map(|f| labeler.label_frame(f)).collect();
+            for label in labeled.iter_mut().flatten().skip(10).step_by(11) {
+                label.class = (label.class + 1) % omg_sim::NUM_CLASSES;
+            }
+            let report = check_labels(&labeled);
+            feed(report.tracks);
+            feed(report.flagged.len());
+            for &(fi, bi) in &report.flagged {
+                feed(fi);
+                feed(bi);
+            }
+            flags += report.flagged.len();
+            tracks += report.tracks;
+        }
+        assert_eq!((flags, tracks, digest), (1461, 530, 0x17f5_ba45_3d04_ebe1));
+    }
 }
