@@ -173,7 +173,7 @@ impl Prepare<FusionWindow> for FusionPrepare {
 /// The fusion assertion set with shared preparation: same assertions,
 /// names, and severities as [`fusion_assertion_set`], but
 /// `fusion-flicker` reads the gaps of one [`VideoPrep`] per window
-/// instead of re-running the tracker (`fusion-agree` needs only the
+/// instead of re-running the association (`fusion-agree` needs only the
 /// center frame and keeps its plain check).
 pub fn fusion_prepared_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow, VideoPrep> {
     let mut set = AssertionSet::new();

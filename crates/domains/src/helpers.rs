@@ -8,19 +8,19 @@
 use omg_core::consistency::{AttrValue, ConsistencySpec, ConsistencyWindow};
 use omg_eval::ScoredBox;
 use omg_geom::BBox2D;
-use omg_track::{IouTracker, Observation};
+use omg_track::IouAssociator;
 
 use crate::prepared::{TRACK_IOU, TRACK_MAX_AGE};
 use crate::VideoWindow;
 
 // BEGIN HELPER tracked_box
-/// A detection with the tracker-assigned identifier — the output type the
+/// A detection with the associator-assigned identifier — the output type the
 /// video consistency spec runs over ("we can assign a new identifier for
 /// each box that appears and assign the same identifier as it persists
 /// through the video", §4.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackedBox {
-    /// Tracker-assigned identifier.
+    /// Associator-assigned identifier.
     pub track: u64,
     /// Predicted class.
     pub class: usize,
@@ -51,26 +51,17 @@ impl ConsistencySpec for VideoTrackSpec {
 // END HELPER tracked_box
 
 // BEGIN HELPER track_window
-/// Runs the IoU tracker over a video window and returns the tracked
+/// Runs the IoU associator over a video window and returns the tracked
 /// outputs as a consistency window (time → tracked boxes).
 pub fn track_window(window: &VideoWindow) -> ConsistencyWindow<TrackedBox> {
-    let mut tracker = IouTracker::new(TRACK_IOU, TRACK_MAX_AGE);
+    let mut associator = IouAssociator::new(TRACK_IOU, TRACK_MAX_AGE);
     let mut out = ConsistencyWindow::new();
     for (fi, frame) in window.frames.iter().enumerate() {
-        let observations: Vec<Observation> = frame
-            .dets
-            .iter()
-            .map(|d| Observation {
-                bbox: d.bbox,
-                class: d.class,
-                score: d.score,
-            })
-            .collect();
-        let ids = tracker.update(fi, &observations);
+        let ids = associator.assign(fi, frame.dets.iter().map(|d| d.bbox));
         let tracked = frame
             .dets
             .iter()
-            .zip(&ids)
+            .zip(ids)
             .map(|(d, id)| TrackedBox {
                 track: id.0,
                 class: d.class,

@@ -9,7 +9,7 @@
 //! not a weakness of the implementation.
 
 use omg_sim::labeler::LabeledBox;
-use omg_track::{IouTracker, Observation, TrackId};
+use omg_track::IouAssociator;
 
 /// The outcome of validating a labeled clip.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +17,7 @@ pub struct LabelCheckReport {
     /// `(frame_index, box_index)` of every label flagged as inconsistent
     /// with the rest of its track.
     pub flagged: Vec<(usize, usize)>,
-    /// Number of tracks the automated tracker built.
+    /// Number of tracks the automated association built.
     pub tracks: usize,
 }
 
@@ -25,35 +25,64 @@ pub struct LabelCheckReport {
 /// Tracks labeled boxes across frames and flags labels that disagree with
 /// their track's majority class.
 pub fn check_labels(frames: &[Vec<LabeledBox>]) -> LabelCheckReport {
-    let mut tracker = IouTracker::new(0.3, 2);
-    // (frame, box) -> track assignment, in input order.
-    let mut assignments: Vec<Vec<TrackId>> = Vec::with_capacity(frames.len());
-    for (fi, labels) in frames.iter().enumerate() {
-        let observations: Vec<Observation> = labels
-            .iter()
-            .map(|l| Observation {
-                bbox: l.bbox,
-                class: l.class,
-                score: 1.0, // human labels carry full confidence
-            })
-            .collect();
-        assignments.push(tracker.update(fi, &observations));
+    let mut associator = IouAssociator::new(0.3, 2);
+    // (frame, box) -> track id, in input order. Ids are issued 0, 1, 2,
+    // …, so each track's label classes sit in a `Vec` at its id.
+    let assignments: Vec<Vec<usize>> = frames
+        .iter()
+        .enumerate()
+        .map(|(fi, labels)| {
+            associator
+                .assign(fi, labels.iter().map(|l| l.bbox))
+                .iter()
+                .map(|id| usize::try_from(id.0).unwrap_or(usize::MAX))
+                .collect()
+        })
+        .collect();
+    let mut classes = vec![Vec::new(); associator.num_tracks()];
+    for (&track, label) in assignments.iter().flatten().zip(frames.iter().flatten()) {
+        if let Some(track_classes) = classes.get_mut(track) {
+            track_classes.push(label.class);
+        }
     }
+    let majorities: Vec<Option<usize>> = classes.into_iter().map(disputed_majority).collect();
     let mut flagged = Vec::new();
-    for (fi, labels) in frames.iter().enumerate() {
-        for (bi, label) in labels.iter().enumerate() {
-            let track = tracker
-                .track(assignments[fi][bi])
-                .expect("assigned track exists");
-            if track.distinct_classes() > 1 && label.class != track.majority_class() {
+    for (fi, (tracks, labels)) in assignments.iter().zip(frames).enumerate() {
+        for (bi, (&track, label)) in tracks.iter().zip(labels).enumerate() {
+            if majorities
+                .get(track)
+                .copied()
+                .flatten()
+                .is_some_and(|m| m != label.class)
+            {
                 flagged.push((fi, bi));
             }
         }
     }
     LabelCheckReport {
         flagged,
-        tracks: tracker.num_tracks(),
+        tracks: majorities.len(),
     }
+}
+
+/// The majority class of a track's labels, with ties broken toward the
+/// smaller class (the "most common value" correction rule of §4.2), or
+/// `None` when the labels hold a single class.
+fn disputed_majority(mut classes: Vec<usize>) -> Option<usize> {
+    classes.sort_unstable();
+    let mut runs = classes.chunk_by(|a, b| a == b);
+    let first = runs.next()?;
+    // Runs arrive by ascending class and only a strictly longer run
+    // replaces the best, so ties stay on the smaller class.
+    let mut best = first;
+    let mut disputed = false;
+    for run in runs {
+        disputed = true;
+        if run.len() > best.len() {
+            best = run;
+        }
+    }
+    best.first().copied().filter(|_| disputed)
 }
 // END ASSERTION
 

@@ -33,11 +33,11 @@ use omg_track::IouAssociator;
 use crate::{agree, AvFrame, EcgWindow, VideoWindow};
 use crate::{appear, ecg, flicker, multibox, news};
 
-/// The IoU threshold of the video tracker: of the tracker in
-/// [`crate::helpers::track_window`], and of the associator the prepared
-/// path runs in its place.
+/// The IoU threshold of the video association: of the associator in
+/// [`crate::helpers::track_window`], and of the one the prepared path
+/// runs in its place.
 pub const TRACK_IOU: f64 = 0.25;
-/// The maximum age of the video tracker, shared the same way as
+/// The maximum age of the video association, shared the same way as
 /// [`TRACK_IOU`].
 pub(crate) const TRACK_MAX_AGE: usize = 3;
 /// The initial capacity of a window's run list, one entry per track. A

@@ -4,7 +4,8 @@
 //! loop:
 //!
 //! * **video** ([`video_weak_batch`]) — flicker gaps become imputed boxes
-//!   (interpolated from the track's neighbours, Figure 1 bottom row) and
+//!   (interpolated in time from the track's neighbours by
+//!   [`interpolate_track_box`], Figure 1 bottom row) and
 //!   weak detection positives; blips become weak background examples;
 //!   multibox clusters become weak duplicate-suppression examples; class
 //!   dissent becomes majority-vote class corrections;
@@ -66,9 +67,13 @@ fn signal_near<'a>(signals: &'a [ObjectSignal], bbox: &BBox2D) -> Option<&'a Obj
 }
 
 /// Interpolates a missing box for track `id` at invocation `ti` from its
-/// nearest observations on either side (the default `WeakLabel` function
-/// for temporal violations).
-fn interpolate_track_box(
+/// nearest observations on either side, weighted by time (the default
+/// `WeakLabel` function for temporal violations, which
+/// [`video_weak_batch`] passes to
+/// [`ConsistencyEngine::corrections`]). The box takes the class of the
+/// observation before the gap; `None` if the track is not observed on
+/// both sides.
+pub fn interpolate_track_box(
     window: &ConsistencyWindow<TrackedBox>,
     id: &u64,
     ti: usize,
@@ -369,6 +374,27 @@ mod tests {
         half.push(0.0, vec![tb(0.0)]);
         half.push(1.0, vec![]);
         assert!(interpolate_track_box(&half, &1, 1).is_none());
+    }
+
+    #[test]
+    fn multi_frame_gap_is_evenly_spaced() {
+        let mut window = ConsistencyWindow::new();
+        let tb = |x: f64| TrackedBox {
+            track: 1,
+            class: 0,
+            bbox: BBox2D::new(x, 0.0, x + 10.0, 10.0).unwrap(),
+        };
+        window.push(0.0, vec![tb(0.0)]);
+        for t in 1..4 {
+            window.push(f64::from(t), vec![]);
+        }
+        window.push(4.0, vec![tb(8.0)]);
+        let hull = tb(0.0).bbox.union_bounds(&tb(8.0).bbox);
+        for ti in 1..4 {
+            let filled = interpolate_track_box(&window, &1, ti).unwrap();
+            assert!((filled.bbox.x1() - 2.0 * ti as f64).abs() < 1e-12);
+            assert!(hull.contains_box(&filled.bbox));
+        }
     }
 
     #[test]

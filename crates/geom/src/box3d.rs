@@ -109,11 +109,6 @@ impl BBox3D {
         }
     }
 
-    /// Returns a copy with the given yaw.
-    pub fn with_yaw(&self, yaw: f64) -> BBox3D {
-        BBox3D { yaw, ..*self }
-    }
-
     /// Bird's-eye-view IoU using the axis-aligned footprints of the two
     /// boxes (an approximation that ignores yaw, adequate for the mostly
     /// axis-aligned traffic the AV simulator generates).

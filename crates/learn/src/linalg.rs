@@ -114,20 +114,9 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable borrow of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Flat row-major view of all elements.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Flat mutable row-major view of all elements.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Matrix product `self * other`.

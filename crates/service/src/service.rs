@@ -72,20 +72,36 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {}
 
 /// Tuning knobs for a [`MonitorService`].
+///
+/// The fields are private, so every setting goes through the builder
+/// that checks it ([`with_queue_capacity`](Self::with_queue_capacity),
+/// [`with_retention`](Self::with_retention),
+/// [`with_idle_eviction`](Self::with_idle_eviction)). A struct literal
+/// that would skip those checks does not compile:
+///
+/// ```compile_fail
+/// use omg_service::ServiceConfig;
+///
+/// let config = ServiceConfig {
+///     idle_ticks: Some(0),
+///     ..ServiceConfig::default()
+/// };
+/// ```
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum items a session may have queued (accepted since its last
     /// drain) before [`MonitorService::try_ingest`] pushes back with
-    /// [`IngestError::QueueFull`].
-    pub queue_capacity: usize,
+    /// [`IngestError::QueueFull`]. At least one.
+    queue_capacity: usize,
     /// Per-session [`AssertionDb`] retention: keep at most this many
     /// recent sample rows resident (lifetime fire counters survive —
-    /// see [`AssertionDb::retain_recent`]). `None` retains everything.
-    pub retained_samples: Option<usize>,
+    /// see [`AssertionDb::retain_recent`]). `None` retains everything;
+    /// a cap is at least one.
+    retained_samples: Option<usize>,
     /// Evict a session after this many drain passes with no ingest,
     /// once its queue is drained and its outputs polled. `None` never
-    /// evicts.
-    pub idle_ticks: Option<u64>,
+    /// evicts; a count is at least one.
+    idle_ticks: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -143,7 +159,7 @@ impl ServiceConfig {
 struct SessionLog {
     /// The session's assertion database (optionally retention-capped).
     db: AssertionDb,
-    /// Per-session retention cap (see [`ServiceConfig::retained_samples`]).
+    /// Per-session retention cap (see [`ServiceConfig::with_retention`]).
     retained: Option<usize>,
     /// Scored severity rows not yet delivered to a `poll`, columnar.
     severities: SeverityMatrix,

@@ -164,11 +164,6 @@ impl TrafficWorld {
         &self.config
     }
 
-    /// Number of vehicles currently on screen.
-    pub fn active_vehicles(&self) -> usize {
-        self.cars.len()
-    }
-
     fn lane_y(&self, lane: usize) -> f64 {
         let band = self.config.height * 0.5;
         let top = self.config.height * 0.35;

@@ -3,7 +3,15 @@ use std::cmp::Reverse;
 use omg_geom::matchers::{self, INDEX_MIN};
 use omg_geom::BBox2D;
 
-use crate::track::{Observation, Track, TrackId};
+/// Opaque identifier of a track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TrackId(pub u64);
+
+impl std::fmt::Display for TrackId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "track#{}", self.0)
+    }
+}
 
 /// Greedy IoU association of boxes to live tracks, without history: the
 /// identification function of the paper's video consistency assertions
@@ -23,7 +31,8 @@ use crate::track::{Observation, Track, TrackId};
 /// as its id, last frame and latest box, and the call and box index it
 /// was last placed by; the query, candidate-pair and assignment buffers
 /// are reused across frames. Track ids are issued as 0, 1, 2, … in
-/// creation order. [`IouTracker`] adds the per-track history on top.
+/// creation order, so a caller that keeps something per track can keep
+/// it in a `Vec` indexed by id.
 ///
 /// A crowded step can take part of its candidate pairs from the caller
 /// ([`assign_with`](IouAssociator::assign_with)): the pairs of the
@@ -331,103 +340,20 @@ impl IouAssociator {
     }
 }
 
-/// Greedy IoU-based multi-object tracker: an [`IouAssociator`] plus the
-/// history of every track it created.
-///
-/// Tracks unseen for more than `max_age` frames are retired from
-/// association but retained for querying. Track ids are issued as 0, 1,
-/// 2, … in creation order, so tracks are stored densely: a track's id is
-/// its index.
-#[derive(Debug, Clone)]
-pub struct IouTracker {
-    associator: IouAssociator,
-    /// Every track ever created, indexed by id.
-    tracks: Vec<Track>,
-}
-
-impl IouTracker {
-    /// Creates a tracker; the parameters are those of
-    /// [`IouAssociator::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iou_threshold` is not in `(0, 1]`.
-    pub fn new(iou_threshold: f64, max_age: usize) -> Self {
-        Self {
-            associator: IouAssociator::new(iou_threshold, max_age),
-            tracks: Vec::new(),
-        }
-    }
-
-    /// Processes one frame of detections and returns the track id assigned
-    /// to each detection, aligned with the input order.
-    ///
-    /// Frames must be fed in non-decreasing order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` precedes an already-processed frame while a
-    /// track is live.
-    pub fn update(&mut self, frame: usize, detections: &[Observation]) -> Vec<TrackId> {
-        let ids = self
-            .associator
-            .assign(frame, detections.iter().map(|d| d.bbox));
-        // New ids are issued in order, one past the last stored track.
-        for (det, &id) in detections.iter().zip(ids) {
-            match self.tracks.get_mut(index_of(id)) {
-                Some(track) => track.record(frame, *det),
-                None => self.tracks.push(Track::new(id, frame, *det)),
-            }
-        }
-        ids.to_vec()
-    }
-
-    /// All tracks ever created, in id order.
-    pub fn tracks(&self) -> impl Iterator<Item = &Track> {
-        self.tracks.iter()
-    }
-
-    /// The track with the given id, if it exists.
-    pub fn track(&self, id: TrackId) -> Option<&Track> {
-        self.tracks.get(index_of(id))
-    }
-
-    /// Number of tracks ever created.
-    pub fn num_tracks(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// Consumes the tracker and returns all tracks in id order.
-    pub fn into_tracks(self) -> Vec<Track> {
-        self.tracks
-    }
-}
-
-/// The index a track with id `id` is stored at (`usize::MAX`, which no
-/// track reaches, for an id too large to address).
-fn index_of(id: TrackId) -> usize {
-    usize::try_from(id.0).unwrap_or(usize::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omg_geom::BBox2D;
 
-    fn obs(x: f64, y: f64) -> Observation {
-        Observation {
-            bbox: BBox2D::new(x, y, x + 10.0, y + 10.0).unwrap(),
-            class: 0,
-            score: 0.9,
-        }
+    fn bx(x: f64, y: f64) -> BBox2D {
+        BBox2D::new(x, y, x + 10.0, y + 10.0).unwrap()
     }
 
     #[test]
     fn single_object_keeps_one_id() {
-        let mut tr = IouTracker::new(0.3, 2);
+        let mut tr = IouAssociator::new(0.3, 2);
         let mut ids = Vec::new();
         for f in 0..10 {
-            ids.push(tr.update(f, &[obs(f as f64, 0.0)])[0]);
+            ids.push(tr.assign(f, [bx(f as f64, 0.0)])[0]);
         }
         assert!(ids.iter().all(|&i| i == ids[0]));
         assert_eq!(tr.num_tracks(), 1);
@@ -435,105 +361,74 @@ mod tests {
 
     #[test]
     fn two_separated_objects_get_distinct_ids() {
-        let mut tr = IouTracker::new(0.3, 2);
-        let ids = tr.update(0, &[obs(0.0, 0.0), obs(100.0, 100.0)]);
+        let mut tr = IouAssociator::new(0.3, 2);
+        let ids = tr.assign(0, [bx(0.0, 0.0), bx(100.0, 100.0)]).to_vec();
         assert_ne!(ids[0], ids[1]);
-        let ids2 = tr.update(1, &[obs(1.0, 0.0), obs(101.0, 100.0)]);
-        assert_eq!(ids[0], ids2[0]);
-        assert_eq!(ids[1], ids2[1]);
+        let ids2 = tr.assign(1, [bx(1.0, 0.0), bx(101.0, 100.0)]);
+        assert_eq!(ids, ids2);
     }
 
     #[test]
     fn flickering_object_survives_within_max_age() {
-        let mut tr = IouTracker::new(0.3, 2);
-        let a = tr.update(0, &[obs(0.0, 0.0)])[0];
-        tr.update(1, &[]); // missed frame
-        let b = tr.update(2, &[obs(1.0, 0.0)])[0];
+        let mut tr = IouAssociator::new(0.3, 2);
+        let a = tr.assign(0, [bx(0.0, 0.0)])[0];
+        tr.assign(1, []); // missed frame
+        let b = tr.assign(2, [bx(1.0, 0.0)])[0];
         assert_eq!(a, b, "track should survive a 1-frame flicker");
-        let track = tr.track(a).unwrap();
-        assert_eq!(track.gap_frames(), vec![1]);
+        assert_eq!(tr.num_tracks(), 1);
     }
 
     #[test]
     fn object_re_id_after_max_age() {
-        let mut tr = IouTracker::new(0.3, 1);
-        let a = tr.update(0, &[obs(0.0, 0.0)])[0];
-        tr.update(1, &[]);
-        tr.update(2, &[]);
-        let b = tr.update(3, &[obs(0.0, 0.0)])[0];
+        let mut tr = IouAssociator::new(0.3, 1);
+        let a = tr.assign(0, [bx(0.0, 0.0)])[0];
+        tr.assign(1, []);
+        tr.assign(2, []);
+        let b = tr.assign(3, [bx(0.0, 0.0)])[0];
         assert_ne!(a, b, "a long disappearance must start a new track");
         assert_eq!(tr.num_tracks(), 2);
     }
 
     #[test]
     fn greedy_matching_prefers_higher_iou() {
-        let mut tr = IouTracker::new(0.1, 2);
-        let ids = tr.update(0, &[obs(0.0, 0.0), obs(8.0, 0.0)]);
+        let mut tr = IouAssociator::new(0.1, 2);
+        let ids = tr.assign(0, [bx(0.0, 0.0), bx(8.0, 0.0)]).to_vec();
         // Next frame: one box exactly on the first, one shifted.
-        let ids2 = tr.update(1, &[obs(0.0, 0.0), obs(8.5, 0.0)]);
-        assert_eq!(ids[0], ids2[0]);
-        assert_eq!(ids[1], ids2[1]);
-    }
-
-    #[test]
-    fn class_changes_do_not_break_identity() {
-        let mut tr = IouTracker::new(0.3, 2);
-        let a = tr.update(
-            0,
-            &[Observation {
-                bbox: BBox2D::new(0.0, 0.0, 10.0, 10.0).unwrap(),
-                class: 0,
-                score: 0.9,
-            }],
-        )[0];
-        let b = tr.update(
-            1,
-            &[Observation {
-                bbox: BBox2D::new(0.5, 0.0, 10.5, 10.0).unwrap(),
-                class: 1, // class flipped: the assertion target
-                score: 0.9,
-            }],
-        )[0];
-        assert_eq!(a, b);
-        assert_eq!(tr.track(a).unwrap().distinct_classes(), 2);
+        let ids2 = tr.assign(1, [bx(0.0, 0.0), bx(8.5, 0.0)]);
+        assert_eq!(ids, ids2);
     }
 
     #[test]
     fn simultaneous_objects_never_merge() {
-        let mut tr = IouTracker::new(0.3, 2);
+        let mut tr = IouAssociator::new(0.3, 2);
         for f in 0..5 {
-            let ids = tr.update(f, &[obs(0.0, 0.0), obs(50.0, 0.0)]);
+            let ids = tr.assign(f, [bx(0.0, 0.0), bx(50.0, 0.0)]);
             assert_ne!(ids[0], ids[1]);
         }
         assert_eq!(tr.num_tracks(), 2);
     }
 
     #[test]
-    fn into_tracks_returns_everything() {
-        let mut tr = IouTracker::new(0.3, 2);
-        tr.update(0, &[obs(0.0, 0.0), obs(100.0, 0.0)]);
-        let tracks = tr.into_tracks();
-        assert_eq!(tracks.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "iou threshold")]
     fn zero_threshold_rejected() {
-        IouTracker::new(0.0, 2);
+        IouAssociator::new(0.0, 2);
     }
 
     #[test]
     fn tie_breaking_is_deterministic() {
-        // Two tracks with *identical* last boxes compete for one
-        // detection: the greedy matcher's total-order sort must always
-        // hand it to the earlier live track, every run. (Regression test
-        // for the old `partial_cmp(..).unwrap_or(Equal)` sort, whose
-        // tie behavior was an accident of sort stability.)
+        // Two tracks with *identical* last boxes compete for one box: the
+        // greedy matcher's total-order sort must always hand it to the
+        // earlier live track, every run.
         for _ in 0..10 {
-            let mut tr = IouTracker::new(0.3, 2);
-            let ids = tr.update(0, &[obs(0.0, 0.0), obs(0.0, 0.0)]);
-            let ids2 = tr.update(1, &[obs(0.0, 0.0)]);
-            assert_eq!(ids2[0], ids[0], "exact tie goes to the first live track");
+            let mut tr = IouAssociator::new(0.3, 2);
+            let first = tr.assign(0, [bx(0.0, 0.0), bx(0.0, 0.0)])[0];
+            let ids2 = tr.assign(1, [bx(0.0, 0.0)]);
+            assert_eq!(ids2[0], first, "exact tie goes to the first live track");
         }
+    }
+
+    #[test]
+    fn display_of_track_id() {
+        assert_eq!(TrackId(7).to_string(), "track#7");
     }
 }

@@ -1,15 +1,11 @@
-//! Property-based tests for the tracker.
+//! Property-based tests for the associator.
 
 use omg_geom::BBox2D;
-use omg_track::{interpolate_gaps, IouTracker, Observation, Track, TrackId};
+use omg_track::IouAssociator;
 use proptest::prelude::*;
 
-fn obs(x: f64, y: f64) -> Observation {
-    Observation {
-        bbox: BBox2D::new(x, y, x + 10.0, y + 10.0).unwrap(),
-        class: 0,
-        score: 0.9,
-    }
+fn bx(x: f64, y: f64) -> BBox2D {
+    BBox2D::new(x, y, x + 10.0, y + 10.0).unwrap()
 }
 
 proptest! {
@@ -19,13 +15,13 @@ proptest! {
     fn far_apart_objects_never_merge(
         vx1 in -1.0f64..1.0, vx2 in -1.0f64..1.0, frames in 2usize..30,
     ) {
-        let mut tr = IouTracker::new(0.2, 2);
+        let mut tr = IouAssociator::new(0.2, 2);
         let mut ids_a = Vec::new();
         let mut ids_b = Vec::new();
         for f in 0..frames {
-            let a = obs(f as f64 * vx1, 0.0);
-            let b = obs(500.0 + f as f64 * vx2, 0.0);
-            let ids = tr.update(f, &[a, b]);
+            let a = bx(f as f64 * vx1, 0.0);
+            let b = bx(500.0 + f as f64 * vx2, 0.0);
+            let ids = tr.assign(f, [a, b]);
             ids_a.push(ids[0]);
             ids_b.push(ids[1]);
         }
@@ -37,39 +33,19 @@ proptest! {
         prop_assert!(ids_b.iter().all(|&i| i == ids_b[0]));
     }
 
-    /// Every detection fed to the tracker is assigned to exactly one track,
-    /// and the number of tracks never exceeds the number of detections.
+    /// Every box fed to the associator is assigned to exactly one track,
+    /// and the number of tracks never exceeds the number of boxes.
     #[test]
     fn assignment_is_total(
-        dets_per_frame in proptest::collection::vec(0usize..4, 1..15),
+        boxes_per_frame in proptest::collection::vec(0usize..4, 1..15),
     ) {
-        let mut tr = IouTracker::new(0.3, 1);
-        let mut total_dets = 0usize;
-        for (f, &n) in dets_per_frame.iter().enumerate() {
-            let dets: Vec<Observation> = (0..n)
-                .map(|i| obs(i as f64 * 100.0, 0.0))
-                .collect();
-            let ids = tr.update(f, &dets);
+        let mut tr = IouAssociator::new(0.3, 1);
+        let mut total_boxes = 0usize;
+        for (f, &n) in boxes_per_frame.iter().enumerate() {
+            let ids = tr.assign(f, (0..n).map(|i| bx(i as f64 * 100.0, 0.0)));
             prop_assert_eq!(ids.len(), n);
-            total_dets += n;
+            total_boxes += n;
         }
-        prop_assert!(tr.num_tracks() <= total_dets.max(1));
-    }
-
-    /// Interpolated gap boxes always lie within the hull of the two
-    /// neighboring observations and cover exactly the gap frames.
-    #[test]
-    fn interpolation_fills_exactly_the_gaps(
-        gap in 1usize..10, x0 in 0.0f64..100.0, x1 in 0.0f64..100.0,
-    ) {
-        let mut t = Track::new(TrackId(0), 0, obs(x0, 0.0));
-        t.record(gap + 1, obs(x1, 0.0));
-        let filled = interpolate_gaps(&t);
-        prop_assert_eq!(filled.len(), gap);
-        let hull = obs(x0, 0.0).bbox.union_bounds(&obs(x1, 0.0).bbox);
-        for (f, b) in &filled {
-            prop_assert!(*f >= 1 && *f <= gap);
-            prop_assert!(hull.contains_box(b));
-        }
+        prop_assert!(tr.num_tracks() <= total_boxes.max(1));
     }
 }

@@ -1,14 +1,13 @@
-//! Cross-crate consistency-API round trip: tracker identifiers feed the
+//! Cross-crate consistency-API round trip: associator identifiers feed the
 //! consistency engine, violations become corrections, corrections become
 //! valid training data.
 
 use omg_core::consistency::{ConsistencyEngine, Correction, Violation};
-use omg_domains::helpers::{track_window, TrackedBox, VideoTrackSpec};
-use omg_domains::weak::ecg_weak_labels;
+use omg_domains::helpers::{track_window, VideoTrackSpec};
+use omg_domains::weak::{ecg_weak_labels, interpolate_track_box};
 use omg_domains::{VideoFrame, VideoWindow};
 use omg_eval::ScoredBox;
 use omg_geom::BBox2D;
-use omg_track::{interpolate_gaps, IouTracker, Observation};
 
 fn car(x: f64, class: usize) -> ScoredBox {
     ScoredBox {
@@ -57,38 +56,9 @@ fn flicker_produces_an_interpolated_add_correction() {
         .iter()
         .any(|v| matches!(v, Violation::TemporalTransition { gap: true, .. })));
 
-    // Corrections synthesize the missing box by interpolation.
-    let corrections = engine.corrections(&tracked, |w, id, ti| {
-        // Rebuild the track and interpolate its gap.
-        let mut tracker = IouTracker::new(0.25, 3);
-        let mut target = None;
-        for i in 0..w.len() {
-            let obs: Vec<Observation> = w
-                .outputs_at(i)
-                .iter()
-                .map(|tb| Observation {
-                    bbox: tb.bbox,
-                    class: tb.class,
-                    score: 1.0,
-                })
-                .collect();
-            let ids = tracker.update(i, &obs);
-            for (tb, tid) in w.outputs_at(i).iter().zip(ids) {
-                if tb.track == *id {
-                    target = Some(tid);
-                }
-            }
-        }
-        let track = tracker.track(target?)?;
-        interpolate_gaps(track)
-            .into_iter()
-            .find(|&(f, _)| f == ti)
-            .map(|(_, bbox)| TrackedBox {
-                track: *id,
-                class: 0,
-                bbox,
-            })
-    });
+    // Corrections synthesize the missing box by interpolation, with the
+    // weak-supervision rule's own function.
+    let corrections = engine.corrections(&tracked, interpolate_track_box);
     let adds: Vec<_> = corrections
         .iter()
         .filter_map(|c| match c {
