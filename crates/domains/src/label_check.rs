@@ -8,6 +8,8 @@
 //! (Table 6) — and why the caught/total split is a meaningful statistic,
 //! not a weakness of the implementation.
 
+use std::cmp::Reverse;
+
 use omg_sim::labeler::LabeledBox;
 use omg_track::IouAssociator;
 
@@ -49,12 +51,7 @@ pub fn check_labels(frames: &[Vec<LabeledBox>]) -> LabelCheckReport {
     let mut flagged = Vec::new();
     for (fi, (tracks, labels)) in assignments.iter().zip(frames).enumerate() {
         for (bi, (&track, label)) in tracks.iter().zip(labels).enumerate() {
-            if majorities
-                .get(track)
-                .copied()
-                .flatten()
-                .is_some_and(|m| m != label.class)
-            {
+            if matches!(majorities.get(track), Some(&Some(m)) if m != label.class) {
                 flagged.push((fi, bi));
             }
         }
@@ -70,19 +67,15 @@ pub fn check_labels(frames: &[Vec<LabeledBox>]) -> LabelCheckReport {
 /// `None` when the labels hold a single class.
 fn disputed_majority(mut classes: Vec<usize>) -> Option<usize> {
     classes.sort_unstable();
-    let mut runs = classes.chunk_by(|a, b| a == b);
-    let first = runs.next()?;
-    // Runs arrive by ascending class and only a strictly longer run
-    // replaces the best, so ties stay on the smaller class.
-    let mut best = first;
-    let mut disputed = false;
-    for run in runs {
-        disputed = true;
-        if run.len() > best.len() {
-            best = run;
-        }
+    let runs: Vec<&[usize]> = classes.chunk_by(|a, b| a == b).collect();
+    if runs.len() < 2 {
+        return None;
     }
-    best.first().copied().filter(|_| disputed)
+    // Runs come in ascending class order and `min_by_key` keeps the
+    // first of equal keys, so a tie goes to the smaller class.
+    runs.iter()
+        .min_by_key(|run| Reverse(run.len()))
+        .and_then(|run| run.first().copied())
 }
 // END ASSERTION
 
