@@ -163,6 +163,20 @@ mod tests {
     }
 
     #[test]
+    fn majority_class_votes() {
+        // Two votes for class 2 against one for class 1: the narrowest
+        // majority still wins, and only the class-1 label is flagged.
+        let frames = vec![
+            vec![lb(0.0, 2, 2, 1)],
+            vec![lb(1.0, 2, 2, 1)],
+            vec![lb(2.0, 1, 2, 1)],
+        ];
+        let report = check_labels(&frames);
+        assert_eq!(report.flagged, vec![(2, 0)]);
+        assert_eq!(report.tracks, 1);
+    }
+
+    #[test]
     fn majority_class_tie_breaks_to_smaller() {
         // One vote each: the tie goes to class 1, so the label 3 is the
         // one flagged.

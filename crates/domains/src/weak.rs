@@ -377,6 +377,23 @@ mod tests {
     }
 
     #[test]
+    fn single_gap_is_midpoint() {
+        let mut window = ConsistencyWindow::new();
+        let tb = |x: f64| TrackedBox {
+            track: 1,
+            class: 0,
+            bbox: BBox2D::new(x, 0.0, x + 10.0, 10.0).unwrap(),
+        };
+        window.push(0.0, vec![tb(0.0)]);
+        window.push(1.0, vec![]);
+        window.push(2.0, vec![tb(10.0)]);
+        let filled = interpolate_track_box(&window, &1, 1).unwrap();
+        assert_eq!(filled.track, 1);
+        assert!((filled.bbox.x1() - 5.0).abs() < 1e-12);
+        assert!((filled.bbox.x2() - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn multi_frame_gap_is_evenly_spaced() {
         let mut window = ConsistencyWindow::new();
         let tb = |x: f64| TrackedBox {
