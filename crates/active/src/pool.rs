@@ -253,8 +253,7 @@ mod tests {
         };
         let seq = CandidatePool::build_parallel(&ThreadPool::sequential(), 50, scorer).unwrap();
         for threads in [2, 8] {
-            let par =
-                CandidatePool::build_parallel(&ThreadPool::exact(threads), 50, scorer).unwrap();
+            let par = CandidatePool::build_parallel(&ThreadPool::new(threads), 50, scorer).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
         assert_eq!(seq.len(), 50);

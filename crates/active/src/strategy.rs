@@ -631,7 +631,7 @@ mod tests {
             let seq = s.score_all(&p, &ThreadPool::sequential());
             assert_eq!(seq.len(), p.len(), "{}", s.name());
             for threads in [2, 8] {
-                let par = s.score_all(&p, &ThreadPool::exact(threads));
+                let par = s.score_all(&p, &ThreadPool::new(threads));
                 assert_eq!(par, seq, "{} at {threads} threads", s.name());
             }
         }

@@ -105,7 +105,7 @@ proptest! {
         // Rebuild the pool through the parallel constructor per thread
         // count; contexts must match bit-for-bit.
         let rebuild = |threads: usize| {
-            CandidatePool::build_parallel(&ThreadPool::exact(threads), pool.len(), |i| {
+            CandidatePool::build_parallel(&ThreadPool::new(threads), pool.len(), |i| {
                 (pool.context(i).to_vec(), pool.uncertainty(i))
             })
             .unwrap()
@@ -122,7 +122,7 @@ proptest! {
             prop_assert_eq!(&p, &reference_pool, "pool differs at {} threads", threads);
             prop_assert_eq!(run(&p), reference_sel.clone(), "selections differ at {} threads", threads);
             let scores = BalStrategy::new(FallbackPolicy::Uncertainty)
-                .score_all(&p, &ThreadPool::exact(threads));
+                .score_all(&p, &ThreadPool::new(threads));
             prop_assert_eq!(
                 scores,
                 BalStrategy::new(FallbackPolicy::Uncertainty)

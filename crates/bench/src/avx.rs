@@ -249,7 +249,7 @@ mod tests {
     fn scoring_has_two_assertion_dims() {
         let s = tiny();
         let items = s.run_model(&pretrained_camera(1));
-        let (sev, unc) = score_scenario(&s, &s.assertion_set(), &items, &ThreadPool::exact(4));
+        let (sev, unc) = score_scenario(&s, &s.assertion_set(), &items, &ThreadPool::new(4));
         assert!(sev.iter_rows().all(|r| r.len() == 2));
         assert_eq!(unc.len(), 80);
         let agree_fires: f64 = sev.iter_rows().map(|r| r[0]).sum();
@@ -277,13 +277,7 @@ mod tests {
         let preparer = s.preparer();
         for threads in [1, 2, 8] {
             assert_eq!(
-                stream_score_scenario(
-                    &s,
-                    &prepared,
-                    &preparer,
-                    &items,
-                    &ThreadPool::exact(threads)
-                ),
+                stream_score_scenario(&s, &prepared, &preparer, &items, &ThreadPool::new(threads)),
                 want,
                 "streaming AV scoring diverged at {threads} threads"
             );

@@ -9,19 +9,19 @@
 //! ```sh
 //! cargo run --release -p omg-bench --bin exp_throughput -- \
 //!     [--threads N] [--windows W] \
-//!     [--stream | --sweep-threads 1,2,4,8 | --crowded | --check-stream-archive]
+//!     [--stream | --crowded | --check-stream-archive]
 //! ```
 //!
 //! Unknown or malformed arguments (a typo'd `--thread`, `--stream=yes`)
 //! are rejected with a usage message. `--check-stream-archive` verifies
 //! that every scenario in the runtime registry has its
-//! `BENCH_stream_<name>.json` **and** `BENCH_scaling_<name>.json`
-//! archived, that the multi-tenant soak's `BENCH_service.json` is
-//! present, and that `BENCH_crowded.json` is present **and shows the
-//! indexed matchers beating the O(n²) reference at 1000 boxes/frame** —
-//! the CI gate that keeps the streaming, scaling, service, and
-//! asymptotic benchmarks' coverage honest. On noisy shared runners the
-//! relative-timing half of that gate can be softened with
+//! `BENCH_stream_<name>.json` archived **with a measured rate on every
+//! row of the stream ladder**, that the multi-tenant soak's
+//! `BENCH_service.json` is present, and that `BENCH_crowded.json` is
+//! present **and shows the indexed matchers beating the O(n²) reference
+//! at 1000 boxes/frame** — the CI gate that keeps the streaming,
+//! service, and asymptotic benchmarks' coverage honest. On noisy shared
+//! runners the relative-timing half of that gate can be softened with
 //! `OMG_CROWDED_GATE_MARGIN` (e.g. `0.8` requires indexed ≥ 0.8× the
 //! reference rate); unset, the strict indexed > reference contract
 //! applies.
@@ -50,23 +50,11 @@
 //! and archived automatically — asserting bit-for-bit identical
 //! severities on every run and writing one
 //! `BENCH_stream_<scenario>.json` per scenario. Stream mode always runs
-//! the fixed 1/2/8 thread ladder (the engine's equivalence contract is
-//! specified at those counts); `--threads` applies to the default mode
-//! only and is rejected alongside `--stream` to avoid silently ignoring
-//! it.
-//!
-//! `--sweep-threads 1,2,4,8` runs the **single-stream scaling curve**:
-//! for every registered scenario, the streaming scorer over one stream
-//! at each listed thread count, asserting bit-for-bit identical
-//! severities on every run and writing one `BENCH_scaling_<scenario>.json`
-//! per scenario — the persistent worker pool's headline artifact
-//! (threads are supposed to *help* a single stream, not just not hurt
-//! it).
-//!
-//! In both ladders, an entry whose pool clamps to the same fanout as an
-//! earlier entry's (`x8` on a 2-core host) runs that entry's schedule;
-//! it is not measured again and its archive row reads
-//! `{"id": "stream x8", "clamped_to": 2}` instead of a rate.
+//! the fixed 1/2/4/8 thread ladder, so its rows are the single-stream
+//! scaling curve of the persistent worker pool; every rung is timed,
+//! including those above the machine's cores. `--threads` applies to
+//! the default mode only and is rejected alongside `--stream` to avoid
+//! silently ignoring it.
 
 use std::time::Instant;
 
@@ -81,7 +69,14 @@ use omg_geom::{matchers, reference, BBox2D};
 use omg_scenario::DynScenario;
 
 /// Thread counts the `--stream` equivalence + throughput runs cover.
-const STREAM_THREADS: [usize; 3] = [1, 2, 8];
+const STREAM_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The row ids of a `BENCH_stream_<name>.json`, in archive order: the
+/// sequential batch reference, then one row per [`STREAM_THREADS`] rung.
+fn stream_row_ids() -> impl Iterator<Item = String> {
+    std::iter::once("batch x1".to_string())
+        .chain(STREAM_THREADS.iter().map(|t| format!("stream x{t}")))
+}
 
 /// Best-of-`reps` wall-clock for one full pass over the stream.
 fn best_secs<F: FnMut()>(reps: usize, mut run: F) -> f64 {
@@ -94,76 +89,20 @@ fn best_secs<F: FnMut()>(reps: usize, mut run: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One archived row's value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Rate {
-    /// Measured windows per second.
-    Measured(f64),
-    /// A ladder entry whose pool clamped to the same fanout as an
-    /// earlier entry's, so it shares that entry's schedule and was not
-    /// measured on its own.
-    ClampedTo(usize),
-}
-
-impl Rate {
-    /// The row's JSON fields after its `id`.
-    fn json(self) -> String {
-        match self {
-            Rate::Measured(wps) => format!("\"windows_per_sec\": {wps:.1}"),
-            Rate::ClampedTo(fanout) => format!("\"clamped_to\": {fanout}"),
-        }
-    }
-}
-
-/// Writes `rows` as `BENCH_<bench>.json` in the committed archive
-/// directory, under the shared header and the window count
-/// ([`omg_bench::write_archive`], which exits on a write failure).
-fn write_archive(bench: &str, windows: usize, rows: &[(String, Rate)]) {
+/// Writes `(id, windows/sec)` rows as `BENCH_<bench>.json` in the
+/// committed archive directory, under the shared header and the window
+/// count ([`omg_bench::write_archive`], which exits on a write failure).
+fn write_archive(bench: &str, windows: usize, rows: &[(String, f64)]) {
     let rows: Vec<String> = rows
         .iter()
-        .map(|(label, rate)| format!("{{\"id\": \"{label}\", {}}}", rate.json()))
+        .map(|(label, wps)| format!("{{\"id\": \"{label}\", \"windows_per_sec\": {wps:.1}}}"))
         .collect();
     omg_bench::write_archive(bench, &[("windows", windows.to_string())], &rows);
 }
 
-/// The ladder's archived rates: a measured rate for each entry that
-/// owns its distinct-fanout slot, and `ClampedTo` for each entry that
-/// [`dedupe_by_fanout`] merged into an earlier one.
-fn ladder_rates(
-    pools: &[ThreadPool],
-    distinct: &[usize],
-    measure_of: &[usize],
-    slot_wps: impl Fn(usize) -> f64,
-) -> Vec<Rate> {
-    measure_of
-        .iter()
-        .zip(pools)
-        .enumerate()
-        .map(|(i, (&slot, pool))| {
-            if distinct[slot] == i {
-                Rate::Measured(slot_wps(slot))
-            } else {
-                Rate::ClampedTo(pool.fanout())
-            }
-        })
-        .collect()
-}
-
-/// Prints one table row: the rate and its speedup over `base_wps`, or
-/// the fanout a clamped entry shares.
-fn print_row(label: &str, rate: Rate, base_wps: f64) {
-    match rate {
-        Rate::Measured(wps) => {
-            println!("  {label:<22} {wps:>12.0} {:>9.2}x", wps / base_wps);
-        }
-        Rate::ClampedTo(fanout) => {
-            println!(
-                "  {label:<22} {:>12} {:>10}",
-                format!("= x{fanout}"),
-                "clamped"
-            );
-        }
-    }
+/// Prints one table row: the rate and its speedup over `base_wps`.
+fn print_row(label: &str, wps: f64, base_wps: f64) {
+    println!("  {label:<22} {wps:>12.0} {:>9.2}x", wps / base_wps);
 }
 
 /// Extracts one row's `windows_per_sec` from an archived benchmark JSON
@@ -221,28 +160,45 @@ fn crowded_gate_margin() -> f64 {
     }
 }
 
+/// Validates one scenario's archived `BENCH_stream_<name>.json`: every
+/// row of [`stream_row_ids`] must carry a measured `windows_per_sec`. A
+/// missing rung, or a row with anything else in place of the rate,
+/// fails.
+fn check_stream_rows(name: &str, json: &str) -> Result<(), String> {
+    let unmeasured: Vec<String> = stream_row_ids()
+        .filter(|id| archived_rate(json, id).is_none())
+        .collect();
+    if unmeasured.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "BENCH_stream_{name}.json has no measured windows_per_sec for {}",
+            unmeasured.join(", ")
+        ))
+    }
+}
+
 /// The `--check-stream-archive` mode: verifies every registered
-/// scenario has its `BENCH_stream_<name>.json` **and** its
-/// `BENCH_scaling_<name>.json` archived (the CI gate behind "a
-/// registered scenario cannot silently drop out of the streaming or
-/// scaling benchmarks"), plus the service soak and crowded-matcher
-/// archives.
+/// scenario has its `BENCH_stream_<name>.json` archived with every rung
+/// of the ladder measured (the CI gate behind "a registered scenario
+/// cannot silently drop out of the streaming benchmark"), plus the
+/// service soak and crowded-matcher archives.
 fn check_stream_archive() {
     let dir = criterion::bench_output_dir();
-    let mut missing: Vec<String> = omg_bench::scenarios::SCENARIO_NAMES
+    let mut problems: Vec<String> = omg_bench::scenarios::SCENARIO_NAMES
         .into_iter()
-        .flat_map(|name| {
-            [
-                format!("BENCH_stream_{name}.json"),
-                format!("BENCH_scaling_{name}.json"),
-            ]
+        .filter_map(|name| {
+            let path = dir.join(format!("BENCH_stream_{name}.json"));
+            match std::fs::read_to_string(&path) {
+                Ok(json) => check_stream_rows(name, &json).err(),
+                Err(e) => Some(format!("could not read {}: {e}", path.display())),
+            }
         })
-        .filter(|file| !dir.join(file).exists())
         .collect();
     // The multi-tenant soak archive is part of the same contract: a
     // registered service benchmark cannot silently drop out either.
     if !dir.join("BENCH_service.json").exists() {
-        missing.push("BENCH_service.json".to_string());
+        problems.push("BENCH_service.json is missing".to_string());
     }
     // The crowded-matcher archive is content-checked, not just
     // presence-checked: it must record the indexed matchers beating the
@@ -255,20 +211,19 @@ fn check_stream_archive() {
         );
         std::process::exit(1);
     }
-    if missing.is_empty() {
+    if problems.is_empty() {
         println!(
-            "bench archive complete: {} scenarios (stream + scaling) + service soak \
-             + crowded matchers under {}",
+            "bench archive complete: {} scenarios (stream ladder {STREAM_THREADS:?}) \
+             + service soak + crowded matchers under {}",
             omg_bench::scenarios::SCENARIO_NAMES.len(),
             dir.display()
         );
     } else {
         eprintln!(
-            "error: bench archives missing under {}: {}\n\
-             run `exp_throughput --stream`, `exp_throughput --sweep-threads 1,2,4,8`, \
-             and `exp service` first",
+            "error: bench archives incomplete under {}:\n  {}\n\
+             run `exp_throughput --stream` and `exp service` first",
             dir.display(),
-            missing.join(", ")
+            problems.join("\n  ")
         );
         std::process::exit(1);
     }
@@ -321,7 +276,7 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
         "== crowded-scene matchers: grid-indexed vs O(n²) reference, \
          {n_windows} windows per density ==\n"
     );
-    let mut rows: Vec<(String, Rate)> = Vec::new();
+    let mut rows: Vec<(String, f64)> = Vec::new();
     for &size in &omg_bench::crowd::CROWD_SIZES {
         let windows = omg_bench::crowd::crowd_windows(size, n_windows, 3);
         let pass =
@@ -370,40 +325,11 @@ fn run_crowded_mode(n_windows: usize, reps: usize) {
             indexed_wps,
             indexed_wps / reference_wps
         );
-        rows.push((format!("indexed x{size}"), Rate::Measured(indexed_wps)));
-        rows.push((format!("reference x{size}"), Rate::Measured(reference_wps)));
+        rows.push((format!("indexed x{size}"), indexed_wps));
+        rows.push((format!("reference x{size}"), reference_wps));
     }
     println!("  (matcher outputs verified equal to the reference at every density)");
     write_archive("crowded", n_windows, &rows);
-}
-
-/// Deduplicates a pool ladder by **effective fanout**. `ThreadPool::new`
-/// clamps its fanout to the machine's cores, so ladder entries above
-/// that run instruction-for-instruction identical schedules; measuring
-/// them separately would report scheduler noise as a scaling
-/// difference. Returns `(distinct, measure_of)`: indices of the pools
-/// to actually time, and for each ladder entry its fanout's slot in
-/// `distinct`. An entry that is not its slot's first is archived as
-/// `clamped_to` that fanout, with no rate of its own.
-fn dedupe_by_fanout(pools: &[ThreadPool]) -> (Vec<usize>, Vec<usize>) {
-    let mut distinct: Vec<usize> = Vec::new();
-    let measure_of = pools
-        .iter()
-        .enumerate()
-        .map(|(i, pool)| {
-            match distinct
-                .iter()
-                .position(|&j| pools[j].fanout() == pool.fanout())
-            {
-                Some(slot) => slot,
-                None => {
-                    distinct.push(i);
-                    distinct.len() - 1
-                }
-            }
-        })
-        .collect();
-    (distinct, measure_of)
 }
 
 /// Amortization factor for sub-50ms passes: scheduler jitter is a
@@ -414,49 +340,54 @@ fn inner_passes(est_pass_secs: f64) -> usize {
 }
 
 /// Benchmarks one registered scenario's batch scorer against its
-/// streaming scorer over the full stream at each thread count; every
-/// streaming run is asserted bit-for-bit equal to the batch reference.
+/// streaming scorer over the full stream at each thread count of
+/// [`STREAM_THREADS`]; every streaming run is asserted bit-for-bit equal
+/// to the batch reference.
 ///
-/// Timing is paired the same way as [`sweep_scenario`]: the sequential
-/// batch pass and each distinct-fanout streaming pass are measured
-/// round-robin and the quietest whole round is archived, so the
-/// batch-vs-stream comparison is made under one machine-load epoch.
+/// Every pass does the same work, so the rows measure how each config
+/// spends the same machine. The sequential batch pass and every
+/// streaming rung are timed **round-robin** (round 1 of every config,
+/// then round 2, …) and the quietest whole round (smallest summed
+/// wall-clock) is archived, so every row shares one machine-load epoch
+/// instead of each config's best pass coming from a different one.
 fn stream_scenario(scenario: &dyn DynScenario, reps: usize) {
     let name = scenario.name();
     let n_windows = scenario.len();
     let sequential = ThreadPool::sequential();
     let reference = scenario.score_batch(&sequential).0;
     let pools: Vec<ThreadPool> = STREAM_THREADS.iter().map(|&t| ThreadPool::new(t)).collect();
-    let (distinct, measure_of) = dedupe_by_fanout(&pools);
     // Correctness first (and a warm-up pass per config): identical
     // severities at every thread count on every benchmark run.
     let mut est_pass = f64::INFINITY;
-    for (pool, &threads) in pools.iter().zip(STREAM_THREADS.iter()) {
+    for pool in &pools {
         let t0 = Instant::now();
         assert_eq!(
             scenario.score_stream(pool).0,
             reference,
-            "{name}: streaming severities diverged from batch at {threads} threads"
+            "{name}: streaming severities diverged from batch at {} threads",
+            pool.threads()
         );
         est_pass = est_pass.min(t0.elapsed().as_secs_f64());
     }
     let inner = inner_passes(est_pass);
-    // Round layout: batch first, then one slot per distinct fanout.
+    let time = |run: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..inner {
+            run();
+        }
+        t0.elapsed().as_secs_f64() / inner as f64
+    };
+    // Round layout: batch first, then one slot per ladder rung.
     let mut best_round: Vec<f64> = Vec::new();
     let mut best_total = f64::INFINITY;
     for _ in 0..reps {
-        let mut times = Vec::with_capacity(1 + distinct.len());
-        let t0 = Instant::now();
-        for _ in 0..inner {
+        let mut times = vec![time(&|| {
             std::hint::black_box(scenario.score_batch(&sequential).0);
-        }
-        times.push(t0.elapsed().as_secs_f64() / inner as f64);
-        for &j in &distinct {
-            let t0 = Instant::now();
-            for _ in 0..inner {
-                std::hint::black_box(scenario.score_stream(&pools[j]).0);
-            }
-            times.push(t0.elapsed().as_secs_f64() / inner as f64);
+        })];
+        for pool in &pools {
+            times.push(time(&|| {
+                std::hint::black_box(scenario.score_stream(pool).0);
+            }));
         }
         let total: f64 = times.iter().sum();
         if total < best_total {
@@ -464,137 +395,16 @@ fn stream_scenario(scenario: &dyn DynScenario, reps: usize) {
             best_round = times;
         }
     }
-    let batch_wps = n_windows as f64 / best_round[0];
+    let rows: Vec<(String, f64)> = stream_row_ids()
+        .zip(best_round.iter().map(|secs| n_windows as f64 / secs))
+        .collect();
     println!("{name}: {n_windows} windows (quietest of {reps} rounds):");
     println!("  {:<22} {:>12} {:>10}", "path", "windows/sec", "speedup");
-    let mut rows = vec![("batch x1".to_string(), Rate::Measured(batch_wps))];
-    let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
-        n_windows as f64 / best_round[1 + slot]
-    });
-    for (&threads, rate) in STREAM_THREADS.iter().zip(rates) {
-        rows.push((format!("stream x{threads}"), rate));
-    }
-    for (label, rate) in &rows {
-        print_row(label, *rate, batch_wps);
+    for (label, wps) in &rows {
+        print_row(label, *wps, rows[0].1);
     }
     println!("  (streaming severities verified bit-for-bit against batch)");
     write_archive(&format!("stream_{name}"), n_windows, &rows);
-}
-
-/// Parses the `--sweep-threads` value: a non-empty comma-separated
-/// list of positive thread counts (e.g. `1,2,4,8`).
-fn parse_thread_ladder(raw: &str) -> Result<Vec<usize>, String> {
-    let ladder: Vec<usize> = raw
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| {
-                    format!("--sweep-threads expects positive integers, got {part:?} in {raw:?}")
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    if ladder.is_empty() {
-        return Err("--sweep-threads expects at least one thread count".to_string());
-    }
-    Ok(ladder)
-}
-
-/// Measures one registered scenario's single-stream scaling curve: the
-/// streaming scorer over the whole stream at each ladder thread count,
-/// each run asserted bit-for-bit equal to the sequential batch
-/// reference, archived as `BENCH_scaling_<scenario>.json`.
-///
-/// Two measurement choices keep the curve honest on a loaded or small
-/// machine. First, ladder entries are deduplicated by **effective
-/// fanout**: `ThreadPool::new` clamps its fanout to the machine's
-/// cores, so e.g. `x4` and `x8` on a 2-core host run instruction-for-
-/// instruction identical schedules — measuring them separately would
-/// report scheduler noise as if it were a scaling difference, so only
-/// the first is measured and the others are archived as `clamped_to`
-/// its fanout, with no rate. Second, the distinct configs are timed
-/// **round-robin** (rep 1 of every config, then rep 2, …) and the
-/// quietest whole round is archived, so every point on the curve is
-/// measured under the same machine-load epoch.
-fn sweep_scenario(scenario: &dyn DynScenario, ladder: &[usize], reps: usize) {
-    let name = scenario.name();
-    let n_windows = scenario.len();
-    let reference = scenario.score_batch(&ThreadPool::sequential()).0;
-    let pools: Vec<ThreadPool> = ladder.iter().map(|&t| ThreadPool::new(t)).collect();
-    let (distinct, measure_of) = dedupe_by_fanout(&pools);
-    // Correctness first (and a warm-up pass per config): identical
-    // severities at every thread count on every benchmark run.
-    let mut est_pass = f64::INFINITY;
-    for (pool, &threads) in pools.iter().zip(ladder) {
-        let t0 = Instant::now();
-        assert_eq!(
-            scenario.score_stream(pool).0,
-            reference,
-            "{name}: streaming severities diverged from batch at {threads} threads"
-        );
-        est_pass = est_pass.min(t0.elapsed().as_secs_f64());
-    }
-    let inner = inner_passes(est_pass);
-    // Paired comparison: every pass does the same work, so what the
-    // curve measures is how the runtime spends the same machine. Taking
-    // each config's best pass independently would compare config A
-    // under one load epoch against config B under another; instead,
-    // archive the quietest whole round (smallest summed wall-clock
-    // across the ladder), so all points on the curve share one epoch.
-    let mut best_round: Vec<f64> = Vec::new();
-    let mut best_total = f64::INFINITY;
-    for _ in 0..reps {
-        let times: Vec<f64> = distinct
-            .iter()
-            .map(|&j| {
-                let t0 = Instant::now();
-                for _ in 0..inner {
-                    std::hint::black_box(scenario.score_stream(&pools[j]).0);
-                }
-                t0.elapsed().as_secs_f64() / inner as f64
-            })
-            .collect();
-        let total: f64 = times.iter().sum();
-        if total < best_total {
-            best_total = total;
-            best_round = times;
-        }
-    }
-    println!(
-        "{name}: {n_windows} windows (quietest of {reps} rounds, {} distinct fanout{}):",
-        distinct.len(),
-        if distinct.len() == 1 { "" } else { "s" }
-    );
-    println!("  {:<22} {:>12} {:>10}", "path", "windows/sec", "speedup");
-    let base_wps = n_windows as f64 / best_round[measure_of[0]];
-    let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
-        n_windows as f64 / best_round[slot]
-    });
-    let rows: Vec<(String, Rate)> = ladder
-        .iter()
-        .zip(rates)
-        .map(|(&threads, rate)| (format!("stream x{threads}"), rate))
-        .collect();
-    for (label, rate) in &rows {
-        print_row(label, *rate, base_wps);
-    }
-    println!("  (all runs verified bit-for-bit against the sequential batch reference)");
-    write_archive(&format!("scaling_{name}"), n_windows, &rows);
-}
-
-/// The `--sweep-threads` mode: the single-stream scaling curve on every
-/// scenario in the runtime registry, one archive per scenario.
-fn run_sweep_mode(ladder: &[usize], n_windows: usize, reps: usize) {
-    let scenarios = omg_bench::scenarios::all_scenarios(3, n_windows);
-    println!(
-        "== single-stream scaling sweep (threads {ladder:?}), {} registered scenarios ==\n",
-        scenarios.len()
-    );
-    for scenario in &scenarios {
-        sweep_scenario(scenario.as_ref(), ladder, reps);
-    }
 }
 
 /// The `--stream` mode: batch-vs-streaming scorers on every scenario
@@ -615,23 +425,17 @@ fn main() {
     omg_bench::validate_args_or_exit(
         &args,
         &omg_bench::CliSpec {
-            value_flags: &["--threads", "--windows", "--sweep-threads"],
+            value_flags: &["--threads", "--windows"],
             bare_flags: &["--stream", "--crowded", "--check-stream-archive"],
             max_positionals: 0,
         },
         "exp_throughput [--threads N] [--windows W] \
-         [--stream | --sweep-threads 1,2,4,8 | --crowded | --check-stream-archive]",
+         [--stream | --crowded | --check-stream-archive]",
     );
     // Friendly (exit-2, one-line) value parsing: a typo'd value must not
     // panic with a backtrace.
     let threads_flag = omg_bench::parse_usize_flag_cli(&args, "--threads");
     let windows_flag = omg_bench::parse_usize_flag_cli(&args, "--windows");
-    let sweep_flag = omg_bench::parse_string_flag_cli(&args, "--sweep-threads").map(|raw| {
-        parse_thread_ladder(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    });
     if omg_bench::has_flag(&args, "--check-stream-archive") {
         // The archive check runs no benchmark: a co-passed benchmark
         // flag would be silently dropped, so reject it instead.
@@ -639,7 +443,6 @@ fn main() {
             || omg_bench::has_flag(&args, "--crowded")
             || threads_flag.is_some()
             || windows_flag.is_some()
-            || sweep_flag.is_some()
         {
             eprintln!(
                 "error: --check-stream-archive only verifies the archived \
@@ -666,10 +469,9 @@ fn main() {
     if omg_bench::has_flag(&args, "--crowded") {
         // The crowded benchmark compares the grid-indexed matchers with
         // their reference, not thread counts: it is single-threaded by
-        // construction, so a co-passed `--threads`, `--stream`, or
-        // ladder conflicts with it.
-        if threads_flag.is_some() || omg_bench::has_flag(&args, "--stream") || sweep_flag.is_some()
-        {
+        // construction, so a co-passed `--threads` or `--stream`
+        // conflicts with it.
+        if threads_flag.is_some() || omg_bench::has_flag(&args, "--stream") {
             eprintln!(
                 "error: --crowded is its own mode; it takes --windows only \
                  (it compares the matchers with their reference, not thread counts)"
@@ -683,35 +485,17 @@ fn main() {
         return;
     }
 
-    if let Some(ladder) = sweep_flag {
-        // The sweep *is* a thread ladder: a co-passed `--threads` or
-        // `--stream` would conflict with it, so reject both.
-        if threads_flag.is_some() || omg_bench::has_flag(&args, "--stream") {
-            eprintln!(
-                "error: --sweep-threads is its own mode; it takes --windows only \
-                 (the ladder replaces --threads, and --stream runs the fixed 1/2/8 ladder)"
-            );
-            std::process::exit(2);
-        }
-        // Scaling curves compare configs against each other, so they
-        // need more repetitions than a single-config throughput number
-        // for the per-config minima to converge under machine noise.
-        run_sweep_mode(&ladder, n_windows, reps.max(40));
-        return;
-    }
-
     if omg_bench::has_flag(&args, "--stream") {
         if threads_flag.is_some() {
             eprintln!(
                 "error: --threads applies to the default mode only; --stream always \
-                 runs the fixed 1/2/8 thread ladder the equivalence contract is \
-                 specified at"
+                 runs the fixed 1/2/4/8 thread ladder"
             );
             std::process::exit(2);
         }
-        // Like the sweep, the stream mode compares configs against each
-        // other (batch vs stream), so give the quietest-round search
-        // more rounds than a single-config throughput number needs.
+        // The stream mode compares configs against each other (batch
+        // vs every rung), so give the quietest-round search more rounds
+        // than a single-config throughput number needs.
         run_stream_mode(n_windows, reps.max(15));
         return;
     }
@@ -771,10 +555,6 @@ fn main() {
     println!("  (parallel output verified bit-for-bit against sequential)");
 
     // Machine-readable trajectory, alongside the criterion JSONs.
-    let rows: Vec<(String, Rate)> = rows
-        .into_iter()
-        .map(|(label, wps)| (label, Rate::Measured(wps)))
-        .collect();
     write_archive("throughput", n_windows, &rows);
 }
 
@@ -782,31 +562,40 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// A complete stream archive, in the format `--stream` writes.
+    const FULL_LADDER: &str = r#"{
+  "bench": "stream_toy",
+  "available_parallelism": 2,
+  "profile": "release",
+  "windows": 200,
+  "results": [
+    {"id": "batch x1", "windows_per_sec": 1000.0},
+    {"id": "stream x1", "windows_per_sec": 4000.0},
+    {"id": "stream x2", "windows_per_sec": 7000.0},
+    {"id": "stream x4", "windows_per_sec": 6500.0},
+    {"id": "stream x8", "windows_per_sec": 6000.0}
+  ]
+}"#;
+
     #[test]
-    fn clamped_ladder_entries_archive_no_rate() {
-        // Fanouts 1, 2, 2, 1: the last two repeat earlier entries'.
-        let pools: Vec<ThreadPool> = [1, 2, 2, 1].into_iter().map(ThreadPool::exact).collect();
-        let (distinct, measure_of) = dedupe_by_fanout(&pools);
-        let rates = ladder_rates(&pools, &distinct, &measure_of, |slot| {
-            100.0 * (slot + 1) as f64
-        });
+    fn stream_archive_check_requires_every_rung_measured() {
+        assert_eq!(check_stream_rows("toy", FULL_LADDER), Ok(()));
+        let unmeasured = |rung: &str| {
+            Err(format!(
+                "BENCH_stream_toy.json has no measured windows_per_sec for {rung}"
+            ))
+        };
+        let missing_rung = FULL_LADDER.replace(
+            "    {\"id\": \"stream x4\", \"windows_per_sec\": 6500.0},\n",
+            "",
+        );
+        assert_ne!(missing_rung, FULL_LADDER);
         assert_eq!(
-            rates,
-            [
-                Rate::Measured(100.0),
-                Rate::Measured(200.0),
-                Rate::ClampedTo(2),
-                Rate::ClampedTo(1)
-            ]
+            check_stream_rows("toy", &missing_rung),
+            unmeasured("stream x4")
         );
-        let rows: Vec<String> = rates.iter().map(|r| r.json()).collect();
-        assert_eq!(rows[1], "\"windows_per_sec\": 200.0");
-        assert_eq!(rows[2], "\"clamped_to\": 2");
-        let json = format!(
-            "{{\"id\": \"stream x2\", {}}},\n{{\"id\": \"stream x4\", {}}}",
-            rows[1], rows[2]
-        );
-        assert_eq!(archived_rate(&json, "stream x2"), Some(200.0));
-        assert_eq!(archived_rate(&json, "stream x4"), None);
+        let clamped = FULL_LADDER.replace("\"windows_per_sec\": 6000.0", "\"clamped_to\": 2");
+        assert_ne!(clamped, FULL_LADDER);
+        assert_eq!(check_stream_rows("toy", &clamped), unmeasured("stream x8"));
     }
 }

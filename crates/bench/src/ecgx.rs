@@ -278,7 +278,7 @@ mod tests {
         let mlp = pretrained_classifier(&s, 1);
         let items = s.run_model(&mlp);
         let set = s.assertion_set();
-        let (sev, unc) = score_scenario(&s, &set, &items, &ThreadPool::exact(2));
+        let (sev, unc) = score_scenario(&s, &set, &items, &ThreadPool::new(2));
         assert_eq!(
             score_scenario(&s, &set, &items, &ThreadPool::sequential()),
             (sev.clone(), unc.clone()),
@@ -304,13 +304,7 @@ mod tests {
         let preparer = s.preparer();
         for threads in [1, 2, 8] {
             assert_eq!(
-                stream_score_scenario(
-                    &s,
-                    &prepared,
-                    &preparer,
-                    &items,
-                    &ThreadPool::exact(threads)
-                ),
+                stream_score_scenario(&s, &prepared, &preparer, &items, &ThreadPool::new(threads)),
                 want,
                 "streaming ECG scoring diverged at {threads} threads"
             );

@@ -268,13 +268,7 @@ mod tests {
         let preparer = s.preparer();
         for threads in [1, 2, 8] {
             assert_eq!(
-                stream_score_scenario(
-                    &s,
-                    &prepared,
-                    &preparer,
-                    &items,
-                    &ThreadPool::exact(threads)
-                ),
+                stream_score_scenario(&s, &prepared, &preparer, &items, &ThreadPool::new(threads)),
                 want,
                 "streaming highway scoring diverged at {threads} threads"
             );

@@ -188,17 +188,6 @@ pub fn parse_usize_flag_cli(args: &[String], flag: &str) -> Option<usize> {
     }
 }
 
-/// Raw `--flag v` / `--flag=v` string lookup for binary `main`s whose
-/// value grammar is richer than one integer (e.g. `exp_throughput
-/// --sweep-threads 1,2,4,8`): a present-but-valueless flag exits with
-/// a one-line error and status 2; the caller parses the string.
-pub fn parse_string_flag_cli(args: &[String], flag: &str) -> Option<String> {
-    match raw_flag_value(args, flag)? {
-        Some(v) => Some(v.to_string()),
-        None => cli_error(format_args!("{flag} expects a value")),
-    }
-}
-
 /// Parses a `--flag N` / `--flag=N` unsigned-seed option for binary
 /// `main`s (zero is a legitimate seed): a missing or non-numeric value
 /// exits with a one-line error and status 2.

@@ -201,7 +201,7 @@ mod tests {
         let flagged = flagged_groups(&s, &ThreadPool::sequential());
         assert!(!flagged.is_empty());
         assert_eq!(
-            flagged_groups(&s, &ThreadPool::exact(4)),
+            flagged_groups(&s, &ThreadPool::new(4)),
             flagged,
             "parallel scene checks must merge in scene order"
         );
@@ -227,13 +227,8 @@ mod tests {
         let prepared = s.prepared_set();
         let preparer = s.preparer();
         for threads in [1, 2, 8] {
-            let got = stream_score_scenario(
-                &s,
-                &prepared,
-                &preparer,
-                &items,
-                &ThreadPool::exact(threads),
-            );
+            let got =
+                stream_score_scenario(&s, &prepared, &preparer, &items, &ThreadPool::new(threads));
             assert_eq!(got, want, "news stream diverges at {threads} threads");
         }
     }

@@ -429,7 +429,7 @@ mod tests {
         // The fan-out path merges in frame order: identical scores at
         // any thread count.
         for threads in [2, 8] {
-            let (psev, punc) = score_scenario(&s, &set, &items, &ThreadPool::exact(threads));
+            let (psev, punc) = score_scenario(&s, &set, &items, &ThreadPool::new(threads));
             assert_eq!(psev, sev, "severities differ at {threads} threads");
             assert_eq!(punc, unc, "uncertainties differ at {threads} threads");
         }
@@ -483,7 +483,7 @@ mod tests {
                 &stream_set,
                 &preparer,
                 &items,
-                &ThreadPool::exact(threads),
+                &ThreadPool::new(threads),
             );
             assert_eq!(got, want, "stream diverges from batch at {threads} threads");
         }

@@ -364,7 +364,7 @@ mod tests {
         let seq_reports: Vec<_> = samples.iter().map(|s| seq.process(s)).collect();
         for threads in [1, 2, 8] {
             let mut par = monitor();
-            let par_reports = par.process_batch(&samples, &ThreadPool::exact(threads));
+            let par_reports = par.process_batch(&samples, &ThreadPool::new(threads));
             assert_eq!(par_reports, seq_reports, "threads={threads}");
             assert_eq!(par.db(), seq.db(), "threads={threads}");
             assert_eq!(par.samples_processed(), seq.samples_processed());
@@ -380,14 +380,14 @@ mod tests {
             fired2.lock().unwrap().push(r.sample);
         });
         let samples = vec![-500, 1, -300, 2, -900];
-        m.process_batch(&samples, &ThreadPool::exact(4));
+        m.process_batch(&samples, &ThreadPool::new(4));
         assert_eq!(*fired.lock().unwrap(), vec![0, 2, 4]);
     }
 
     #[test]
     fn process_batch_then_process_continues_the_stream() {
         let mut m = monitor();
-        m.process_batch(&[-1, 2], &ThreadPool::exact(2));
+        m.process_batch(&[-1, 2], &ThreadPool::new(2));
         let r = m.process(&-3);
         assert_eq!(r.sample, 2);
         assert_eq!(m.db().num_samples(), 3);

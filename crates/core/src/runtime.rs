@@ -14,6 +14,12 @@
 //! thousands of batches re-uses the same workers for all of them (the
 //! engine's zero-respawn probe pins this down).
 //!
+//! A pool has one worker count, [`ThreadPool::threads`]: the threads
+//! [`ThreadPool::new`] spawns, and the count the chunked scoring driver
+//! ([`crate::stream::score_rows_chunked`]) splits its rows for. It is
+//! taken as given on any host, so a pool asked for more threads than
+//! the machine has cores oversubscribes them.
+//!
 //! # Borrowed data without `'static`
 //!
 //! Jobs borrow the caller's stack: the closure, the atomic chunk cursor,
@@ -154,43 +160,20 @@ impl Drop for Handles {
 /// the last clone drops.
 pub struct ThreadPool {
     threads: usize,
-    /// What [`ThreadPool::fanout`] reports: `threads` capped at the
-    /// machine's cores for [`ThreadPool::new`], uncapped for
-    /// [`ThreadPool::exact`].
-    fanout: usize,
     shared: Arc<Shared>,
     _handles: Arc<Handles>,
 }
 
 impl ThreadPool {
-    /// Creates a pool with the given worker count, spawning its
-    /// `threads - 1` persistent background workers immediately.
+    /// Creates a pool of `threads` workers, spawning its `threads - 1`
+    /// persistent background workers immediately. The count is taken as
+    /// given on any host: `new(8)` runs 8 threads on a 2-core machine.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero, or if the OS refuses to spawn a
     /// worker thread.
     pub fn new(threads: usize) -> Self {
-        let cores = thread::available_parallelism();
-        Self::with_fanout(threads, threads.min(cores))
-    }
-
-    /// [`ThreadPool::new`] without the scoring-fanout cap: `fanout()`
-    /// reports the full `threads` even beyond the machine's cores.
-    /// For tests and probes that must exercise the chunked parallel
-    /// path (margin skipping, range-copy merging, the job handshake)
-    /// deterministically on any host — production callers want
-    /// [`ThreadPool::new`], where oversubscribed fan-out is capped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero, or if the OS refuses to spawn a
-    /// worker thread.
-    pub fn exact(threads: usize) -> Self {
-        Self::with_fanout(threads, threads)
-    }
-
-    fn with_fanout(threads: usize, fanout: usize) -> Self {
         assert!(threads > 0, "thread pool needs at least one thread");
         let shared = Arc::new(Shared {
             state: Mutex::new(JobState {
@@ -214,7 +197,6 @@ impl ThreadPool {
         }
         Self {
             threads,
-            fanout,
             _handles: Arc::new(Handles {
                 shared: Arc::clone(&shared),
                 handles: Mutex::new(handles),
@@ -240,17 +222,6 @@ impl ThreadPool {
     /// The worker count (including the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The worker count worth fanning CPU-bound scoring out to:
-    /// [`ThreadPool::threads`] capped at the machine's available
-    /// parallelism (uncapped for [`ThreadPool::exact`] pools). Scoring
-    /// is pure compute, so oversubscribing cores buys nothing and
-    /// costs context switches; the scoring drivers use this for chunk
-    /// geometry (results are thread-count-invariant either way — the
-    /// cap changes wall-clock only, never output).
-    pub fn fanout(&self) -> usize {
-        self.fanout
     }
 
     /// Total worker threads ever spawned by this pool — `threads - 1`
@@ -543,7 +514,6 @@ impl Clone for ThreadPool {
     fn clone(&self) -> Self {
         Self {
             threads: self.threads,
-            fanout: self.fanout,
             shared: Arc::clone(&self.shared),
             _handles: Arc::clone(&self._handles),
         }
@@ -760,7 +730,7 @@ mod tests {
 
     #[test]
     fn empty_map_on_parallel_pool_publishes_nothing() {
-        let pool = ThreadPool::exact(4);
+        let pool = ThreadPool::new(4);
         assert_eq!(pool.map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(
             pool.map_indexed_coarse(0, |_| unreachable!() as usize),
@@ -773,7 +743,7 @@ mod tests {
         // The hardest drop ordering: the very first job panics, and the
         // pool is dropped with no intervening successful job — shutdown
         // must still join every worker.
-        let pool = ThreadPool::exact(4);
+        let pool = ThreadPool::new(4);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_indexed_coarse(8, |i| {
                 assert!(i != 3, "boom at 3");

@@ -168,7 +168,7 @@ where
         }
         (matrix, aux)
     };
-    let threads = pool.fanout();
+    let threads = pool.threads();
     if threads == 1 || n < 2 {
         return fill_range(0, n);
     }
@@ -272,7 +272,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let counter = Arc::new(AtomicUsize::new(0));
             let mut batch = Monitor::with_preparer(prepared_set(), counted_sum(&counter));
-            let reports = batch.process_batch(&samples, &ThreadPool::exact(threads));
+            let reports = batch.process_batch(&samples, &ThreadPool::new(threads));
             assert_eq!(reports, want, "threads={threads}");
             assert_eq!(batch.db(), reference.db(), "threads={threads}");
             assert_eq!(counter.load(Ordering::SeqCst), samples.len());
@@ -285,7 +285,7 @@ mod tests {
         let probe = counted_sum(&counter);
         let mut m = Monitor::with_preparer(prepared_set(), probe);
         let samples = samples();
-        m.process_batch(&samples, &ThreadPool::exact(4));
+        m.process_batch(&samples, &ThreadPool::new(4));
         m.process(&samples[0]);
         assert_eq!(counter.load(Ordering::SeqCst), samples.len() + 1);
     }
@@ -305,7 +305,7 @@ mod tests {
         m.on_severity(Severity::new(1.5), move |_, r: &SampleReport| {
             fired2.lock().unwrap().push(r.sample);
         });
-        m.process_batch(&samples(), &ThreadPool::exact(4));
+        m.process_batch(&samples(), &ThreadPool::new(4));
         assert_eq!(*fired.lock().unwrap(), vec![2, 4]);
     }
 
@@ -337,7 +337,7 @@ mod tests {
         );
         // The batch path applies the same cap.
         let mut batch = summing_monitor().with_retention(2);
-        batch.process_batch(&stream, &ThreadPool::exact(4));
+        batch.process_batch(&stream, &ThreadPool::new(4));
         assert_eq!(batch.db().evicted_before(), 18);
         assert_eq!(batch.db().lifetime_len(), unbounded.db().len());
     }
@@ -389,7 +389,7 @@ mod tests {
             }
             for threads in [1, 2, 8] {
                 let fills = AtomicUsize::new(0);
-                let got = window_sums(&data, half, &ThreadPool::exact(threads), &fills);
+                let got = window_sums(&data, half, &ThreadPool::new(threads), &fills);
                 assert_eq!(
                     got,
                     (want.clone(), want_len.clone()),
@@ -403,7 +403,7 @@ mod tests {
             }
         }
         let fills = AtomicUsize::new(0);
-        let (matrix, aux) = window_sums(&[], 2, &ThreadPool::exact(4), &fills);
+        let (matrix, aux) = window_sums(&[], 2, &ThreadPool::new(4), &fills);
         assert!(matrix.is_empty() && aux.is_empty());
         assert_eq!(fills.load(Ordering::Relaxed), 0);
     }
@@ -420,12 +420,12 @@ mod tests {
         assert_eq!(want.1.len(), 137);
         for threads in [2, 3, 8] {
             assert_eq!(
-                score_rows_chunked(137, 2, &ThreadPool::exact(threads), fill),
+                score_rows_chunked(137, 2, &ThreadPool::new(threads), fill),
                 want,
                 "threads={threads}"
             );
         }
-        let (empty, unc) = score_rows_chunked(0, 2, &ThreadPool::exact(4), fill);
+        let (empty, unc) = score_rows_chunked(0, 2, &ThreadPool::new(4), fill);
         assert!(empty.is_empty() && unc.is_empty());
     }
 
@@ -435,7 +435,7 @@ mod tests {
     #[test]
     fn repeated_stream_scoring_never_respawns_workers() {
         let data: Vec<i64> = (0..500).map(|i| (i % 13) as i64 - 6).collect();
-        let pool = ThreadPool::exact(4);
+        let pool = ThreadPool::new(4);
         assert_eq!(pool.spawned_workers(), 3, "workers spawn at construction");
         let fills = AtomicUsize::new(0);
         let want = window_sums(&data, 2, &ThreadPool::sequential(), &fills);

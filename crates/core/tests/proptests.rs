@@ -174,7 +174,7 @@ proptest! {
         let seq_reports: Vec<_> = samples.iter().map(|s| seq.process(s)).collect();
         for threads in [1usize, 2, 8] {
             let mut par = build();
-            let par_reports = par.process_batch(&samples, &ThreadPool::exact(threads));
+            let par_reports = par.process_batch(&samples, &ThreadPool::new(threads));
             prop_assert_eq!(&par_reports, &seq_reports, "threads={}", threads);
             prop_assert_eq!(par.db(), seq.db(), "threads={}", threads);
             prop_assert_eq!(par.samples_processed(), seq.samples_processed());
@@ -185,7 +185,7 @@ proptest! {
     /// thread count and batch size.
     #[test]
     fn map_indexed_merges_in_order(n in 0usize..300, threads in 1usize..9, salt in any::<u64>()) {
-        let pool = ThreadPool::exact(threads);
+        let pool = ThreadPool::new(threads);
         let got = pool.map_indexed(n, |i| (i as u64).wrapping_mul(salt));
         let want: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(salt)).collect();
         prop_assert_eq!(got, want);
@@ -205,7 +205,7 @@ proptest! {
             m.assertions_mut().add_fn("mag", |&x: &i32| Severity::new(x.unsigned_abs() as f64));
             m
         };
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let mut whole = build();
         whole.process_batch(&samples, &pool);
         let mut halves = build();

@@ -127,7 +127,7 @@ mod tests {
         let preparer = sc.preparer();
         for threads in [1, 2, 8] {
             let got =
-                stream_score_scenario(&sc, &set, &preparer, &items, &ThreadPool::exact(threads));
+                stream_score_scenario(&sc, &set, &preparer, &items, &ThreadPool::new(threads));
             assert_eq!(got, want, "threads={threads}");
         }
     }
@@ -143,7 +143,7 @@ mod tests {
             let counter = Arc::new(AtomicUsize::new(0));
             let probe = CountingPrepare::new(sc.preparer(), counter.clone());
             let (sev, _) =
-                stream_score_scenario(&sc, &set, &probe, &items, &ThreadPool::exact(threads));
+                stream_score_scenario(&sc, &set, &probe, &items, &ThreadPool::new(threads));
             assert_eq!(sev.len(), items.len());
             assert_eq!(
                 counter.load(Ordering::SeqCst),
@@ -170,13 +170,8 @@ mod tests {
             let set = sc.prepared_set();
             let preparer = sc.preparer();
             for threads in [1, 2, 8] {
-                let got = stream_score_scenario(
-                    &sc,
-                    &set,
-                    &preparer,
-                    &items,
-                    &ThreadPool::exact(threads),
-                );
+                let got =
+                    stream_score_scenario(&sc, &set, &preparer, &items, &ThreadPool::new(threads));
                 assert_eq!(got, want, "n={n} threads={threads}");
             }
             assert_eq!(
@@ -196,8 +191,7 @@ mod tests {
         assert!(sev.is_empty() && unc.is_empty());
         let set = sc.prepared_set();
         let preparer = sc.preparer();
-        let (ssev, sunc) =
-            stream_score_scenario(&sc, &set, &preparer, &items, &ThreadPool::exact(4));
+        let (ssev, sunc) = stream_score_scenario(&sc, &set, &preparer, &items, &ThreadPool::new(4));
         assert!(ssev.is_empty() && sunc.is_empty());
     }
 }

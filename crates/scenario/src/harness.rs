@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(h.assertion_names(), vec!["negative-sum", "large-center"]);
         let want = h.score_batch(&ThreadPool::sequential());
         for threads in [1, 2, 8] {
-            assert_eq!(h.score_stream(&ThreadPool::exact(threads)), want);
+            assert_eq!(h.score_stream(&ThreadPool::new(threads)), want);
         }
         let (scores, prepares) = h.score_stream_counting(&ThreadPool::sequential());
         assert_eq!(scores, want);

@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn interleaved_sessions_match_independent_sequential_runs() {
         for workers in [1, 2, 8] {
-            let pool = ThreadPool::exact(workers);
+            let pool = ThreadPool::new(workers);
             let svc = harness(40, ServiceConfig::default().with_retention(3));
             // Three sessions over different slices of the stream,
             // ingested round-robin with drains interleaved.
@@ -252,13 +252,13 @@ mod tests {
         assert_eq!(svc.accepted(), 3);
         // Resume: a drain frees the queue, the rejected item goes
         // through on retry, and everything scores in order.
-        svc.drain(&ThreadPool::exact(2));
+        svc.drain(&ThreadPool::new(2));
         assert_eq!(svc.queued(), 0, "drained to empty");
         for position in 3..6 {
             svc.try_ingest_position(session, position)
                 .expect("freed capacity");
         }
-        svc.drain(&ThreadPool::exact(2));
+        svc.drain(&ThreadPool::new(2));
         let got = svc.finish(session).expect("open session");
         assert_eq!(got, svc.sequential_reference(0, 6), "no gap, no reorder");
     }
@@ -275,7 +275,7 @@ mod tests {
                 .with_queue_capacity(16)
                 .with_retention(keep),
         );
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let assertions = svc.assertion_names().len();
         let sessions = 3u64;
         let mut max_resident = 0usize;
@@ -426,7 +426,7 @@ mod tests {
             cadence in proptest::collection::vec((1usize..8, proptest::any::<bool>()), 1..6),
         ) {
             for workers in [1, 2, 8] {
-                run_session(half, n, capacity, &cadence, &ThreadPool::exact(workers))?;
+                run_session(half, n, capacity, &cadence, &ThreadPool::new(workers))?;
             }
         }
     }
@@ -436,7 +436,7 @@ mod tests {
     /// window, where both edges clamp at once.
     #[test]
     fn sessions_deliver_sequential_rows_at_the_clamped_edges() {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         for half in 0..4 {
             for n in [0, 1, 2, 5, 9] {
                 let run = run_session(half, n, 2, &[(3, true), (1, false)], &pool);
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn finished_session_id_starts_a_fresh_stream() {
         let svc = ServiceHarness::boxed(Toy::new(30, 2), (), ServiceConfig::default());
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let session = SessionId(3);
         for position in 0..7 {
             svc.try_ingest_position(session, position)
@@ -485,7 +485,7 @@ mod tests {
                 &ThreadPool::sequential(),
             );
             let svc = MonitorService::new(toy.clone(), ServiceConfig::default());
-            let pool = ThreadPool::exact(2);
+            let pool = ThreadPool::new(2);
             let session = SessionId(0);
             let mut got: Scores = (SeverityMatrix::new(), Vec::new());
             let mut stream = items.into_iter().peekable();

@@ -299,9 +299,8 @@ impl<Sc: Scenario> MonitorService<Sc> {
     fn shard(&self, session: SessionId) -> Arc<Mutex<SessionShard<Sc>>> {
         let retained = self.config.retained_samples;
         let now = self.clock.load(Ordering::Relaxed);
-        self.shards.get_or_init(session, || {
-            Arc::new(Mutex::new(SessionShard::new(retained, now)))
-        })
+        self.shards
+            .get_or_init(session, || Mutex::new(SessionShard::new(retained, now)))
     }
 
     /// Opens a session explicitly (ingest opens implicitly; this exists
@@ -518,7 +517,7 @@ mod tests {
             let toy = Toy::new(n, half);
             let mut stream = toy.run_model(&()).into_iter().peekable();
             let svc = MonitorService::new(toy, ServiceConfig::default());
-            let pool = ThreadPool::exact(2);
+            let pool = ThreadPool::new(2);
             let session = SessionId(1);
             let (mut pushed, mut burst) = (0, 0);
             while stream.peek().is_some() {
@@ -540,6 +539,48 @@ mod tests {
             let report = svc.finish(session).expect("open session");
             assert_eq!((report.accepted, report.scored), (n, n), "half={half}");
         }
+    }
+
+    /// A session's fire counts cover every window it has scored, rows
+    /// that retention already evicted included; an unknown session and
+    /// a finished one have none.
+    #[test]
+    fn session_fire_counts_include_evicted_rows() {
+        let toy = Toy::new(40, 1);
+        let mut stream = toy.run_model(&()).into_iter().peekable();
+        let svc = MonitorService::new(toy, ServiceConfig::default().with_retention(2));
+        let pool = ThreadPool::new(2);
+        let session = SessionId(5);
+        assert_eq!(svc.session_fire_counts(session), None, "unknown session");
+        let mut fires = vec![0usize; svc.assertion_set().len()];
+        let mut scored = 0;
+        while stream.peek().is_some() {
+            for item in stream.by_ref().take(7) {
+                svc.try_ingest(session, item)
+                    .expect("default capacity is ample");
+            }
+            svc.drain(&pool);
+            let (rows, _) = svc.poll(session).expect("open session");
+            for row in rows.iter_rows() {
+                for (count, &v) in fires.iter_mut().zip(row) {
+                    *count += usize::from(omg_core::Severity::new(v).fired());
+                }
+            }
+            scored += rows.len();
+            assert_eq!(
+                svc.session_fire_counts(session).as_deref(),
+                Some(&fires[..]),
+                "after {scored} scored windows"
+            );
+        }
+        assert!(fires.iter().all(|&f| f > 0), "every assertion fired");
+        assert_eq!(
+            svc.resident_records(),
+            2 * fires.len(),
+            "retention evicted all but two windows' rows"
+        );
+        svc.finish(session).expect("open session");
+        assert_eq!(svc.session_fire_counts(session), None, "finished session");
     }
 
     #[test]

@@ -18,20 +18,17 @@ use std::sync::{Arc, RwLock};
 /// Values live behind [`Arc`], so a returned handle stays valid after
 /// the entry is removed — readers never block on a removal, and a
 /// session being evicted cannot invalidate a worker's handle mid-use.
-///
-/// `V: ?Sized` so the map can hold trait objects
-/// (`SyncMap<String, dyn Service>`-style registries).
-pub struct SyncMap<K, V: ?Sized> {
+pub struct SyncMap<K, V> {
     map: RwLock<BTreeMap<K, Arc<V>>>,
 }
 
-impl<K: Ord, V: ?Sized> Default for SyncMap<K, V> {
+impl<K: Ord, V> Default for SyncMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord, V: ?Sized> SyncMap<K, V> {
+impl<K: Ord, V> SyncMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         Self {
@@ -39,15 +36,15 @@ impl<K: Ord, V: ?Sized> SyncMap<K, V> {
         }
     }
 
-    /// Returns the value under `key`, constructing and inserting it with
-    /// `create` on first touch.
+    /// Returns the value under `key`, constructing it with `create` and
+    /// inserting it behind an [`Arc`] on first touch.
     ///
     /// The fast path takes only the shared (read) lock. On a miss the
     /// exclusive lock is taken and the map re-checked, so concurrent
     /// callers racing on the same key observe **the same** `Arc` and
     /// `create` runs exactly once per key — the read-then-write cache
     /// idiom (SNIPPETS.md §3).
-    pub fn get_or_init(&self, key: K, create: impl FnOnce() -> Arc<V>) -> Arc<V> {
+    pub fn get_or_init(&self, key: K, create: impl FnOnce() -> V) -> Arc<V> {
         // PANIC: a poisoned RwLock means a writer panicked mid-update;
         // the map may be half-mutated, so propagating is the only
         // sound option (same argument for every lock in this file).
@@ -55,7 +52,7 @@ impl<K: Ord, V: ?Sized> SyncMap<K, V> {
             return Arc::clone(v);
         }
         let mut map = self.map.write().expect("syncmap poisoned");
-        Arc::clone(map.entry(key).or_insert_with(create))
+        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(create())))
     }
 
     /// Returns the value under `key`, if present, without constructing.
@@ -95,7 +92,7 @@ impl<K: Ord, V: ?Sized> SyncMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: ?Sized> SyncMap<K, V> {
+impl<K: Ord + Clone, V> SyncMap<K, V> {
     /// A point-in-time snapshot of all entries, in key order. The
     /// snapshot holds `Arc` handles, so it stays usable while other
     /// threads insert or remove concurrently.
@@ -145,11 +142,11 @@ mod tests {
         let built = AtomicUsize::new(0);
         let a = map.get_or_init(7, || {
             built.fetch_add(1, Ordering::SeqCst);
-            Arc::new("seven".to_string())
+            "seven".to_string()
         });
         let b = map.get_or_init(7, || {
             built.fetch_add(1, Ordering::SeqCst);
-            Arc::new("never".to_string())
+            "never".to_string()
         });
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(built.load(Ordering::SeqCst), 1);
@@ -175,7 +172,7 @@ mod tests {
                             barrier.wait();
                             map.get_or_init(round, || {
                                 built.fetch_add(1, Ordering::SeqCst);
-                                Arc::new(round)
+                                round
                             })
                         })
                     })
@@ -211,7 +208,7 @@ mod tests {
                     barrier.wait();
                     for i in 0..PER_THREAD {
                         let key = t * PER_THREAD + i;
-                        map.get_or_init(key, || Arc::new(key * 10));
+                        map.get_or_init(key, || key * 10);
                     }
                 });
             }
@@ -225,7 +222,7 @@ mod tests {
     #[test]
     fn remove_keeps_outstanding_handles_valid() {
         let map: SyncMap<u8, Vec<u8>> = SyncMap::new();
-        let handle = map.get_or_init(1, || Arc::new(vec![1, 2, 3]));
+        let handle = map.get_or_init(1, || vec![1, 2, 3]);
         let removed = map.remove(&1).expect("entry present");
         assert!(Arc::ptr_eq(&handle, &removed));
         assert!(map.get(&1).is_none());
@@ -237,7 +234,7 @@ mod tests {
     fn entries_snapshot_and_retain_sweep() {
         let map: SyncMap<u32, u32> = SyncMap::new();
         for k in 0..6 {
-            map.get_or_init(k, || Arc::new(k * k));
+            map.get_or_init(k, || k * k);
         }
         let snapshot = map.entries();
         assert_eq!(snapshot.len(), 6);
@@ -250,12 +247,5 @@ mod tests {
         assert_eq!(map.len(), 3);
         // The pre-sweep snapshot still resolves.
         assert!(snapshot.iter().all(|(k, v)| **v == k * k));
-    }
-
-    #[test]
-    fn holds_trait_objects() {
-        let map: SyncMap<&'static str, dyn Fn() -> usize + Send + Sync> = SyncMap::new();
-        let f = map.get_or_init("answer", || Arc::new(|| 42usize));
-        assert_eq!(f(), 42);
     }
 }

@@ -56,10 +56,10 @@ fn inline_paths_have_no_concurrency() {
     // one schedule each, nothing to interleave.
     let report = model_with(cfg(3), || {
         assert_eq!(
-            ThreadPool::exact(1).map_indexed(4, |i| i * i),
+            ThreadPool::new(1).map_indexed(4, |i| i * i),
             vec![0, 1, 4, 9]
         );
-        let pool = ThreadPool::exact(1);
+        let pool = ThreadPool::new(1);
         assert_eq!(pool.map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_indexed(1, |i| i + 7), vec![7]);
         assert_eq!(pool.spawned_workers(), 0);
@@ -77,7 +77,7 @@ fn construct_and_drop_strands_no_worker() {
     // no interleaving may deadlock the drop (a stranded parked worker
     // would show up as exactly that).
     let report = model_with(cfg(3), || {
-        drop(ThreadPool::exact(2));
+        drop(ThreadPool::new(2));
     });
     assert!(report.exhausted);
     assert!(report.iterations > 1, "spawn/shutdown interleave: {report}");
@@ -88,7 +88,7 @@ fn one_worker_handshake_exhaustive() {
     // Submitter + one worker over two single-index chunks: the full
     // publish/join/claim/drain/retract/shutdown protocol.
     let report = model_with(cfg(3), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         assert_eq!(pool.map_indexed_coarse(2, |i| i * 10), vec![0, 10]);
     });
     assert!(report.exhausted);
@@ -104,7 +104,7 @@ fn two_workers_handshake_exhaustive() {
     // chunks; one worker necessarily finds the cursor drained or the
     // generation already seen — both legs must stay sound.
     let report = model_with(cfg(2), || {
-        let pool = ThreadPool::exact(3);
+        let pool = ThreadPool::new(3);
         assert_eq!(pool.map_indexed_coarse(2, |i| i + 100), vec![100, 101]);
     });
     assert!(report.exhausted);
@@ -121,7 +121,7 @@ fn every_index_runs_exactly_once() {
     // they add no interleavings — they just record what ran.
     let report = model_with(cfg(2), || {
         let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         pool.map_indexed_coarse(runs.len(), |i| runs[i].fetch_add(1, Ordering::SeqCst));
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(
@@ -139,7 +139,7 @@ fn two_successive_jobs_reuse_workers() {
     // The generation bump must keep a worker from re-joining a job it
     // already ran — and from missing the next one.
     let report = model_with(cfg(2), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         assert_eq!(pool.map_indexed_coarse(2, |i| i), vec![0, 1]);
         assert_eq!(pool.map_indexed_coarse(2, |i| i + 1), vec![1, 2]);
         assert_eq!(pool.spawned_workers(), 1, "no respawn between jobs");
@@ -153,7 +153,7 @@ fn panic_drains_rethrows_and_pool_survives() {
     // worker out, and re-throws on the submitter — after which the
     // same pool must still run the next job.
     let report = model_with(cfg(2), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_indexed_coarse(2, |i| {
                 assert!(i != 1, "boom at 1");
@@ -175,7 +175,7 @@ fn nested_submission_stays_inline_and_sound() {
     // A closure re-entering the pool must take the inline path, not
     // corrupt the handshake — under every interleaving.
     let report = model_with(cfg(2), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let pool2 = pool.clone();
         let got = pool.map_indexed_coarse(2, move |i| {
             pool2.map_indexed_coarse(2, |j| i + j).iter().sum::<usize>()
@@ -192,7 +192,7 @@ fn mutation_skip_drain_wait_is_caught() {
     // Retracting without draining is the use-after-free the handshake
     // exists to prevent; the registry must attribute it to a schedule.
     let msg = must_fail(mutated("skip-drain-wait"), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let _ = pool.map_indexed_coarse(2, |i| i);
     });
     assert!(
@@ -209,7 +209,7 @@ fn mutation_skip_drain_wait_is_caught() {
 fn mutation_skip_done_notify_is_caught() {
     // Losing the done-notify strands the submitter in the drain wait.
     let msg = must_fail(mutated("skip-done-notify"), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let _ = pool.map_indexed_coarse(2, |i| i);
     });
     assert!(msg.contains("deadlock"), "got: {msg}");
@@ -220,7 +220,7 @@ fn mutation_torn_cursor_claim_is_caught() {
     // A load+store claim races two threads onto the same chunk.
     let msg = must_fail(mutated("torn-cursor-claim"), || {
         let runs: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let got = pool.map_indexed_coarse(runs.len(), |i| {
             runs[i].fetch_add(1, Ordering::SeqCst);
             i
@@ -246,7 +246,7 @@ fn mutation_rethrow_before_drain_is_caught() {
     // while workers may still hold pointers into it: the frame canary
     // must flag the dying frame.
     let msg = must_fail(mutated("rethrow-before-drain"), || {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_indexed_coarse(2, |i| {
                 assert!(i != 0, "boom at 0");
@@ -263,7 +263,7 @@ fn mutation_skip_shutdown_notify_is_caught() {
     // Dropping the pool without waking the parked workers deadlocks
     // the join.
     let msg = must_fail(mutated("skip-shutdown-notify"), || {
-        drop(ThreadPool::exact(2));
+        drop(ThreadPool::new(2));
     });
     assert!(msg.contains("deadlock"), "got: {msg}");
 }

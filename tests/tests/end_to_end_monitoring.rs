@@ -127,7 +127,7 @@ fn video_batch_monitoring_matches_sequential() {
     let seq_reports: Vec<_> = windows.iter().map(|w| seq.process(w)).collect();
     for threads in [1, 2, 8] {
         let (mut par, par_alerts) = build();
-        let par_reports = par.process_batch(&windows, &ThreadPool::exact(threads));
+        let par_reports = par.process_batch(&windows, &ThreadPool::new(threads));
         assert_eq!(
             par_reports, seq_reports,
             "reports differ at {threads} threads"

@@ -103,7 +103,7 @@ proptest! {
             .with_queue_capacity(8)
             .with_retention(4);
         for workers in WORKERS {
-            let pool = ThreadPool::exact(workers);
+            let pool = ThreadPool::new(workers);
             for svc in all_services(seed, size, &config) {
                 let slices = session_slices(svc.stream_len());
                 assert_sessions_conform(
@@ -125,7 +125,7 @@ proptest! {
 fn tiny_and_empty_sessions_conform() {
     let config = ServiceConfig::default().with_queue_capacity(4);
     for svc in all_services(7, 8, &config) {
-        let pool = ThreadPool::exact(2);
+        let pool = ThreadPool::new(2);
         let one = SessionId(0);
         let empty = SessionId(1);
         svc.try_ingest_position(one, 0).expect("capacity");
@@ -164,7 +164,7 @@ fn every_accepted_item_is_scored_exactly_once() {
             .with_retention(4),
     )
     .expect("video is registered");
-    let pool = ThreadPool::exact(2);
+    let pool = ThreadPool::new(2);
     let slices = session_slices(svc.stream_len());
     assert_sessions_conform(svc.as_ref(), &slices, &pool, 4, "video accounting");
     let total: usize = slices.iter().map(|&(_, len)| len).sum();

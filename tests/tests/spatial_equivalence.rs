@@ -96,7 +96,7 @@ fn assert_prepared_monitor_matches_the_self_contained_one(windows: &[VideoWindow
             video_prepared_assertion_set(FLICKER_T),
             VideoPrepare::new(FLICKER_T),
         );
-        let reports = m.process_batch(windows, &ThreadPool::exact(threads));
+        let reports = m.process_batch(windows, &ThreadPool::new(threads));
         assert_eq!(reports, want, "reports diverged at {threads} threads");
         assert_eq!(
             m.db(),

@@ -41,7 +41,7 @@ proptest! {
             let want = scenario.score_batch(&ThreadPool::sequential());
             prop_assert_eq!(want.0.len(), scenario.len(), "{}: one row per position", scenario.name());
             for threads in THREADS {
-                let got = scenario.score_stream(&ThreadPool::exact(threads));
+                let got = scenario.score_stream(&ThreadPool::new(threads));
                 prop_assert_eq!(
                     &got, &want,
                     "{} stream != batch (seed={}, size={}, threads={})",
@@ -82,7 +82,7 @@ proptest! {
                 video_prepared_assertion_set(FLICKER_T),
                 CountingPrepare::new(VideoPrepare::new(FLICKER_T), prepares.clone()),
             );
-            let reports = batch.process_batch(&windows, &ThreadPool::exact(threads));
+            let reports = batch.process_batch(&windows, &ThreadPool::new(threads));
             prop_assert_eq!(&reports, &want, "process_batch diverged at {} threads", threads);
             prop_assert_eq!(batch.db(), reference.db());
             prop_assert_eq!(prepares.load(Ordering::SeqCst), windows.len());
@@ -103,7 +103,7 @@ fn tiny_streams_score_equal_to_batch_at_the_clamped_edges() {
             let want = scenario.score_batch(&ThreadPool::sequential());
             for threads in THREADS {
                 assert_eq!(
-                    scenario.score_stream(&ThreadPool::exact(threads)),
+                    scenario.score_stream(&ThreadPool::new(threads)),
                     want,
                     "{} size={size} threads={threads}",
                     scenario.name()
@@ -122,7 +122,7 @@ fn tiny_streams_score_equal_to_batch_at_the_clamped_edges() {
 fn preparation_runs_exactly_once_per_window_sequentially() {
     for scenario in all_scenarios(11, 60) {
         for threads in THREADS {
-            let ((sev, _), prepares) = scenario.score_stream_counting(&ThreadPool::exact(threads));
+            let ((sev, _), prepares) = scenario.score_stream_counting(&ThreadPool::new(threads));
             assert_eq!(sev.len(), scenario.len());
             assert_eq!(
                 prepares,
