@@ -247,13 +247,16 @@ fn make_sample_cost(c: &mut Criterion) {
 /// frame's at the association threshold, `geom/overlap_triples/<n>`
 /// counts each frame's `multibox` triples, and `prepare/crowd_window/<n>`
 /// runs the video `Prepare` (association and run counting) on each
-/// window. These windows are disjoint, so every lookup of the
-/// preparer's pair memo misses and the group times the miss path.
+/// window. These windows are disjoint, so every lookup of the thread's
+/// pair memo misses and the group times the miss path.
 /// `prepare/crowd_stream/<n>` runs one video `Prepare` over 12
 /// consecutive sliding windows of one seed-11 stream (frames 0–13,
 /// centers 1–12) in stream order, as the crowded workload scores a
 /// stream: each window's first frame pair is its predecessor's last, so
-/// 11 of the 24 lookups per iteration hit.
+/// 11 of the 24 lookups per iteration hit. `geom/iou_pairs/street`
+/// matches every adjacent frame pair of the 100 `prepare/video_window`
+/// windows the same way; a street frame holds too few boxes for the
+/// grid, so it times the reference scan that street association runs.
 fn crowd_cost(c: &mut Criterion) {
     let crowds: Vec<(usize, Vec<VideoWindow>)> = CROWD_SIZES
         .iter()
@@ -275,7 +278,9 @@ fn crowd_cost(c: &mut Criterion) {
     }
     group.finish();
     let mut group = c.benchmark_group("geom/iou_pairs");
-    for (n, windows) in &crowds {
+    let street = make_windows(100);
+    let ladder = crowds.iter().map(|(n, windows)| (n.to_string(), windows));
+    for (id, windows) in std::iter::once(("street".to_string(), &street)).chain(ladder) {
         let pairs: Vec<(Vec<BBox2D>, Vec<BBox2D>)> = windows
             .iter()
             .flat_map(|w| {
@@ -284,7 +289,7 @@ fn crowd_cost(c: &mut Criterion) {
                     .map(|f| (frame_boxes(&f[0]), frame_boxes(&f[1])))
             })
             .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &pairs, |b, pairs| {
+        group.bench_with_input(BenchmarkId::from_parameter(id), &pairs, |b, pairs| {
             let mut out = Vec::new();
             b.iter(|| {
                 for (anchors, queries) in pairs {

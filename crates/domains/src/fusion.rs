@@ -24,7 +24,7 @@ use omg_core::{AssertionSet, FnAssertion, Severity};
 use omg_eval::ScoredBox;
 
 use crate::helpers::{count_no_overlap, track_window};
-use crate::prepared::{count_short_presence_runs, PairMemo};
+use crate::prepared::count_short_presence_runs;
 use crate::{flicker, VideoFrame, VideoPrep, VideoWindow};
 
 /// IoU at or above which a secondary box counts as confirmed by a
@@ -140,24 +140,20 @@ pub fn fusion_assertion_set(flicker_t: f64) -> AssertionSet<FusionWindow> {
 /// primary boxes that counts the short presence runs of the issued
 /// track ids.
 ///
-/// Like [`crate::VideoPrepare`], the preparer owns one memo of crowded
-/// adjacent-frame candidate pairs, shared by every window it prepares
-/// and every worker that calls it; the counts are the same whether it
-/// hits or misses.
+/// Like [`crate::VideoPrepare`], it runs on the calling thread's
+/// associator, buffers and memo of crowded adjacent-frame candidate
+/// pairs, which the two preparers share; the counts are the same
+/// whether the memo hits or misses.
 #[derive(Debug)]
 pub struct FusionPrepare {
     t: f64,
-    memo: PairMemo,
 }
 
 impl FusionPrepare {
     /// Creates the preparer for a fusion set built with the same
     /// temporal threshold `t` (seconds).
     pub fn new(t: f64) -> Self {
-        Self {
-            t,
-            memo: PairMemo::default(),
-        }
+        Self { t }
     }
 }
 
@@ -166,7 +162,7 @@ impl Prepare<FusionWindow> for FusionPrepare {
 
     fn prepare(&self, window: &FusionWindow) -> VideoPrep {
         let frames = window.frames.iter().map(|f| (f.time, f.primary.as_slice()));
-        count_short_presence_runs(frames, self.t, &self.memo)
+        count_short_presence_runs(frames, self.t)
     }
 }
 

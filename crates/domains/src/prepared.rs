@@ -21,9 +21,10 @@
 //! tests); only the wall-clock differs — the video set, for example,
 //! drops from three tracker runs per window to one association pass.
 
+use std::cell::RefCell;
+
 use omg_core::consistency::ConsistencyWindow;
 use omg_core::stream::Prepare;
-use omg_core::sync::Mutex;
 use omg_core::{AssertionSet, Severity};
 use omg_eval::ScoredBox;
 use omg_geom::{matchers, BBox2D};
@@ -40,10 +41,6 @@ pub const TRACK_IOU: f64 = 0.25;
 /// The maximum age of the video association, shared the same way as
 /// [`TRACK_IOU`].
 pub(crate) const TRACK_MAX_AGE: usize = 3;
-/// The initial capacity of a window's run list, one entry per track. A
-/// street window holds a few tracks per frame, so most windows allocate
-/// the list once; a crowded window grows it as usual.
-const TRACK_CAPACITY: usize = 16;
 
 /// One track's current present run: the frames it started at and was
 /// last seen at, the time of its start frame, and the time of the frame
@@ -71,69 +68,122 @@ impl PresenceRun {
 ///
 /// Each frame's boxes go to one [`IouAssociator`] with
 /// [`crate::helpers::track_window`]'s parameters, and the associator
-/// takes the pairs of a crowded step's previous frame from `memo`. The
-/// associator issues ids 0, 1, 2, … in creation order and never one id
-/// twice in a frame, so each track's current present run is kept at its
-/// id, and a new id is always one past the last. A run that touches
-/// neither window edge counts when it is shorter than `t`, by the
-/// comparison [`ConsistencyEngine::check`] makes: an absent run as a
-/// gap, a present run as a blip. The counts therefore equal the
-/// per-kind counts of the `TemporalTransition` entries of `check` over
-/// `track_window` under [`crate::helpers::VideoTrackSpec`].
+/// takes the pairs of a crowded step's previous frame from a one-slot
+/// memo ([`PairSlot`]). The associator, the run list and the memo are
+/// this thread's [`Scratch`], so once the thread has prepared a window
+/// of the same size, a window allocates nothing. The associator issues
+/// ids 0, 1, 2, … in creation order and never one id twice in a frame,
+/// so each track's current present run is kept at its id, and a new id
+/// is always one past the last. A run that touches neither window edge
+/// counts when it is shorter than `t`, by the comparison
+/// [`ConsistencyEngine::check`] makes: an absent run as a gap, a present
+/// run as a blip. The counts therefore equal the per-kind counts of the
+/// `TemporalTransition` entries of `check` over `track_window` under
+/// [`crate::helpers::VideoTrackSpec`].
 ///
 /// [`ConsistencyEngine::check`]: omg_core::consistency::ConsistencyEngine::check
 pub(crate) fn count_short_presence_runs<'a>(
     frames: impl IntoIterator<Item = (f64, &'a [ScoredBox])>,
     t: f64,
-    memo: &PairMemo,
 ) -> VideoPrep {
-    let mut associator = IouAssociator::new(TRACK_IOU, TRACK_MAX_AGE);
-    let mut runs: Vec<PresenceRun> = Vec::with_capacity(TRACK_CAPACITY);
-    let mut prep = VideoPrep {
-        t,
-        gaps: 0,
-        blips: 0,
-    };
-    let mut frames = frames.into_iter().enumerate().peekable();
-    while let Some((fi, (time, dets))) = frames.next() {
-        let after_time = frames
-            .peek()
-            .map_or(f64::INFINITY, |&(_, (next_time, _))| next_time);
-        let seen = PresenceRun {
-            start: fi,
-            last: fi,
-            start_time: time,
-            after_time,
-        };
-        let boxes = dets.iter().map(|d| d.bbox);
-        let ids =
-            associator.assign_with(fi, boxes, |a, q, thr, out| memo.iou_pairs(a, q, thr, out));
-        for id in ids {
-            match runs.get_mut(usize::try_from(id.0).unwrap_or(usize::MAX)) {
-                Some(current) if current.last + 1 == fi => {
-                    current.last = fi;
-                    current.after_time = after_time;
-                }
-                Some(current) => {
-                    // Back after the absent run [last + 1, fi - 1], which
-                    // closed the present run [start, last].
-                    prep.blips += usize::from(current.is_short_blip(t));
-                    prep.gaps += usize::from(time - current.after_time < t);
-                    *current = seen;
-                }
-                None => runs.push(seen),
-            }
-        }
-    }
-    prep.blips += runs
-        .iter()
-        .filter(|current| current.is_short_blip(t))
-        .count();
-    prep
+    let mut frames = Some(frames);
+    let warm = SCRATCH.try_with(|scratch| {
+        let mut scratch = scratch.try_borrow_mut().ok()?;
+        Some(scratch.count(frames.take()?, t))
+    });
+    // Without this thread's scratch (already destroyed, or borrowed
+    // further up the stack) a fresh one counts; `frames` is then
+    // untaken.
+    warm.ok()
+        .flatten()
+        .unwrap_or_else(|| Scratch::new().count(frames.into_iter().flatten(), t))
 }
 
-/// A one-slot memo of [`matchers::iou_pairs`], shared by every window
-/// and worker of one preparer.
+thread_local! {
+    /// This thread's [`count_short_presence_runs`] state. Every pool
+    /// worker has its own, so no window takes a lock and no worker
+    /// evicts another's memo.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+}
+
+/// What [`count_short_presence_runs`] keeps across the windows one
+/// thread prepares: the associator and the run list, which each window
+/// resets and whose buffers it reuses, and the pair memo, which it
+/// keeps.
+struct Scratch {
+    associator: IouAssociator,
+    runs: Vec<PresenceRun>,
+    memo: PairSlot,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Self {
+            associator: IouAssociator::new(TRACK_IOU, TRACK_MAX_AGE),
+            runs: Vec::new(),
+            memo: PairSlot::default(),
+        }
+    }
+
+    /// [`count_short_presence_runs`] with this scratch.
+    fn count<'a>(
+        &mut self,
+        frames: impl IntoIterator<Item = (f64, &'a [ScoredBox])>,
+        t: f64,
+    ) -> VideoPrep {
+        let Self {
+            associator,
+            runs,
+            memo,
+        } = self;
+        associator.reset();
+        runs.clear();
+        let mut prep = VideoPrep {
+            t,
+            gaps: 0,
+            blips: 0,
+        };
+        let mut frames = frames.into_iter().enumerate().peekable();
+        while let Some((fi, (time, dets))) = frames.next() {
+            let after_time = frames
+                .peek()
+                .map_or(f64::INFINITY, |&(_, (next_time, _))| next_time);
+            let seen = PresenceRun {
+                start: fi,
+                last: fi,
+                start_time: time,
+                after_time,
+            };
+            let boxes = dets.iter().map(|d| d.bbox);
+            let ids =
+                associator.assign_with(fi, boxes, |a, q, thr, out| memo.iou_pairs(a, q, thr, out));
+            for id in ids {
+                match runs.get_mut(usize::try_from(id.0).unwrap_or(usize::MAX)) {
+                    Some(current) if current.last + 1 == fi => {
+                        current.last = fi;
+                        current.after_time = after_time;
+                    }
+                    Some(current) => {
+                        // Back after the absent run [last + 1, fi - 1],
+                        // which closed the present run [start, last].
+                        prep.blips += usize::from(current.is_short_blip(t));
+                        prep.gaps += usize::from(time - current.after_time < t);
+                        *current = seen;
+                    }
+                    None => runs.push(seen),
+                }
+            }
+        }
+        prep.blips += runs
+            .iter()
+            .filter(|current| current.is_short_blip(t))
+            .count();
+        prep
+    }
+}
+
+/// A one-slot memo of [`matchers::iou_pairs`], one per thread, kept
+/// across the windows the thread prepares.
 ///
 /// A window associates each adjacent frame pair it holds, so at
 /// `window_half` 1 two consecutive windows scan the same pair: window
@@ -143,19 +193,9 @@ pub(crate) fn count_short_presence_runs<'a>(
 /// coordinate and on the threshold, so `-0.0` and `0.0` differ) copies
 /// the stored pairs, and any other lookup scans and refills the slot,
 /// reusing its buffers. The served list is therefore the scan's
-/// whether the lookup hits or misses. The lock is held only to compare
-/// or copy, never while scanning. A poisoned lock is bypassed, and the
-/// lookup scans as if the slot were empty: a refill cut short by a
-/// panic may have left a new key beside the old pairs, so a poisoned
-/// slot is never read again.
-#[derive(Default)]
-pub(crate) struct PairMemo {
-    slot: Mutex<PairSlot>,
-}
-
-/// The memo's one slot: the key and pairs of the last scan it stored.
-/// The empty default is the scan of two empty lists at `0.0`, which is
-/// empty.
+/// whether the lookup hits or misses, whichever preparer or window
+/// stored the slot. The empty default is the scan of two empty lists at
+/// `0.0`, which is empty.
 #[derive(Default)]
 struct PairSlot {
     /// The threshold's bits.
@@ -172,6 +212,34 @@ impl PairSlot {
             && same_bits(&self.anchors, anchors)
             && same_bits(&self.queries, queries)
     }
+
+    /// [`matchers::iou_pairs`] through the slot: the stored pairs on a
+    /// hit, and on a miss a scan, which then refills the slot.
+    fn iou_pairs(
+        &mut self,
+        anchors: &[BBox2D],
+        queries: &[BBox2D],
+        threshold: f64,
+        pairs: &mut Vec<(f64, usize, usize)>,
+    ) {
+        if self.holds(anchors, queries, threshold) {
+            pairs.clear();
+            pairs.extend_from_slice(&self.pairs);
+            return;
+        }
+        matchers::iou_pairs(anchors, queries, threshold, pairs);
+        // Refilled out of place, so that a refill cut short by a panic
+        // leaves the empty slot, never a new key beside old pairs.
+        let mut slot = std::mem::take(self);
+        slot.threshold = threshold.to_bits();
+        for (stored, given) in [(&mut slot.anchors, anchors), (&mut slot.queries, queries)] {
+            stored.clear();
+            stored.extend_from_slice(given);
+        }
+        slot.pairs.clear();
+        slot.pairs.extend_from_slice(pairs);
+        *self = slot;
+    }
 }
 
 /// Whether two box lists are equal coordinate for coordinate, bit for
@@ -179,70 +247,6 @@ impl PairSlot {
 fn same_bits(a: &[BBox2D], b: &[BBox2D]) -> bool {
     let bits = |b: &BBox2D| [b.x1(), b.y1(), b.x2(), b.y2()].map(f64::to_bits);
     a.len() == b.len() && a.iter().zip(b).all(|(a, b)| bits(a) == bits(b))
-}
-
-impl PairMemo {
-    /// [`matchers::iou_pairs`] through the slot: the stored pairs on a
-    /// hit, and on a miss a scan made outside the lock, which then
-    /// refills the slot.
-    pub(crate) fn iou_pairs(
-        &self,
-        anchors: &[BBox2D],
-        queries: &[BBox2D],
-        threshold: f64,
-        pairs: &mut Vec<(f64, usize, usize)>,
-    ) {
-        if !self.hit(anchors, queries, threshold, pairs) {
-            matchers::iou_pairs(anchors, queries, threshold, pairs);
-            self.refill(anchors, queries, threshold, pairs);
-        }
-    }
-
-    /// Whether the slot holds the scan of exactly these inputs; if so,
-    /// its pairs replace the contents of `pairs`.
-    fn hit(
-        &self,
-        anchors: &[BBox2D],
-        queries: &[BBox2D],
-        threshold: f64,
-        pairs: &mut Vec<(f64, usize, usize)>,
-    ) -> bool {
-        let Ok(slot) = self.slot.lock() else {
-            return false;
-        };
-        let hit = slot.holds(anchors, queries, threshold);
-        if hit {
-            pairs.clear();
-            pairs.extend_from_slice(&slot.pairs);
-        }
-        hit
-    }
-
-    /// Stores a scan of these inputs in the slot, in its own buffers.
-    fn refill(
-        &self,
-        anchors: &[BBox2D],
-        queries: &[BBox2D],
-        threshold: f64,
-        pairs: &[(f64, usize, usize)],
-    ) {
-        if let Ok(mut slot) = self.slot.lock() {
-            let slot = &mut *slot;
-            slot.threshold = threshold.to_bits();
-            for (stored, given) in [(&mut slot.anchors, anchors), (&mut slot.queries, queries)] {
-                stored.clear();
-                stored.extend_from_slice(given);
-            }
-            slot.pairs.clear();
-            slot.pairs.extend_from_slice(pairs);
-        }
-    }
-}
-
-impl std::fmt::Debug for PairMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairMemo").finish_non_exhaustive()
-    }
 }
 
 /// The video set's shared per-window artifact, which the fusion set
@@ -272,30 +276,28 @@ pub struct VideoPrep {
 /// issued track ids. No track history, box copy, id window or violation
 /// list is built: the prepared checks read only the two counts.
 ///
-/// The preparer owns one memo of adjacent-frame candidate pairs, shared
-/// by every window it prepares and every worker that calls it. On a
-/// crowded step (at least
-/// [`INDEX_MIN`](omg_geom::matchers::INDEX_MIN)² candidate pairs) the
-/// associator takes the previous frame's pairs from it
-/// ([`IouAssociator::assign_with`]), so a sliding stream scans each
-/// crowded frame pair once instead of in both windows that hold it.
-/// Street frames never reach the memo. The memo's key is both box lists
-/// and the threshold, bit for bit, so the counts are the same whether
-/// it hits or misses, in any window order and at any worker count.
+/// The associator, its buffers and a one-slot memo of adjacent-frame
+/// candidate pairs belong to the calling thread, not the preparer, so a
+/// thread that has prepared a window of the same size allocates
+/// nothing, and every worker keeps its own memo. On a crowded step (at
+/// least [`INDEX_MIN`](omg_geom::matchers::INDEX_MIN)² candidate pairs)
+/// the associator takes the previous frame's pairs from the memo
+/// ([`IouAssociator::assign_with`]), so a thread that prepares a
+/// sliding stream's windows in order scans each crowded frame pair once
+/// instead of in both windows that hold it. Street frames never reach
+/// the memo. The memo's key is both box lists and the threshold, bit
+/// for bit, so the counts are the same whether it hits or misses, in
+/// any window order, on any thread and at any worker count.
 #[derive(Debug)]
 pub struct VideoPrepare {
     t: f64,
-    memo: PairMemo,
 }
 
 impl VideoPrepare {
     /// Creates the preparer for a video set built with the same temporal
     /// threshold `t` (seconds).
     pub fn new(t: f64) -> Self {
-        Self {
-            t,
-            memo: PairMemo::default(),
-        }
+        Self { t }
     }
 }
 
@@ -304,7 +306,7 @@ impl Prepare<VideoWindow> for VideoPrepare {
 
     fn prepare(&self, window: &VideoWindow) -> VideoPrep {
         let frames = window.frames.iter().map(|f| (f.time, f.dets.as_slice()));
-        count_short_presence_runs(frames, self.t, &self.memo)
+        count_short_presence_runs(frames, self.t)
     }
 }
 
@@ -419,6 +421,7 @@ pub fn news_prepared_assertion_set() -> AssertionSet<NewsScene, ConsistencyWindo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omg_geom::matchers::INDEX_MIN;
     use omg_sim::news::{NewsConfig, NewsWorld};
 
     /// 150 boxes on a 600-pixel square (enough pairs for the grid),
@@ -439,22 +442,26 @@ mod tests {
         boxes
     }
 
-    /// Looks `(anchors, queries, threshold)` up in `memo`, asserts the
-    /// served list is the scan's, and returns whether the lookup hit.
-    fn serve(memo: &PairMemo, anchors: &[BBox2D], queries: &[BBox2D], threshold: f64) -> bool {
+    /// Looks `(anchors, queries, threshold)` up in this thread's memo,
+    /// asserts the served list is the scan's, and returns whether the
+    /// lookup hit.
+    fn serve(anchors: &[BBox2D], queries: &[BBox2D], threshold: f64) -> bool {
         let mut want = Vec::new();
         matchers::iou_pairs(anchors, queries, threshold, &mut want);
         assert!(!want.is_empty(), "the scenes must overlap");
-        let mut probe = Vec::new();
-        let hit = memo.hit(anchors, queries, threshold, &mut probe);
-        if hit {
-            assert_eq!(probe, want, "the slot holds another scan");
-        }
-        // A stale entry, which a served list must not keep.
-        let mut served = vec![(f64::NAN, usize::MAX, usize::MAX)];
-        memo.iou_pairs(anchors, queries, threshold, &mut served);
-        assert_eq!(served, want);
-        hit
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let memo = &mut scratch.memo;
+            let hit = memo.holds(anchors, queries, threshold);
+            if hit {
+                assert_eq!(memo.pairs, want, "the slot holds another scan");
+            }
+            // A stale entry, which a served list must not keep.
+            let mut served = vec![(f64::NAN, usize::MAX, usize::MAX)];
+            memo.iou_pairs(anchors, queries, threshold, &mut served);
+            assert_eq!(served, want);
+            hit
+        })
     }
 
     #[test]
@@ -490,15 +497,119 @@ mod tests {
             ),
         ];
         for (name, lookups) in sequences {
-            let memo = PairMemo::default();
+            SCRATCH.with(|scratch| scratch.borrow_mut().memo = PairSlot::default());
             for (i, &(anchors, queries, threshold, hit)) in lookups.iter().enumerate() {
                 assert_eq!(
-                    serve(&memo, anchors, queries, threshold),
+                    serve(anchors, queries, threshold),
                     hit,
                     "{name}: lookup {i}"
                 );
             }
         }
+    }
+
+    /// The sliding windows (one frame on either side of the center) of a
+    /// stream of frames 0.1 s apart.
+    fn sliding_windows(frames: &[Vec<ScoredBox>]) -> Vec<VideoWindow> {
+        (0..frames.len())
+            .map(|c| {
+                let lo = c.saturating_sub(1);
+                let hi = (c + 2).min(frames.len());
+                let window = (lo..hi)
+                    .map(|i| crate::VideoFrame {
+                        index: i as u64,
+                        time: i as f64 * 0.1,
+                        dets: frames[i].clone(),
+                    })
+                    .collect();
+                VideoWindow::new(window, c - lo)
+            })
+            .collect()
+    }
+
+    /// On one thread, street windows, crowded windows above the grid
+    /// cutoff and fusion windows over the crowded frames, through two
+    /// video preparers with different thresholds and a fusion preparer,
+    /// interleaved: every window gets the counts a fresh scratch gives,
+    /// whatever the windows before it left in this thread's scratch.
+    /// Each fusion window after the first finds its first frame pair in
+    /// the memo, stored by a video preparer with another threshold.
+    #[test]
+    fn interleaved_windows_get_the_prep_of_a_fresh_scratch() {
+        use omg_sim::crowd::{CrowdConfig, CrowdWorld};
+        use omg_sim::traffic::{TrafficConfig, TrafficWorld};
+
+        // Night-street boxes, clutter included, with every fifth box
+        // dropped so that tracks flicker.
+        let mut street = TrafficWorld::new(TrafficConfig::night_street(), 3);
+        let mut k = 0;
+        let street: Vec<Vec<ScoredBox>> = (0..8)
+            .map(|_| {
+                let frame = street.step();
+                frame
+                    .signals
+                    .iter()
+                    .filter(|_| {
+                        k += 1;
+                        k % 5 != 0
+                    })
+                    .map(|s| ScoredBox {
+                        bbox: s.bbox,
+                        class: s.true_class,
+                        score: 0.9,
+                    })
+                    .collect()
+            })
+            .collect();
+        let crowd = CrowdWorld::new(CrowdConfig::clutter_heavy(150), 5).steps(8);
+        assert!(crowd
+            .iter()
+            .all(|f| f.len() * f.len() >= INDEX_MIN * INDEX_MIN));
+        let (street, crowd) = (sliding_windows(&street), sliding_windows(&crowd));
+        let fusion: Vec<crate::fusion::FusionWindow> = crowd
+            .iter()
+            .map(|w| {
+                let frames = w
+                    .frames
+                    .iter()
+                    .map(|f| crate::fusion::FusionFrame {
+                        index: f.index,
+                        time: f.time,
+                        primary: f.dets.clone(),
+                        secondary: Vec::new(),
+                    })
+                    .collect();
+                crate::fusion::FusionWindow::new(frames, w.center)
+            })
+            .collect();
+        let (loose, tight) = (VideoPrepare::new(0.45), VideoPrepare::new(0.25));
+        let fusion_prepare = crate::FusionPrepare::new(0.45);
+        let counts = |p: VideoPrep| (p.t.to_bits(), p.gaps, p.blips);
+        let fresh = |w: &VideoWindow, t: f64| {
+            let frames = w.frames.iter().map(|f| (f.time, f.dets.as_slice()));
+            counts(Scratch::new().count(frames, t))
+        };
+        let mut fired = 0;
+        for c in 0..crowd.len() {
+            let (s, w, f) = (&street[c], &crowd[c], &fusion[c]);
+            let boxes =
+                |i: usize| -> Vec<BBox2D> { w.frames[i].dets.iter().map(|d| d.bbox).collect() };
+            let first_pair_held = SCRATCH
+                .with(|scratch| scratch.borrow().memo.holds(&boxes(0), &boxes(1), TRACK_IOU));
+            assert_eq!(first_pair_held, c > 0, "crowded window {c}");
+            let got = [
+                (counts(fusion_prepare.prepare(f)), fresh(w, 0.45)),
+                (counts(loose.prepare(s)), fresh(s, 0.45)),
+                (counts(tight.prepare(w)), fresh(w, 0.25)),
+                (counts(tight.prepare(s)), fresh(s, 0.25)),
+                (counts(loose.prepare(w)), fresh(w, 0.45)),
+            ];
+            for (i, (got, want)) in got.into_iter().enumerate() {
+                assert_eq!(got, want, "window {c}, preparation {i}");
+                fired += want.1 + want.2;
+            }
+        }
+        assert!(fired > 0, "no short run in any window");
     }
 
     #[test]

@@ -99,10 +99,8 @@ impl BBox2D {
 
     /// Whether the two boxes intersect at all (touching edges count).
     ///
-    /// This is the cheap fast-reject every matcher runs before the area
-    /// math: four comparisons, no arithmetic. Disjoint pairs — the vast
-    /// majority in a crowded scene — never reach [`BBox2D::iou`]'s
-    /// multiply/divide path.
+    /// This is the cheap fast-reject the grid index runs on its
+    /// candidates: four comparisons, no arithmetic.
     #[inline]
     pub fn intersects(&self, other: &BBox2D) -> bool {
         self.x1 <= other.x2 && other.x1 <= self.x2 && self.y1 <= other.y2 && other.y1 <= self.y2
@@ -134,11 +132,20 @@ impl BBox2D {
     /// Two degenerate (zero-area) boxes have IoU `0`, including with
     /// themselves; this matches the convention used by detection benchmarks
     /// where zero-area boxes can never match anything.
+    ///
+    /// The overlap's width and height are taken once, as
+    /// [`BBox2D::intersection`] takes them; a negative one means the
+    /// boxes are disjoint, which for finite coordinates is exactly when
+    /// [`BBox2D::intersects`] fails. The result is bit for bit that of
+    /// testing `intersects` and then taking
+    /// [`BBox2D::intersection_area`].
     pub fn iou(&self, other: &BBox2D) -> f64 {
-        if !self.intersects(other) {
+        let w = self.x2.min(other.x2) - self.x1.max(other.x1);
+        let h = self.y2.min(other.y2) - self.y1.max(other.y1);
+        if !(w >= 0.0 && h >= 0.0) {
             return 0.0;
         }
-        let inter = self.intersection_area(other);
+        let inter = w * h;
         let union = self.area() + other.area() - inter;
         if union <= 0.0 {
             0.0
@@ -306,6 +313,63 @@ mod tests {
         let b = bb(5.0, 5.0, 6.0, 6.0);
         assert_eq!(a.iou(&b), 0.0);
         assert!(a.intersection(&b).is_none());
+    }
+
+    /// `iou` in the two-step form it had before it took the overlap
+    /// once: the `intersects` test, then `intersection_area`'s own
+    /// max/min/compare pass, then the union and the division.
+    fn two_step_iou(a: &BBox2D, b: &BBox2D) -> f64 {
+        if !a.intersects(b) {
+            return 0.0;
+        }
+        let inter = a.intersection_area(b);
+        let union = a.area() + b.area() - inter;
+        if union <= 0.0 {
+            0.0
+        } else {
+            inter / union
+        }
+    }
+
+    /// `iou` equals the two-step form bit for bit, NaN results by their
+    /// bits, on every pair of a lattice of boxes whose edges take both
+    /// signed zeros, touch and nest, give zero-area boxes, and span
+    /// widths and areas that overflow `f64`.
+    #[test]
+    fn iou_is_the_two_step_form_bit_for_bit() {
+        let edges = [-f64::MAX, -1.0, -0.0, 0.0, 1.0, 3.0, f64::MAX];
+        let spans: Vec<(f64, f64)> = edges
+            .iter()
+            .flat_map(|&lo| {
+                edges
+                    .iter()
+                    .filter(move |&&hi| lo <= hi)
+                    .map(move |&hi| (lo, hi))
+            })
+            .collect();
+        let boxes: Vec<BBox2D> = spans
+            .iter()
+            .flat_map(|&(x1, x2)| spans.iter().map(move |&(y1, y2)| bb(x1, y1, x2, y2)))
+            .collect();
+        let (mut nan, mut positive, mut differ) = (0, 0, Vec::new());
+        for a in &boxes {
+            for b in &boxes {
+                let (got, want) = (a.iou(b), two_step_iou(a, b));
+                if got.to_bits() != want.to_bits() {
+                    differ.push((*a, *b, got, want));
+                }
+                nan += usize::from(want.is_nan());
+                positive += usize::from(want > 0.0);
+            }
+        }
+        let pairs = boxes.len() * boxes.len();
+        assert!(
+            differ.is_empty(),
+            "{} of {pairs} pairs differ, first {:?}",
+            differ.len(),
+            differ.first()
+        );
+        assert!(nan > 0 && positive > 0, "{nan} NaN, {positive} positive");
     }
 
     #[test]

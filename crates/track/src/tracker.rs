@@ -338,6 +338,18 @@ impl IouAssociator {
     pub fn num_tracks(&self) -> usize {
         self.created
     }
+
+    /// Forgets every track and keeps the buffers, so that the next
+    /// calls issue the ids a new associator with the same threshold and
+    /// maximum age would, without allocating what it would allocate.
+    pub fn reset(&mut self) {
+        self.live.clear();
+        self.created = 0;
+        self.latest = None;
+        self.calls = 0;
+        // A split step reads the previous call's box count off `ids`.
+        self.ids.clear();
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,36 @@
 use omg_geom::BBox2D;
 use omg_track::IouAssociator;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bx(x: f64, y: f64) -> BBox2D {
     BBox2D::new(x, y, x + 10.0, y + 10.0).unwrap()
+}
+
+/// A frame sequence from `(advance, kind, seed)` steps, starting at
+/// frame 0: each step moves the frame number on by `advance` (0 repeats
+/// a frame) and holds no box (kind 0), a street frame's 1–11 boxes
+/// (kind 1) or a crowded frame's 128–199 (kind 2), at seeded positions
+/// on a 300-pixel square.
+fn frame_sequence(steps: &[(usize, u8, u64)]) -> Vec<(usize, Vec<BBox2D>)> {
+    let mut frame = 0;
+    steps
+        .iter()
+        .map(|&(advance, kind, seed)| {
+            frame += advance;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = match kind {
+                0 => 0,
+                1 => rng.gen_range(1..12usize),
+                _ => rng.gen_range(128..200usize),
+            };
+            let boxes = (0..n)
+                .map(|_| bx(rng.gen_range(0.0..300.0), rng.gen_range(0.0..300.0)))
+                .collect();
+            (frame, boxes)
+        })
+        .collect()
 }
 
 proptest! {
@@ -47,5 +74,31 @@ proptest! {
             total_boxes += n;
         }
         prop_assert!(tr.num_tracks() <= total_boxes.max(1));
+    }
+
+    /// After `reset`, an associator issues exactly the ids a new one
+    /// does, whatever it ran before: a street frame, a split step
+    /// between two crowded frames, a crowded frame after a gap that
+    /// retired the previous call's tracks, then drawn frames.
+    #[test]
+    fn reset_issues_the_ids_of_a_new_associator(
+        earlier in proptest::collection::vec((0usize..6, 0u8..3, any::<u64>()), 0..5),
+        later in proptest::collection::vec((0usize..6, 0u8..3, any::<u64>()), 1..8),
+        max_age in 0usize..4,
+    ) {
+        let mut steps = vec![(0, 1, 1), (1, 2, 2), (1, 2, 3), (max_age + 2, 2, 4)];
+        steps.extend(earlier);
+        let mut reused = IouAssociator::new(0.3, max_age);
+        for (frame, boxes) in frame_sequence(&steps) {
+            reused.assign(frame, boxes);
+        }
+        reused.reset();
+        prop_assert_eq!(reused.num_tracks(), 0);
+        let mut fresh = IouAssociator::new(0.3, max_age);
+        for (frame, boxes) in frame_sequence(&later) {
+            let want = fresh.assign(frame, boxes.iter().copied()).to_vec();
+            prop_assert_eq!(reused.assign(frame, boxes).to_vec(), want);
+        }
+        prop_assert_eq!(reused.num_tracks(), fresh.num_tracks());
     }
 }

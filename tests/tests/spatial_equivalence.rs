@@ -10,7 +10,7 @@
 //! reference scan. This suite checks the very calls the assertions make,
 //! at their thresholds, on the crowded benchmark's frames, and that
 //! nothing between the matcher and the severity — tracking, windowing,
-//! the preparer's pair memo, monitors, thread chunking — changes a
+//! each thread's pair memo, monitors, thread chunking — changes a
 //! crowded window's result.
 
 use omg_bench::crowd::{crowd_windows, frame_boxes};
@@ -75,7 +75,7 @@ fn crowd_frame_matchers_equal_the_reference() {
 /// themselves, so the fast path may not change a single logged severity.
 /// The windows are disjoint ones, and the sliding windows of one stream
 /// at 300 and 1,000 boxes, whose frame pairs `process_batch` splits
-/// across workers that share the preparer's pair memo.
+/// across workers, each with its own pair memo.
 #[test]
 fn crowded_prepared_monitor_matches_the_self_contained_one_at_every_thread_count() {
     let sets = [

@@ -12,8 +12,8 @@
 //! classes, and news' tuple `(scene, slot)` ids). The tests after them
 //! hold the prepared `(gaps, blips)` to the per-kind counts of `check`
 //! over `track_window`: on stream windows, on 300-box crowded windows,
-//! on sliding crowd windows that share frame pairs through the
-//! preparers' pair memo, and on generated windows that reach what the
+//! on sliding crowd windows that share frame pairs through the thread's
+//! pair memo, and on generated windows that reach what the
 //! streams miss (windows shorter than 3, runs at the edges, a gap of
 //! exactly `T`, and an absence long enough to give an object a new id).
 
@@ -337,9 +337,10 @@ fn fusion_prepare_equals_check_over_primary_view() {
 }
 
 /// Sliding crowd windows at 300 and 1,000 boxes, through one
-/// `VideoPrepare` and one `FusionPrepare` reused across every window: in
-/// stream order each window's first adjacent pair is the one its
-/// predecessor scanned last, so the preparers' pair memo hits; in
+/// `VideoPrepare` and one `FusionPrepare` reused across every window,
+/// which share this thread's pair memo: in stream order each video
+/// window's first adjacent pair is the one the fusion window before it
+/// scanned last, so the memo hits, and each fusion window's misses; in
 /// reverse and on a second pass it mostly misses, and a repeated frame
 /// puts a same-anchors, other-queries lookup right after a store. Every
 /// window's counts equal the reference's however the memo answers.
