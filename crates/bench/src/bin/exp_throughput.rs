@@ -29,7 +29,7 @@
 //! `--crowded` runs the asymptotic matcher benchmark: the matcher calls
 //! of clutter-heavy windows at 300 and 1,000 boxes per frame (each
 //! window's center-frame `multibox` triples and both adjacent frame
-//! pairs' association pairs), through the grid-indexed
+//! pairs' association pairs), through the indexed
 //! `omg_geom::matchers` and then the O(n²) `omg_geom::reference`,
 //! asserting equal outputs on every run and archiving both timing
 //! curves as `BENCH_crowded.json`.
@@ -232,7 +232,7 @@ fn check_stream_archive() {
 /// An association pair list, as `iou_pairs` fills it.
 type Pairs = Vec<(f64, usize, usize)>;
 
-/// Runs one crowd window's matcher calls through the grid-indexed
+/// Runs one crowd window's matcher calls through the indexed
 /// `omg_geom::matchers` or, with `indexed` false, through their O(n²)
 /// `omg_geom::reference`: the center frame's `multibox` triples at
 /// `MULTIBOX_IOU`, then each adjacent frame pair's association pairs at
@@ -273,7 +273,7 @@ fn window_matches(w: &VideoWindow, indexed: bool) -> (usize, Vec<Pairs>) {
 /// machine-load epoch.
 fn run_crowded_mode(n_windows: usize, reps: usize) {
     println!(
-        "== crowded-scene matchers: grid-indexed vs O(n²) reference, \
+        "== crowded-scene matchers: indexed vs O(n²) reference, \
          {n_windows} windows per density ==\n"
     );
     let mut rows: Vec<(String, f64)> = Vec::new();
@@ -467,7 +467,7 @@ fn main() {
     let reps = 3;
 
     if omg_bench::has_flag(&args, "--crowded") {
-        // The crowded benchmark compares the grid-indexed matchers with
+        // The crowded benchmark compares the indexed matchers with
         // their reference, not thread counts: it is single-threaded by
         // construction, so a co-passed `--threads` or `--stream`
         // conflicts with it.

@@ -13,7 +13,7 @@
 //! vehicle the primary missed; `fusion-flicker` flags the primary's
 //! temporal dropouts. Active learning improves the primary only.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use omg_domains::fusion::{FusionFrame, FusionWindow};
 use omg_domains::{fusion_assertion_set, fusion_prepared_assertion_set, FusionPrepare, VideoPrep};
@@ -76,15 +76,16 @@ impl HighwayScenario {
 }
 
 /// One position of the highway stream: the ground-truth frame plus both
-/// sensors' outputs on it.
+/// sensors' outputs on it, all shared, so cloning an item copies no
+/// frame (see [`crate::video::VideoItem`]).
 #[derive(Debug, Clone)]
 pub struct HighwayItem {
     /// The simulated frame (ground truth + detector-facing signals).
-    pub gt: GtFrame,
+    pub gt: Arc<GtFrame>,
     /// The primary (monitored) camera's output.
-    pub primary: Vec<Detection>,
+    pub primary: Arc<[Detection]>,
     /// The secondary (fixed) sensor's output.
-    pub secondary: Vec<Detection>,
+    pub secondary: Arc<[Detection]>,
 }
 
 /// Builds the standard *primary* camera: noticeably noisier than the
@@ -174,9 +175,9 @@ impl Scenario for HighwayScenario {
         self.pool_frames
             .iter()
             .map(|f| HighwayItem {
-                gt: f.clone(),
-                primary: model.detect_frame(f.index, &f.signals),
-                secondary: self.secondary.detect_frame(f.index, &f.signals),
+                gt: Arc::new(f.clone()),
+                primary: model.detect_frame(f.index, &f.signals).into(),
+                secondary: self.secondary.detect_frame(f.index, &f.signals).into(),
             })
             .collect()
     }

@@ -7,7 +7,7 @@
 //! learner, and the error-collection loop are the generic drivers in
 //! `omg-scenario`.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use omg_domains::{video_assertion_set, video_prepared_assertion_set, VideoPrep, VideoPrepare};
 use omg_domains::{VideoFrame, VideoWindow};
@@ -54,13 +54,15 @@ impl VideoScenario {
 /// One position of the night-street stream: the ground-truth frame and
 /// the detector's output on it. The ground truth and provenance ride
 /// along for the error-attribution and labeling hooks; the assertions
-/// only ever see the scored boxes.
+/// only ever see the scored boxes. Both are shared, so cloning an item
+/// (as the service does on ingest) bumps two reference counts and copies
+/// no frame; the detections stay one pointer away for `make_sample`.
 #[derive(Debug, Clone)]
 pub struct VideoItem {
     /// The simulated frame (ground truth + detector-facing signals).
-    pub gt: GtFrame,
+    pub gt: Arc<GtFrame>,
     /// The detector's output on the frame.
-    pub dets: Vec<Detection>,
+    pub dets: Arc<[Detection]>,
 }
 
 /// Runs the detector over a frame sequence.
@@ -194,8 +196,8 @@ impl Scenario for VideoScenario {
         self.pool_frames
             .iter()
             .map(|f| VideoItem {
-                gt: f.clone(),
-                dets: model.detect_frame(f.index, &f.signals),
+                gt: Arc::new(f.clone()),
+                dets: model.detect_frame(f.index, &f.signals).into(),
             })
             .collect()
     }

@@ -78,7 +78,7 @@ pub fn track_window(window: &VideoWindow) -> ConsistencyWindow<TrackedBox> {
 /// Counts triples of same-class boxes that pairwise overlap above the
 /// IoU threshold — the paper's `multibox` condition ("three boxes highly
 /// overlap", Figure 7). Delegates to the spatial matcher in `omg-geom`
-/// (grid-indexed in crowded frames, pairwise otherwise).
+/// (an axis sweep in crowded frames, pairwise otherwise).
 pub fn overlap_triples(dets: &[ScoredBox], iou_threshold: f64) -> usize {
     let boxes: Vec<BBox2D> = dets.iter().map(|d| d.bbox).collect();
     let classes: Vec<usize> = dets.iter().map(|d| d.class).collect();

@@ -11,8 +11,9 @@
 //!
 //! [`GridIndex2D`] is built once over a borrowed slice of [`BBox2D`]s and
 //! answers one query, [`GridIndex2D::candidates_overlapping`]; it is the
-//! substrate of tracker association, duplicate-cluster detection, and
-//! fusion agreement (see [`crate::matchers`]).
+//! substrate of the two-set matchers, tracker association and fusion
+//! agreement (see [`crate::matchers`]). Duplicate-cluster detection, a
+//! self-join, sweeps its boxes along one axis instead.
 //!
 //! # Layout
 //!
@@ -38,12 +39,14 @@
 //! for rows. So every box sharing a cell with the query is looked at
 //! exactly once, and a [`BBox2D::intersects`] check keeps the ones whose
 //! AABB intersects the query. [`GridIndex2D::candidates_overlapping`]
-//! therefore returns **exactly** those boxes, each once; a query that
-//! spans one cell already has them ascending, and a wider one sorts them
-//! once. Matchers built on it compute the same IoU values on the
-//! surviving pairs as the pairwise reference scans in
-//! [`crate::reference`] — the equivalence the spatial property suite and
-//! the registry-driven engine tests pin bit-for-bit.
+//! therefore returns **exactly** those boxes, each once, in the order
+//! the walk meets them: row by row and, within a visited row, cell by
+//! cell. That order is fixed by the input but is not ascending, and no
+//! caller needs it to be: `iou_pairs` sorts each anchor's few matches by
+//! query index and `count_unmatched` only counts. Matchers built on it
+//! compute the same IoU values on the surviving pairs as the pairwise
+//! reference scans in [`crate::reference`] — the equivalence the spatial
+//! property suite and the registry-driven engine tests pin bit-for-bit.
 
 use crate::BBox2D;
 
@@ -66,9 +69,8 @@ const ID_SHIFT: u32 = 2;
 /// Built in one shot by [`GridIndex2D::build`], which derives the cell
 /// size from the median box extent. The cells' box ids are stored in one
 /// flat array, cell after cell (see the [module docs](self)). Queries
-/// return indices into the slice, always sorted ascending and
-/// duplicate-free, so every consumer iterates candidates in a
-/// deterministic order.
+/// return indices into the slice, duplicate-free, in the order the walk
+/// meets them: deterministic for one input, but not ascending.
 ///
 /// # Example
 ///
@@ -83,6 +85,7 @@ const ID_SHIFT: u32 = 2;
 /// let grid = GridIndex2D::build(&boxes);
 /// let mut hits = Vec::new();
 /// grid.candidates_overlapping(&boxes[0], &mut hits);
+/// hits.sort_unstable();
 /// assert_eq!(hits, vec![0, 1]); // the far box never shows up
 /// # Ok::<(), omg_geom::GeomError>(())
 /// ```
@@ -233,9 +236,9 @@ impl<'a> GridIndex2D<'a> {
     }
 
     /// Collects into `out` the ids of **exactly** the indexed boxes whose
-    /// AABB intersects `query` (touching edges count), sorted ascending.
-    /// `out` is cleared first; reuse it across queries to avoid
-    /// reallocation.
+    /// AABB intersects `query` (touching edges count), each once, in the
+    /// order the walk meets them (not ascending). `out` is cleared first;
+    /// reuse it across queries to avoid reallocation.
     pub fn candidates_overlapping(&self, query: &BBox2D, out: &mut Vec<usize>) {
         out.clear();
         let (cx1, cy1, cx2, cy2) = self.cell_range(query);
@@ -250,10 +253,6 @@ impl<'a> GridIndex2D<'a> {
             self.push_hits(first, need_row, query, out);
             let rest = self.cell_run(row + cx1 + 1, row + cx2 + 1);
             self.push_hits(rest, need_row | FIRST_COL, query, out);
-        }
-        // Each cell's run is ascending, so one visited cell needs no sort.
-        if cx2 > cx1 || cy2 > cy1 {
-            out.sort_unstable();
         }
     }
 
@@ -320,11 +319,20 @@ mod tests {
         BBox2D::new(x, y, x + s, y + s).unwrap()
     }
 
-    /// Brute-force reference for candidate queries.
+    /// Brute-force reference for candidate queries, ascending.
     fn brute_overlapping(boxes: &[BBox2D], q: &BBox2D) -> Vec<usize> {
         (0..boxes.len())
             .filter(|&i| boxes[i].intersects(q))
             .collect()
+    }
+
+    /// The grid's candidates for `q`, sorted: a duplicate would show as
+    /// an extra element.
+    fn sorted_candidates(grid: &GridIndex2D<'_>, q: &BBox2D) -> Vec<usize> {
+        let mut out = Vec::new();
+        grid.candidates_overlapping(q, &mut out);
+        out.sort_unstable();
+        out
     }
 
     #[test]
@@ -383,14 +391,11 @@ mod tests {
             bb(-30.0, -30.0, 5.0),
         ];
         let grid = GridIndex2D::build(&boxes);
-        let mut out = Vec::new();
         for q in &boxes {
-            grid.candidates_overlapping(q, &mut out);
-            assert_eq!(out, brute_overlapping(&boxes, q));
+            assert_eq!(sorted_candidates(&grid, q), brute_overlapping(&boxes, q));
         }
         // A query box nobody touches.
-        grid.candidates_overlapping(&bb(200.0, 200.0, 1.0), &mut out);
-        assert!(out.is_empty());
+        assert!(sorted_candidates(&grid, &bb(200.0, 200.0, 1.0)).is_empty());
     }
 
     #[test]
@@ -417,18 +422,17 @@ mod tests {
         boxes.extend((0..20).map(|i| bb(f64::from(i) * 5.0, 0.0, 5.0)));
         let grid = GridIndex2D::build(&boxes);
         assert!(grid.nx * grid.ny > 1, "big must span several cells");
-        let mut out = Vec::new();
-        grid.candidates_overlapping(&big, &mut out);
-        assert_eq!(out, (0..boxes.len()).collect::<Vec<_>>());
+        assert_eq!(
+            sorted_candidates(&grid, &big),
+            (0..boxes.len()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn zero_area_boxes_index_and_query() {
         let boxes = vec![bb(5.0, 5.0, 0.0), bb(5.0, 5.0, 0.0), bb(80.0, 80.0, 0.0)];
         let grid = GridIndex2D::build(&boxes);
-        let mut out = Vec::new();
-        grid.candidates_overlapping(&bb(0.0, 0.0, 10.0), &mut out);
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(sorted_candidates(&grid, &bb(0.0, 0.0, 10.0)), vec![0, 1]);
     }
 
     #[test]

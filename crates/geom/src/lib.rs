@@ -15,11 +15,12 @@
 //!   ("projects the 3D boxes onto the 2D camera plane to check for
 //!   consistency", §2.2).
 //! * [`grid`] — a uniform spatial grid index ([`grid::GridIndex2D`]),
-//!   built once over a borrowed slice, that makes box matching
+//!   built once over a borrowed slice, that makes two-set box matching
 //!   sub-quadratic.
 //! * [`matchers`] — the three indexed matchers every assertion routes
 //!   through (association pairs, overlap triples, agreement counts),
-//!   each picking the grid or the reference scan from its input.
+//!   each picking its indexed path (the grid, or an axis sweep for the
+//!   triples) or the reference scan from its input.
 //! * [`reference`](mod@reference) — the preserved O(n²) pairwise
 //!   scans: equivalence oracle, benchmark baseline, and small-input
 //!   fallback.

@@ -8,43 +8,65 @@
 //! picks one of two paths from its input, and both produce
 //! **bit-for-bit identical** output:
 //!
-//! * an *indexed* path that builds a [`GridIndex2D`] and only scores
-//!   candidate pairs whose AABBs intersect — near-linear in crowded
-//!   scenes;
+//! * an *indexed* path that only scores pairs whose AABBs could
+//!   intersect — near-linear in crowded scenes. The two-set matchers
+//!   build a [`GridIndex2D`] over one set and query it with the other;
+//!   `overlap_triples`, a self-join, sorts its boxes along one axis and
+//!   sweeps them instead;
 //! * the O(n²) *reference* path in [`crate::reference`], taken below
-//!   [`INDEX_MIN`] boxes and for thresholds the grid cannot serve.
+//!   [`INDEX_MIN`] boxes and for thresholds the indexed path cannot
+//!   serve.
 //!
 //! # Why candidate lookup is exact, not approximate
 //!
 //! A pair can only match when its IoU clears a positive threshold, and
-//! positive IoU requires intersecting AABBs — exactly the pairs the grid
-//! returns (see [`crate::grid`]). The indexed matchers therefore compute
-//! the very same IoU values on the very same surviving pairs, in the
-//! same deterministic order, as the reference scans. When that argument
-//! does not hold — a zero, negative or NaN threshold, where even
-//! disjoint pairs "match" — the matchers detect it and fall back to the
-//! reference automatically. Tests check the claim by calling both
-//! modules on the same input.
+//! positive IoU requires AABBs that intersect, touching edges included,
+//! on both axes. The grid returns exactly the boxes whose AABB
+//! intersects a query (see [`crate::grid`]); `iou_pairs` puts each
+//! anchor's matches in query order, so its list comes out in the
+//! reference's order. The sweep visits every same-class pair that
+//! overlaps along its axis, a superset of the pairs that can match, and
+//! tests each with the reference's predicate, lower index as the
+//! receiver. The indexed matchers therefore compute the very same IoU
+//! values on the very same surviving pairs as the reference scans. When
+//! that argument does not hold — a zero, negative or NaN threshold,
+//! where even disjoint pairs "match" — the matchers detect it and fall
+//! back to the reference automatically. Tests check the claim by
+//! calling both modules on the same input.
+//!
+//! # Why a sweep for the triples and a grid for the pairs
+//!
+//! The grid's cost on crowd frames is its own candidate walk, not the
+//! IoU it saves, and a self-join through it queries every box and then
+//! drops the candidates below it. `overlap_triples` instead sorts each
+//! class's boxes by lower edge along the axis the boxes cover more
+//! sparsely (summed extent over the bounds' span), visits each pair that
+//! overlaps along it once, keeps the matching pairs as edges in a CSR
+//! adjacency (one flat run of higher-id neighbours per box) and counts
+//! the edges' triangles. The axis choice only changes speed: a column of
+//! boxes sharing one x-range sweeps in y, a row of tall thin stacks in
+//! x. Between two sets the sweep measured slower than the grid, so
+//! `iou_pairs` and `count_unmatched` keep the grid.
 
 use crate::grid::GridIndex2D;
 use crate::{reference, BBox2D};
 
-/// Below this many boxes the matchers skip the grid and run the
-/// reference scan directly. Street, AV and highway frames hold tens of
-/// boxes, where building an index costs more than the IoU calls it
-/// would save; crowd frames hold hundreds to thousands, where the scan
-/// is quadratic. The cutoff sits between the two, below the crowded
-/// benchmark's 300 and 1,000 boxes per frame, so only crowd frames take
-/// the grid. Both paths are exact, so this is purely a performance
-/// cutoff.
+/// Below this many boxes the matchers skip their indexed paths (the
+/// grid, the sweep) and run the reference scan directly. Street, AV and
+/// highway frames hold tens of boxes, where building an index costs more
+/// than the IoU calls it would save; crowd frames hold hundreds to
+/// thousands, where the scan is quadratic. The cutoff sits between the
+/// two, below the crowded benchmark's 300 and 1,000 boxes per frame, so
+/// only crowd frames take an indexed path. Both paths are exact, so this
+/// is purely a performance cutoff.
 pub const INDEX_MIN: usize = 128;
 
 /// Whether a matcher over `pairs` candidate pairs with the predicate
 /// `iou >= thr` takes the indexed path: only from `INDEX_MIN²` pairs
 /// (`INDEX_MIN` boxes for a one-set matcher), and only when matching
-/// implies a positive-area intersection, or grid candidate lookup would
-/// miss "matching" disjoint pairs. NaN thresholds fail `thr > 0.0` and
-/// fall back.
+/// implies a positive-area intersection, or candidate lookup (grid or
+/// sweep) would miss "matching" disjoint pairs. NaN thresholds fail
+/// `thr > 0.0` and fall back.
 fn indexed(pairs: usize, thr: f64) -> bool {
     pairs >= INDEX_MIN * INDEX_MIN && thr > 0.0
 }
@@ -52,10 +74,10 @@ fn indexed(pairs: usize, thr: f64) -> bool {
 /// Replaces the contents of `pairs` with every `(iou, anchor_idx,
 /// query_idx)` pair whose IoU is at or above `iou_threshold`, sorted by
 /// ascending `(anchor_idx, query_idx)` — identical to
-/// [`reference::iou_pairs`] in content *and* order (the grid returns
-/// candidates in ascending index order). The tracker's greedy
-/// detection-to-track association consumes this, reusing one buffer
-/// across frames.
+/// [`reference::iou_pairs`] in content *and* order (anchors are taken
+/// in order, and each anchor's matches are sorted by query index). The
+/// tracker's greedy detection-to-track association consumes this,
+/// reusing one buffer across frames.
 pub fn iou_pairs(
     anchors: &[BBox2D],
     queries: &[BBox2D],
@@ -70,12 +92,18 @@ pub fn iou_pairs(
     let mut cands: Vec<usize> = Vec::new();
     for (ai, a) in anchors.iter().enumerate() {
         grid.candidates_overlapping(a, &mut cands);
+        let from = pairs.len();
         for &qi in &cands {
-            // PANIC: qi comes from GridIndex2D built over `queries`.
-            let iou = a.iou(&queries[qi]);
+            let Some(q) = queries.get(qi) else { continue };
+            let iou = a.iou(q);
             if iou >= iou_threshold {
                 pairs.push((iou, ai, qi));
             }
+        }
+        // The grid's candidates come in no set order; this anchor's few
+        // matches are put in query order here.
+        if let Some(matched) = pairs.get_mut(from..) {
+            matched.sort_unstable_by_key(|&(_, _, qi)| qi);
         }
     }
 }
@@ -83,6 +111,12 @@ pub fn iou_pairs(
 /// Counts triples `i < j < k` of same-class boxes that pairwise overlap
 /// at or above `iou_threshold` (the `multibox` duplicate-cluster
 /// condition); identical to [`reference::overlap_triples`].
+///
+/// From [`INDEX_MIN`] boxes (with a positive threshold) it runs a
+/// sort-and-sweep self-join: each class's boxes sorted by lower edge
+/// along the axis the boxes cover more sparsely, each pair that overlaps
+/// along it visited once, the matching pairs kept as edges, and the
+/// triangles of that graph counted (see the [module docs](self)).
 ///
 /// # Panics
 ///
@@ -96,33 +130,142 @@ pub fn overlap_triples(boxes: &[BBox2D], classes: &[usize], iou_threshold: f64) 
     if !indexed(boxes.len() * boxes.len(), iou_threshold) {
         return reference::overlap_triples(boxes, classes, iou_threshold);
     }
-    let grid = GridIndex2D::build(boxes);
-    let mut triples = 0;
-    let mut cands: Vec<usize> = Vec::new();
-    let mut nbrs: Vec<usize> = Vec::new();
-    // PANIC: i ranges over 0..boxes.len(), j comes from GridIndex2D
-    // over these boxes, and `classes` length is asserted equal above.
-    for i in 0..boxes.len() {
-        grid.candidates_overlapping(&boxes[i], &mut cands);
-        // Neighbors of i with a larger index: each triple is counted
-        // exactly once, anchored at its smallest member.
-        nbrs.clear();
-        for &j in &cands {
-            if j > i && classes[j] == classes[i] && boxes[i].iou(&boxes[j]) >= iou_threshold {
-                nbrs.push(j);
+    let edges = matching_edges(boxes, classes, iou_threshold);
+    count_triangles(boxes.len(), &edges)
+}
+
+/// The triangles of the graph on `n` nodes whose edges are `edges`, each
+/// `(lo, hi)` with `lo < hi` and listed once. The edges go into a CSR
+/// adjacency, `starts[i]..starts[i + 1]` being node i's run of
+/// higher-id neighbours in `nbrs`: count each node's run, prefix-sum the
+/// counts into run ends, then fill each run back to front.
+fn count_triangles(n: usize, edges: &[(usize, usize)]) -> usize {
+    let mut starts = vec![0; n + 1];
+    for &(lo, _) in edges {
+        if let Some(count) = starts.get_mut(lo) {
+            *count += 1;
+        }
+    }
+    let mut total = 0;
+    for end in &mut starts {
+        total += *end;
+        *end = total;
+    }
+    let mut nbrs = vec![0; total];
+    for &(lo, hi) in edges {
+        if let Some(end) = starts.get_mut(lo) {
+            *end -= 1;
+            if let Some(slot) = nbrs.get_mut(*end) {
+                *slot = hi;
             }
         }
-        // PANIC: nbrs holds grid indices; a < nbrs.len() so the range
-        // slice and the j/k subscripts are in bounds.
-        for (a, &j) in nbrs.iter().enumerate() {
-            for &k in &nbrs[a + 1..] {
-                if boxes[j].iou(&boxes[k]) >= iou_threshold {
-                    triples += 1;
+    }
+    let run = |from: usize, to: usize| nbrs.get(from..to).unwrap_or_default();
+    let neighbours = |i: usize| match (starts.get(i), starts.get(i + 1)) {
+        (Some(&from), Some(&to)) => run(from, to),
+        _ => &[],
+    };
+    // Each triangle i < j < k is counted once, at its edge (i, j): k is
+    // a neighbour of j that i marked as its own.
+    let mut marked_by = vec![usize::MAX; n];
+    let mut triangles = 0;
+    for (i, (&from, &to)) in starts.iter().zip(starts.iter().skip(1)).enumerate() {
+        let mine = run(from, to);
+        for &j in mine {
+            if let Some(mark) = marked_by.get_mut(j) {
+                *mark = i;
+            }
+        }
+        for &j in mine {
+            let shared = neighbours(j)
+                .iter()
+                .filter(|&&k| marked_by.get(k) == Some(&i));
+            triangles += shared.count();
+        }
+    }
+    triangles
+}
+
+/// A box as the sweep reads it: its extent along the sweep axis and
+/// across it, its index and its class.
+#[derive(Debug)]
+struct Swept {
+    lo: f64,
+    hi: f64,
+    across: (f64, f64),
+    id: usize,
+    class: usize,
+}
+
+/// Every same-class pair `(lo, hi)`, `lo < hi`, with
+/// `boxes[lo].iou(&boxes[hi]) >= thr`, in no set order: a sort-and-sweep
+/// self-join per class. With a class's boxes ordered by lower edge along
+/// the sparser axis, box `a`'s sweep partners are the later boxes whose
+/// lower edge is at most `a`'s upper edge, which are exactly the later
+/// boxes that overlap `a` on that axis, touching included; so each such
+/// pair is visited once. A pair that clears `thr > 0` overlaps on both
+/// axes, so skipping the pairs that do not overlap across the sweep axis
+/// loses no match.
+fn matching_edges(boxes: &[BBox2D], classes: &[usize], thr: f64) -> Vec<(usize, usize)> {
+    let along_x = sparser_axis_is_x(boxes);
+    let mut order: Vec<Swept> = boxes
+        .iter()
+        .zip(classes)
+        .enumerate()
+        .map(|(id, (b, &class))| {
+            let (x, y) = ((b.x1(), b.x2()), (b.y1(), b.y2()));
+            let ((lo, hi), across) = if along_x { (x, y) } else { (y, x) };
+            Swept {
+                lo,
+                hi,
+                across,
+                id,
+                class,
+            }
+        })
+        .collect();
+    order.sort_unstable_by(|a, b| a.class.cmp(&b.class).then(a.lo.total_cmp(&b.lo)));
+    let mut edges = Vec::new();
+    for class in order.chunk_by(|a, b| a.class == b.class) {
+        let mut firsts = class.iter();
+        while let Some(a) = firsts.next() {
+            for b in firsts.clone().take_while(|b| b.lo <= a.hi) {
+                if b.across.0 > a.across.1 || a.across.0 > b.across.1 {
+                    continue;
+                }
+                // The lower id is the receiver, as in the reference scan.
+                let (lo, hi) = (a.id.min(b.id), a.id.max(b.id));
+                let pair = boxes.get(lo).zip(boxes.get(hi));
+                if pair.is_some_and(|(p, q)| p.iou(q) >= thr) {
+                    edges.push((lo, hi));
                 }
             }
         }
     }
-    triples
+    edges
+}
+
+/// Whether `boxes` overlap less along x than along y: whether their
+/// summed width is the smaller share of the bounds' width than their
+/// summed height is of the bounds' height. Sweeping the sparser axis
+/// visits the fewest pairs; either axis gives the same edges. A zero
+/// span (every box on one line) counts as fully covered.
+fn sparser_axis_is_x(boxes: &[BBox2D]) -> bool {
+    let Some((first, rest)) = boxes.split_first() else {
+        return true;
+    };
+    let bounds = rest.iter().fold(*first, |acc, b| acc.union_bounds(b));
+    let (width, height) = boxes
+        .iter()
+        .fold((0.0, 0.0), |(w, h), b| (w + b.width(), h + b.height()));
+    let cover = |sum: f64, span: f64| {
+        if span > 0.0 {
+            sum / span
+        } else {
+            f64::INFINITY
+        }
+    };
+    cover(width, bounds.width()) <= cover(height, bounds.height())
 }
 
 /// Counts the queries that overlap **no** target at or above
@@ -137,8 +280,9 @@ pub fn count_unmatched(queries: &[BBox2D], targets: &[BBox2D], iou_threshold: f6
     let mut unmatched = 0;
     for q in queries {
         grid.candidates_overlapping(q, &mut cands);
-        // PANIC: t comes from GridIndex2D built over `targets`.
-        if cands.iter().all(|&t| q.iou(&targets[t]) < iou_threshold) {
+        // `< thr` as the reference tests it: a NaN IoU counts as a match.
+        let misses = |&t: &usize| targets.get(t).map_or(true, |b| q.iou(b) < iou_threshold);
+        if cands.iter().all(misses) {
             unmatched += 1;
         }
     }
@@ -243,6 +387,29 @@ mod tests {
             pairs_of(iou_pairs, &a, &b, f64::NAN),
             pairs_of(reference::iou_pairs, &a, &b, f64::NAN)
         );
+    }
+
+    #[test]
+    fn sweep_takes_the_sparser_axis() {
+        let column: Vec<BBox2D> = (0..200)
+            .map(|i| {
+                let y = f64::from(i) * 7.0;
+                BBox2D::new(0.0, y, 40.0, y + 20.0).unwrap()
+            })
+            .collect();
+        let row: Vec<BBox2D> = column
+            .iter()
+            .map(|b| BBox2D::new(b.y1(), b.x1(), b.y2(), b.x2()).unwrap())
+            .collect();
+        assert!(!sparser_axis_is_x(&column));
+        assert!(sparser_axis_is_x(&row));
+        // Every box on one vertical line: a zero x-span is fully covered.
+        let line: Vec<BBox2D> = column
+            .iter()
+            .map(|b| BBox2D::new(5.0, b.y1(), 5.0, b.y2()).unwrap())
+            .collect();
+        assert!(!sparser_axis_is_x(&line));
+        assert!(sparser_axis_is_x(&[]));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    crowd window's matcher calls through both modules, so the
 //!    asymptotic win is a recorded curve, not a claim.
 //! 3. **Fallback.** The indexed paths delegate here for tiny inputs
-//!    (grid build costs more than it saves) and for degenerate
-//!    thresholds where "overlaps above the threshold" no longer implies
-//!    "intersects" and grid candidate lookup would be unsound.
+//!    (building a grid or sorting for a sweep costs more than it saves)
+//!    and for degenerate thresholds where "overlaps above the
+//!    threshold" no longer implies "intersects" and candidate lookup
+//!    would be unsound.
 //!
 //! This module is the **only** place outside test code where raw
 //! pairwise IoU loops are allowed; `omg-lint` pins every `.iou(` /
@@ -61,24 +62,21 @@ pub fn overlap_triples(boxes: &[BBox2D], classes: &[usize], iou_threshold: f64) 
         classes.len(),
         "boxes and classes must be the same length"
     );
-    let n = boxes.len();
     let mut triples = 0;
-    // PANIC: i, j, k all range inside 0..n = boxes.len(), and the
-    // classes length is asserted equal above.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if classes[i] != classes[j] || boxes[i].iou(&boxes[j]) < iou_threshold {
+    // Each iterator clone resumes right after the box it was cloned at.
+    let mut firsts = boxes.iter().zip(classes);
+    while let Some((bi, ci)) = firsts.next() {
+        let mut seconds = firsts.clone();
+        while let Some((bj, cj)) = seconds.next() {
+            if ci != cj || bi.iou(bj) < iou_threshold {
                 continue;
             }
-            // PANIC: k < n = boxes.len() = classes.len().
-            for k in (j + 1)..n {
-                if classes[k] == classes[i]
-                    && boxes[i].iou(&boxes[k]) >= iou_threshold
-                    && boxes[j].iou(&boxes[k]) >= iou_threshold
-                {
-                    triples += 1;
-                }
-            }
+            triples += seconds
+                .clone()
+                .filter(|&(bk, ck)| {
+                    ck == ci && bi.iou(bk) >= iou_threshold && bj.iou(bk) >= iou_threshold
+                })
+                .count();
         }
     }
     triples

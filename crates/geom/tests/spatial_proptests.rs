@@ -7,8 +7,10 @@
 //! deterministically; adversarial shapes (all-identical boxes, zero-area
 //! boxes, giant boxes straddling many cells) get their own generators;
 //! a lattice generator puts box and query edges exactly on the grid's
-//! cell lines; and the grid's one query, `candidates_overlapping`, is
-//! checked against brute force.
+//! cell lines; sweep layouts (a shared x- or y-range, tall thin stacks,
+//! tied sweep keys, touching boxes) test the `overlap_triples` sweep
+//! where one axis tells boxes apart badly; and the grid's one query,
+//! `candidates_overlapping`, is checked against brute force.
 
 use omg_geom::grid::GridIndex2D;
 use omg_geom::{matchers, reference, BBox2D};
@@ -243,6 +245,107 @@ fn lattice() -> impl Strategy<Value = Lattice> {
         })
 }
 
+/// The layouts a one-axis sweep handles worst, or where its ordering
+/// and boundary tests decide the answer.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Every box spans the same x-range: an x sweep would visit every
+    /// pair, so the sweep must pick y.
+    Column,
+    /// Every box spans the same y-range: the transpose of `Column`.
+    Row,
+    /// Columns of tall, thin boxes that all overlap in y.
+    ThinStacks,
+    /// Lower edges drawn from a handful of values on both axes, so the
+    /// sweep key ties often.
+    TiedKeys,
+    /// Equal boxes on a lattice one box wide, so neighbours touch at the
+    /// sweep boundary and the boxes at one point coincide.
+    Touching,
+}
+
+const LAYOUTS: [Layout; 5] = [
+    Layout::Column,
+    Layout::Row,
+    Layout::ThinStacks,
+    Layout::TiedKeys,
+    Layout::Touching,
+];
+
+/// `n` boxes in `layout`, deterministic per seed, with classes
+/// interleaved (`i % 3`) so each box's nearest neighbours on the sweep
+/// axis are mostly of other classes. Densities keep a few boxes over
+/// each point, so the triples are many but the reference stays fast at
+/// 1,000 boxes.
+fn layout_scene(layout: Layout, n: usize, seed: u64) -> Scene {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let reach = n as f64 * 4.0;
+    let stacks = (n / 10).max(1) as f64;
+    let boxes = (0..n)
+        .map(|_| {
+            let (x1, y1, x2, y2) = match layout {
+                Layout::Column | Layout::Row => {
+                    let at = next() * reach;
+                    let (lo, hi) = (at, at + 10.0 + next() * 30.0);
+                    if matches!(layout, Layout::Column) {
+                        (100.0, lo, 140.0, hi)
+                    } else {
+                        (lo, 100.0, hi, 140.0)
+                    }
+                }
+                Layout::ThinStacks => {
+                    let x = (next() * stacks).floor() * 30.0 + next() * 2.0;
+                    let y = next() * 20.0;
+                    (x, y, x + 2.0 + next() * 6.0, y + 600.0 + next() * 40.0)
+                }
+                Layout::TiedKeys => {
+                    let x = (next() * 8.0).floor() * 10.0 * stacks;
+                    let y = (next() * 8.0).floor() * 10.0;
+                    (x, y, x + 10.0 + next() * 20.0, y + 10.0 + next() * 20.0)
+                }
+                Layout::Touching => {
+                    let side = (n as f64 / 8.0).sqrt().ceil();
+                    let x = (next() * side).floor() * 10.0;
+                    let y = (next() * side).floor() * 10.0;
+                    (x, y, x + 10.0, y + 10.0)
+                }
+            };
+            BBox2D::new(x1, y1, x2, y2).unwrap()
+        })
+        .collect();
+    Scene {
+        boxes,
+        classes: (0..n).map(|i| i % 3).collect(),
+    }
+}
+
+/// `overlap_triples` equals the reference on every sweep layout at
+/// 1,000 boxes, both at a threshold most overlapping pairs clear and at
+/// one few do.
+#[test]
+fn sweep_layouts_agree_with_reference_at_1000_boxes() {
+    for layout in LAYOUTS {
+        let Scene { boxes, classes } = layout_scene(layout, 1000, 3);
+        for thr in [0.1, 0.5] {
+            let want = reference::overlap_triples(&boxes, &classes, thr);
+            assert_eq!(
+                matchers::overlap_triples(&boxes, &classes, thr),
+                want,
+                "{layout:?} at thr={thr}"
+            );
+            if thr == 0.1 {
+                assert!(want > 0, "{layout:?} must hold triples");
+            }
+        }
+    }
+}
+
 /// The fixed size ladder from the issue: 0, 1, 2 (edge cases), 100
 /// (below the index cutoff — dispatch must fall back), 1000 (well above
 /// it — the grid path runs for every matcher).
@@ -329,9 +432,10 @@ proptest! {
     }
 
     /// The grid's core contract: `candidates_overlapping` returns
-    /// exactly the AABB-intersecting boxes, ascending, no duplicates.
-    /// The zero-area query at `(qx, qy)` always maps to one cell, so
-    /// each case also checks the single-cell walk.
+    /// exactly the AABB-intersecting boxes, each once, in no set order
+    /// (sorted, the list must equal the ascending brute-force set, so a
+    /// duplicate fails too). The zero-area query at `(qx, qy)` always
+    /// maps to one cell, so each case also checks the single-cell walk.
     #[test]
     fn grid_candidates_are_exactly_the_intersecting_set(
         scene in crowded_scene(120),
@@ -347,6 +451,7 @@ proptest! {
         let mut got = Vec::new();
         for query in [wide, point] {
             grid.candidates_overlapping(&query, &mut got);
+            got.sort_unstable();
             let want: Vec<usize> = scene
                 .boxes
                 .iter()
@@ -360,8 +465,9 @@ proptest! {
 
     /// The grid's contract on a lattice, where box and query edges lie
     /// on cell lines and boxes touch: each box a query intersects is
-    /// reported once however many visited cells hold it, including
-    /// queries whose first cells are clamped onto the border.
+    /// reported once however many visited cells hold it (compared as
+    /// sorted sets, as above), including queries whose first cells are
+    /// clamped onto the border.
     #[test]
     fn lattice_candidates_are_exactly_the_intersecting_set(
         lattice in lattice(),
@@ -376,6 +482,7 @@ proptest! {
         let drawn = queries.into_iter().map(|q| lattice.query(q));
         for query in drawn.chain(boxes.iter().copied()) {
             grid.candidates_overlapping(&query, &mut got);
+            got.sort_unstable();
             let want: Vec<usize> = boxes
                 .iter()
                 .enumerate()
@@ -384,6 +491,22 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got, &want, "query {:?}", query);
         }
+    }
+
+    /// Every sweep layout, at 128 (`INDEX_MIN`) to 259 boxes and at any
+    /// threshold, counts the reference's triples.
+    #[test]
+    fn sweep_layouts_agree_with_reference(
+        layout in 0..LAYOUTS.len(),
+        n in 128usize..260,
+        seed in any::<u64>(),
+        thr in 0.05f64..0.95,
+    ) {
+        let Scene { boxes, classes } = layout_scene(LAYOUTS[layout], n, seed);
+        prop_assert_eq!(
+            matchers::overlap_triples(&boxes, &classes, thr),
+            reference::overlap_triples(&boxes, &classes, thr)
+        );
     }
 
     /// The three matchers equal their references on lattice scenes,

@@ -202,16 +202,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "n*n confusion matrix read under the accessor contract (classes < n)",
     ),
     (
-        "crates/geom/src/matchers.rs",
-        10,
-        "indices from 0..n and the grid index over the same slice, lengths asserted",
-    ),
-    (
-        "crates/geom/src/reference.rs",
-        10,
-        "pairwise scans over 0..n with lengths asserted at entry",
-    ),
-    (
         "crates/learn/src/linalg.rs",
         1,
         "matrix accessors indexed under dimension asserts",

@@ -1,10 +1,11 @@
-//! The grid-indexed matchers against the O(n²) reference on crowd
-//! frames, and crowded windows through the prepared monitor.
+//! The indexed matchers (the grid for pairs, the axis sweep for
+//! triples) against the O(n²) reference on crowd frames, and crowded
+//! windows through the prepared monitor.
 //!
-//! The matchers take the grid only from `omg_geom::matchers::INDEX_MIN`
-//! boxes, far above the tens of boxes of a street, AV or highway frame,
-//! so scoring the registered scenarios does not exercise it; crowd
-//! frames do. The property suite (`crates/geom/tests/spatial_proptests.rs`)
+//! The matchers take their indexed paths only from
+//! `omg_geom::matchers::INDEX_MIN` boxes, far above the tens of boxes of
+//! a street, AV or highway frame, so scoring the registered scenarios
+//! does not exercise them; crowd frames do. The property suite (`crates/geom/tests/spatial_proptests.rs`)
 //! checks the matchers on arbitrary scenes, and
 //! `crates/track/tests/dense_oracle.rs` checks association against the
 //! reference scan. This suite checks the very calls the assertions make,
@@ -25,7 +26,7 @@ use omg_geom::matchers::{self, INDEX_MIN};
 use omg_geom::reference;
 use omg_tests::sliding_crowd_windows;
 
-/// Crowd frames at 300 and 1,000 boxes, every one above the grid
+/// Crowd frames at 300 and 1,000 boxes, every one above the index
 /// cutoff: each frame's `multibox` triples, and each adjacent frame
 /// pair's association pairs and agreement count, equal the reference
 /// scan's. A failure lists every call that differs.
