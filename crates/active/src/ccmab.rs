@@ -70,7 +70,7 @@ impl CcMab {
     }
 
     /// The exploration threshold `K(t)` for the current round.
-    pub fn exploration_threshold(&self) -> f64 {
+    fn exploration_threshold(&self) -> f64 {
         let t = self.t.max(1) as f64;
         t.powf(2.0 / (3.0 + self.d as f64)) * (t + 1.0).ln()
     }
@@ -116,18 +116,6 @@ impl CcMab {
         let n = stats.pulls as f64;
         stats.mean_reward += (reward - stats.mean_reward) / n;
     }
-
-    /// Number of distinct cells observed so far.
-    pub fn cells_seen(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The estimated mean reward of the cell containing `context`
-    /// (`None` if never pulled).
-    pub fn estimated_reward(&self, context: &[f64]) -> Option<f64> {
-        let cell = self.cell_of(context);
-        self.cells.get(&cell).map(|s| s.mean_reward)
-    }
 }
 
 #[cfg(test)]
@@ -167,9 +155,10 @@ mod tests {
         let mut mab = CcMab::new(1, 2);
         mab.update(&[0.1], 1.0);
         mab.update(&[0.1], 0.0);
-        assert!((mab.estimated_reward(&[0.1]).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(mab.cells_seen(), 1);
-        assert!(mab.estimated_reward(&[0.9]).is_none());
+        let mean_of = |ctx: &[f64]| mab.cells.get(&mab.cell_of(ctx)).map(|s| s.mean_reward);
+        assert!((mean_of(&[0.1]).unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(mab.cells.len(), 1);
+        assert!(mean_of(&[0.9]).is_none());
     }
 
     #[test]

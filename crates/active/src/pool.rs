@@ -2,7 +2,6 @@ use std::error::Error;
 use std::fmt;
 
 use omg_core::runtime::ThreadPool;
-use omg_core::SampleReport;
 
 /// Error constructing a [`CandidatePool`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,22 +62,6 @@ impl CandidatePool {
             uncertainties,
             num_assertions,
         })
-    }
-
-    /// Builds a pool straight from monitor [`SampleReport`]s (e.g. the
-    /// output of `Monitor::process_batch`), pairing each report's
-    /// severity vector with the candidate's uncertainty score.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolShapeError`] if lengths disagree or the reports
-    /// carry ragged severity vectors.
-    pub fn from_reports(
-        reports: &[SampleReport],
-        uncertainties: Vec<f64>,
-    ) -> Result<Self, PoolShapeError> {
-        let severities = reports.iter().map(SampleReport::severity_vector).collect();
-        Self::new(severities, uncertainties)
     }
 
     /// Builds a pool by scoring every candidate in parallel over the
@@ -224,23 +207,6 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.num_assertions(), 0);
         assert!(p.fire_counts().is_empty());
-    }
-
-    #[test]
-    fn from_reports_carries_severity_vectors() {
-        use omg_core::{Monitor, Severity};
-        let mut m: Monitor<i32> = Monitor::new();
-        m.assertions_mut()
-            .add_fn("neg", |&x: &i32| Severity::from_bool(x < 0));
-        m.assertions_mut()
-            .add_fn("mag", |&x: &i32| Severity::new(x.abs() as f64));
-        let samples = vec![-2, 3];
-        let reports = m.process_batch(&samples, &ThreadPool::sequential());
-        let p = CandidatePool::from_reports(&reports, vec![0.1, 0.9]).unwrap();
-        assert_eq!(p.context(0), &[1.0, 2.0]);
-        assert_eq!(p.context(1), &[0.0, 3.0]);
-        assert_eq!(p.uncertainty(1), 0.9);
-        assert!(CandidatePool::from_reports(&reports, vec![0.5]).is_err());
     }
 
     #[test]

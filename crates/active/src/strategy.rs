@@ -216,17 +216,6 @@ impl BalStrategy {
         }
     }
 
-    /// Overrides the exploration fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is outside `[0, 1]`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0,1]");
-        self.epsilon = epsilon;
-        self
-    }
-
     /// The marginal reductions `r_m` given previous and current rates.
     fn reductions(prev: &[f64], cur: &[f64]) -> Vec<f64> {
         prev.iter()
@@ -407,6 +396,14 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    /// BAL with no exploration share, so every pick exploits.
+    fn greedy_bal(fallback: FallbackPolicy) -> BalStrategy {
+        BalStrategy {
+            epsilon: 0.0,
+            ..BalStrategy::new(fallback)
+        }
+    }
+
     /// 20 points, 2 assertions: 0-9 trigger assertion 0 (severity = index),
     /// 10-14 trigger assertion 1, 15-19 trigger nothing.
     fn pool() -> CandidatePool {
@@ -508,7 +505,7 @@ mod tests {
         // Round 0 establishes rates; in round 1, assertion 0's rate halves
         // while assertion 1's stays flat -> exploit budget goes to 0.
         let p0 = pool();
-        let mut bal = BalStrategy::new(FallbackPolicy::Random).with_epsilon(0.0);
+        let mut bal = greedy_bal(FallbackPolicy::Random);
         let _ = bal.select(&p0, 4, &mut rng());
 
         // New pool: assertion 0 fires on 5 points (was 10), assertion 1
@@ -545,7 +542,7 @@ mod tests {
     #[test]
     fn bal_falls_back_when_nothing_reduces() {
         let p = pool();
-        let mut bal = BalStrategy::new(FallbackPolicy::Uncertainty).with_epsilon(0.0);
+        let mut bal = greedy_bal(FallbackPolicy::Uncertainty);
         let _ = bal.select(&p, 4, &mut rng());
         // Same pool again: no reduction anywhere -> uncertainty fallback,
         // which picks the highest-uncertainty (unflagged) points.
@@ -561,7 +558,7 @@ mod tests {
         let mut high = 0;
         let mut total = 0;
         for seed in 0..200 {
-            let mut bal = BalStrategy::new(FallbackPolicy::Random).with_epsilon(0.0);
+            let mut bal = greedy_bal(FallbackPolicy::Random);
             let mut r = StdRng::seed_from_u64(seed);
             let _ = bal.select(&p0, 2, &mut r);
             // Assertion 0 reduced (10 -> 8 fired), assertion 1 flat.
@@ -666,12 +663,6 @@ mod tests {
         assert_eq!(UncertaintyStrategy.name(), "uncertainty");
         assert_eq!(UniformAssertionStrategy.name(), "uniform-ma");
         assert_eq!(BalStrategy::new(FallbackPolicy::Random).name(), "bal");
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn bad_epsilon_rejected() {
-        BalStrategy::new(FallbackPolicy::Random).with_epsilon(1.5);
     }
 
     #[test]

@@ -32,8 +32,9 @@ fn make_windows(n: usize) -> Vec<omg_domains::VideoWindow> {
 /// monitor — the runtime-monitoring overhead a deployment would pay.
 /// `monitor/video_window` is the sequential per-invocation path;
 /// `monitor/video_window_batch/N` is `process_batch` over the same
-/// stream on `N` workers (bit-for-bit the same outputs — the comparison
-/// is pure wall-clock, and `exp_throughput` reports it as windows/sec).
+/// stream on `N` workers. The outputs are bit-for-bit the same
+/// (`end_to_end_monitoring.rs` checks it at 1, 2 and 8 workers), so the
+/// comparison is pure wall-clock.
 fn monitor_throughput(c: &mut Criterion) {
     let windows = make_windows(200);
     c.bench_function("monitor/video_window", |b| {

@@ -22,7 +22,7 @@ use omg_sim::detector::{Detection, DetectorConfig, SimDetector, TrainingBatch};
 use rand::rngs::StdRng;
 
 /// Minimum LIDAR confidence for a box to participate in assertions.
-pub const LIDAR_SCORE_MIN: f64 = 0.3;
+const LIDAR_SCORE_MIN: f64 = 0.3;
 
 /// The fixed configuration of an AV experiment.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl AvScenario {
 }
 
 /// A globally unique frame index for a sample (per-scene indices repeat).
-pub fn frame_key(sample: &AvSample) -> u64 {
+fn frame_key(sample: &AvSample) -> u64 {
     sample.scene * 10_000 + sample.index as u64
 }
 
@@ -108,7 +108,7 @@ pub fn evaluate_map(detector: &SimDetector, samples: &[AvSample]) -> f64 {
 
 /// The AV weak-supervision experiment (Table 4, row 2): LIDAR-imputed
 /// boxes fine-tune the camera model.
-pub fn av_weak_supervision(
+fn av_weak_supervision(
     scenario: &AvScenario,
     detector: &SimDetector,
     epochs: usize,

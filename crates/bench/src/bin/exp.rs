@@ -14,11 +14,14 @@
 //! also archives `BENCH_service.json`) or `all` (the default), which
 //! regenerates everything and archives the outputs under
 //! `target/experiments/`.
-//! `--threads` pins the scoring fan-out width (results are identical at
-//! any setting); `--seed` overrides the default seed of the
-//! seed-parameterized experiments. Anything else — an unknown flag, a
-//! typo'd `--thread`, a value on a bare switch, a second positional —
-//! is rejected with a usage message instead of being silently ignored.
+//! `--threads` sets the scoring pool's worker count (default 1; results
+//! are identical at any setting); `--seed` overrides the default seed of
+//! the seed-parameterized experiments. Anything else — an unknown flag,
+//! a typo'd `--thread`, a repeated flag, a zero or non-numeric
+//! `--threads`, a second positional — exits with status 2 and a usage
+//! message instead of being silently ignored.
+
+use omg_core::runtime::ThreadPool;
 
 /// The first positional (non-flag) argument, wherever it sits relative
 /// to the flags. Every `exp` flag takes a value, so a bare `--flag`
@@ -61,7 +64,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    omg_bench::init_runtime_from_args();
+    let threads = omg_bench::parse_usize_flag_cli(&args, "--threads").unwrap_or(1);
     let seed = omg_bench::parse_u64_flag_cli(&args, "--seed");
-    omg_bench::experiments::run_cli(name, seed);
+    omg_bench::experiments::run_cli(name, seed, &ThreadPool::new(threads));
 }

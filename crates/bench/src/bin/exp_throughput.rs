@@ -1,22 +1,20 @@
-//! Sequential-vs-parallel monitor throughput (windows/sec) on the
-//! night-street video stream — the scaling measurement behind the
-//! parallel batch runtime (`Monitor::process_batch`) — plus, with
-//! `--stream`, the batch-vs-streaming comparison behind the shared
-//! window-preparation layer.
-//!
-//! Usage:
+//! The streaming, crowded-matcher and archive-check benchmarks. Exactly
+//! one mode runs per invocation:
 //!
 //! ```sh
 //! cargo run --release -p omg-bench --bin exp_throughput -- \
-//!     [--threads N] [--windows W] \
-//!     [--stream | --crowded | --check-stream-archive]
+//!     (--stream | --crowded) [--windows W]
+//! cargo run --release -p omg-bench --bin exp_throughput -- --check-stream-archive
 //! ```
 //!
-//! Unknown or malformed arguments (a typo'd `--thread`, `--stream=yes`)
-//! are rejected with a usage message. `--check-stream-archive` verifies
-//! that every scenario in the runtime registry has its
-//! `BENCH_stream_<name>.json` archived **with a measured rate on every
-//! row of the stream ladder**, that the multi-tenant soak's
+//! Unknown, repeated or malformed arguments (a typo'd `--stram`,
+//! `--stream=yes`), no mode or two modes exit with status 2 and a usage
+//! message.
+//!
+//! `--check-stream-archive` verifies that every scenario in the runtime
+//! registry has its `BENCH_stream_<name>.json` archived **with a
+//! measured rate on every row of the stream ladder**, that the
+//! multi-tenant soak's
 //! `BENCH_service.json` is present, and that `BENCH_crowded.json` is
 //! present **and shows the indexed matchers beating the O(n²) reference
 //! at 1000 boxes/frame** — the CI gate that keeps the streaming,
@@ -34,15 +32,7 @@
 //! asserting equal outputs on every run and archiving both timing
 //! curves as `BENCH_crowded.json`.
 //!
-//! Default mode runs the sequential `Monitor::process` loop, then
-//! `process_batch` at 1, 2, 4, … up to a ceiling of `--threads` workers
-//! (else the `OMG_THREADS` environment variable, else available
-//! parallelism), verifying on every run that the parallel path's reports
-//! and database match the sequential path bit-for-bit. Results print as
-//! a table and land in `BENCH_throughput.json` under the same
-//! committed top-level `benchmarks/` directory the criterion harnesses write to.
-//!
-//! `--stream` mode instead compares the batch scorers (every assertion
+//! `--stream` mode compares the batch scorers (every assertion
 //! re-derives its window preparation) against the streaming scorers (one
 //! preparation per window, shared by the whole set) on **every scenario
 //! in the runtime registry** (`omg_bench::scenarios::all_scenarios`) —
@@ -52,19 +42,17 @@
 //! `BENCH_stream_<scenario>.json` per scenario. Stream mode always runs
 //! the fixed 1/2/4/8 thread ladder, so its rows are the single-stream
 //! scaling curve of the persistent worker pool; every rung is timed,
-//! including those above the machine's cores. `--threads` applies to
-//! the default mode only and is rejected alongside `--stream` to avoid
-//! silently ignoring it.
+//! including those above the machine's cores. The sequential monitor
+//! against the `process_batch` ladder is timed by the engine bench's
+//! `monitor/video_window` and `monitor/video_window_batch/N` rows.
 
 use std::time::Instant;
 
 use omg_bench::crowd::frame_boxes;
-use omg_bench::video::{monitor_windows, FLICKER_T};
 use omg_core::runtime::ThreadPool;
-use omg_core::Monitor;
 use omg_domains::multibox::MULTIBOX_IOU;
 use omg_domains::prepared::TRACK_IOU;
-use omg_domains::{video_assertion_set, VideoWindow};
+use omg_domains::VideoWindow;
 use omg_geom::{matchers, reference, BBox2D};
 use omg_scenario::DynScenario;
 
@@ -76,17 +64,6 @@ const STREAM_THREADS: [usize; 4] = [1, 2, 4, 8];
 fn stream_row_ids() -> impl Iterator<Item = String> {
     std::iter::once("batch x1".to_string())
         .chain(STREAM_THREADS.iter().map(|t| format!("stream x{t}")))
-}
-
-/// Best-of-`reps` wall-clock for one full pass over the stream.
-fn best_secs<F: FnMut()>(reps: usize, mut run: F) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Writes `(id, windows/sec)` rows as `BENCH_<bench>.json` in the
@@ -420,142 +397,54 @@ fn run_stream_mode(n_windows: usize, reps: usize) {
     }
 }
 
+const USAGE: &str = "exp_throughput (--stream | --crowded) [--windows W] | \
+                     exp_throughput --check-stream-archive";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     omg_bench::validate_args_or_exit(
         &args,
         &omg_bench::CliSpec {
-            value_flags: &["--threads", "--windows"],
+            value_flags: &["--windows"],
             bare_flags: &["--stream", "--crowded", "--check-stream-archive"],
             max_positionals: 0,
         },
-        "exp_throughput [--threads N] [--windows W] \
-         [--stream | --crowded | --check-stream-archive]",
+        USAGE,
     );
     // Friendly (exit-2, one-line) value parsing: a typo'd value must not
     // panic with a backtrace.
-    let threads_flag = omg_bench::parse_usize_flag_cli(&args, "--threads");
     let windows_flag = omg_bench::parse_usize_flag_cli(&args, "--windows");
-    if omg_bench::has_flag(&args, "--check-stream-archive") {
-        // The archive check runs no benchmark: a co-passed benchmark
-        // flag would be silently dropped, so reject it instead.
-        if omg_bench::has_flag(&args, "--stream")
-            || omg_bench::has_flag(&args, "--crowded")
-            || threads_flag.is_some()
-            || windows_flag.is_some()
-        {
-            eprintln!(
-                "error: --check-stream-archive only verifies the archived \
-                 BENCH_*.json files; it takes no other flags"
-            );
-            std::process::exit(2);
-        }
-        check_stream_archive();
-        return;
-    }
-    let env_threads = match omg_bench::env_threads() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let modes: Vec<&str> = ["--stream", "--crowded", "--check-stream-archive"]
+        .into_iter()
+        .filter(|mode| omg_bench::has_flag(&args, mode))
+        .collect();
+    let usage_error = |msg: &str| -> ! {
+        eprintln!("error: {msg}\nusage: {USAGE}");
+        std::process::exit(2);
     };
-    let max_threads = threads_flag
-        .or(env_threads)
-        .unwrap_or_else(|| ThreadPool::available().threads());
-    let n_windows = windows_flag.unwrap_or(2000);
-    let reps = 3;
-
-    if omg_bench::has_flag(&args, "--crowded") {
-        // The crowded benchmark compares the indexed matchers with
-        // their reference, not thread counts: it is single-threaded by
-        // construction, so a co-passed `--threads` or `--stream`
-        // conflicts with it.
-        if threads_flag.is_some() || omg_bench::has_flag(&args, "--stream") {
-            eprintln!(
-                "error: --crowded is its own mode; it takes --windows only \
-                 (it compares the matchers with their reference, not thread counts)"
-            );
-            std::process::exit(2);
+    match modes[..] {
+        ["--check-stream-archive"] => {
+            // The archive check runs no benchmark: a co-passed
+            // `--windows` would be silently dropped, so reject it.
+            if windows_flag.is_some() {
+                usage_error("--check-stream-archive only verifies the archived BENCH_*.json files");
+            }
+            check_stream_archive();
         }
-        // Fewer windows than the thread benchmarks: each window carries
+        // Fewer windows than the stream benchmark: each window carries
         // up to 1000 boxes/frame, and the O(n²) reference pass is the
         // slow side being measured.
-        run_crowded_mode(windows_flag.unwrap_or(12), reps.max(5));
-        return;
+        ["--crowded"] => run_crowded_mode(windows_flag.unwrap_or(12), 5),
+        // The stream mode compares five configs against each other
+        // (batch vs every rung), so its quietest-round search takes more
+        // rounds.
+        ["--stream"] => run_stream_mode(windows_flag.unwrap_or(2000), 15),
+        [] => usage_error("choose a mode"),
+        _ => usage_error(&format!(
+            "{} are separate modes; run one",
+            modes.join(" and ")
+        )),
     }
-
-    if omg_bench::has_flag(&args, "--stream") {
-        if threads_flag.is_some() {
-            eprintln!(
-                "error: --threads applies to the default mode only; --stream always \
-                 runs the fixed 1/2/4/8 thread ladder"
-            );
-            std::process::exit(2);
-        }
-        // The stream mode compares configs against each other (batch
-        // vs every rung), so give the quietest-round search more rounds
-        // than a single-config throughput number needs.
-        run_stream_mode(n_windows, reps.max(15));
-        return;
-    }
-
-    eprintln!("building {n_windows} night-street windows…");
-    let windows: Vec<VideoWindow> = monitor_windows(n_windows, 3);
-    let fresh = || Monitor::with_assertions(video_assertion_set(FLICKER_T));
-
-    // Reference run: the sequential per-invocation monitor.
-    let mut reference = fresh();
-    let reference_reports: Vec<_> = windows.iter().map(|w| reference.process(w)).collect();
-    let seq_secs = best_secs(reps, || {
-        let mut m = fresh();
-        for w in &windows {
-            std::hint::black_box(m.process(w));
-        }
-    });
-    let seq_wps = n_windows as f64 / seq_secs;
-
-    println!(
-        "monitor throughput, {n_windows} windows x {} assertions (best of {reps}):",
-        reference.assertions().len()
-    );
-    println!("  {:<22} {:>12} {:>10}", "path", "windows/sec", "speedup");
-    println!("  {:<22} {:>12.0} {:>9.2}x", "sequential", seq_wps, 1.0);
-
-    let mut rows = vec![("sequential".to_string(), seq_wps)];
-    let mut threads = 1usize;
-    while threads <= max_threads {
-        let pool = ThreadPool::new(threads);
-        // Correctness first: the parallel path must reproduce the
-        // sequential reports and database exactly.
-        let mut check = fresh();
-        let reports = check.process_batch(&windows, &pool);
-        assert_eq!(
-            reports, reference_reports,
-            "process_batch({threads}) diverged from the sequential reports"
-        );
-        assert_eq!(
-            check.db(),
-            reference.db(),
-            "process_batch({threads}) diverged from the sequential database"
-        );
-        let secs = best_secs(reps, || {
-            let mut m = fresh();
-            std::hint::black_box(m.process_batch(&windows, &pool));
-        });
-        let wps = n_windows as f64 / secs;
-        let label = format!("batch x{threads}");
-        println!("  {:<22} {:>12.0} {:>9.2}x", label, wps, wps / seq_wps);
-        rows.push((label, wps));
-        if threads == max_threads {
-            break;
-        }
-        threads = (threads * 2).min(max_threads);
-    }
-    println!("  (parallel output verified bit-for-bit against sequential)");
-
-    // Machine-readable trajectory, alongside the criterion JSONs.
-    write_archive("throughput", n_windows, &rows);
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use omg_sim::crowd::{CrowdConfig, CrowdWorld};
 pub const CROWD_SIZES: [usize; 2] = [300, 1000];
 
 /// Frames per crowded window (center frame in the middle).
-pub const CROWD_WINDOW_FRAMES: usize = 3;
+const CROWD_WINDOW_FRAMES: usize = 3;
 
 /// Frames of context on each side of a sliding crowded window's center.
 const CROWD_WINDOW_HALF: usize = CROWD_WINDOW_FRAMES / 2;
@@ -34,9 +34,9 @@ const CROWD_FPS: f64 = 10.0;
 
 /// Builds `n_windows` disjoint clutter-heavy windows with exactly
 /// `boxes_per_frame` boxes on every frame, deterministic per seed: one
-/// stream cut into consecutive chunks of [`CROWD_WINDOW_FRAMES`]
-/// frames, each with window-local indices and times, so no two windows
-/// share a frame.
+/// stream cut into consecutive chunks of `CROWD_WINDOW_FRAMES` frames,
+/// each with window-local indices and times, so no two windows share a
+/// frame.
 pub fn crowd_windows(boxes_per_frame: usize, n_windows: usize, seed: u64) -> Vec<VideoWindow> {
     let mut world = CrowdWorld::new(CrowdConfig::clutter_heavy(boxes_per_frame), seed);
     let frames = world.steps(n_windows * CROWD_WINDOW_FRAMES);

@@ -74,7 +74,7 @@ pub struct EcgItem {
 }
 
 /// Converts ECG points into an `omg-learn` dataset.
-pub fn to_dataset(points: &[EcgPoint]) -> Dataset {
+fn to_dataset(points: &[EcgPoint]) -> Dataset {
     let mut d = Dataset::new(ECG_DIM);
     for p in points {
         d.push(p.features.clone(), p.true_class);
@@ -105,7 +105,7 @@ pub fn pretrained_classifier(scenario: &EcgScenario, seed: u64) -> Mlp {
 }
 
 /// Accuracy (percent) of a classifier on a split.
-pub fn evaluate_accuracy(mlp: &Mlp, points: &[EcgPoint]) -> f64 {
+fn evaluate_accuracy(mlp: &Mlp, points: &[EcgPoint]) -> f64 {
     if points.is_empty() {
         return 0.0;
     }
@@ -119,7 +119,7 @@ pub fn evaluate_accuracy(mlp: &Mlp, points: &[EcgPoint]) -> f64 {
 /// The ECG weak-supervision experiment (Table 4, row 3): oscillation
 /// corrections relabel blip windows with the surrounding rhythm and the
 /// classifier fine-tunes on them.
-pub fn ecg_weak_supervision(
+fn ecg_weak_supervision(
     scenario: &EcgScenario,
     classifier: &Mlp,
     max_weak: usize,

@@ -9,12 +9,14 @@ use omg_eval::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use omg_core::runtime::ThreadPool;
+use omg_scenario::ScenarioLearner;
+
 use crate::experiments::trial_seeds;
-use crate::scenarios::learner as scenario_learner;
 use crate::{avx, summarize_series, video, SeriesSummary};
 
 /// The four strategies of §5.4, in the paper's legend order.
-pub fn strategies() -> Vec<(&'static str, Box<dyn SelectionStrategy>)> {
+fn strategies() -> Vec<(&'static str, Box<dyn SelectionStrategy>)> {
     vec![
         ("Random", Box::new(RandomStrategy)),
         ("Uncertainty", Box::new(UncertaintyStrategy)),
@@ -52,15 +54,22 @@ fn render(
 /// Runs the night-street experiment: `rounds` rounds × `budget` frames,
 /// averaged over `trials` trials. `all_rounds` renders rounds 1..N
 /// (Figure 9a); otherwise rounds 2..N (Figure 4a, "the first round is
-/// required for calibration").
-pub fn run_video(trials: usize, rounds: usize, budget: usize, all_rounds: bool) -> String {
+/// required for calibration"). The learners score on `pool`.
+pub fn run_video(
+    trials: usize,
+    rounds: usize,
+    budget: usize,
+    all_rounds: bool,
+    pool: &ThreadPool,
+) -> String {
     let mut series = Vec::new();
     for (name, mut strategy) in strategies() {
         let mut per_trial = Vec::new();
         for &seed in &trial_seeds(trials) {
             strategy.reset();
             let scenario = video::VideoScenario::standard(seed);
-            let mut learner = scenario_learner(scenario, video::pretrained_detector(seed ^ 1));
+            let mut learner = ScenarioLearner::new(scenario, video::pretrained_detector(seed ^ 1))
+                .with_runtime(pool.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA1);
             let records = run_rounds(&mut learner, strategy.as_mut(), rounds, budget, &mut rng);
             per_trial.push(records.into_iter().map(|r| r.metric).collect());
@@ -77,15 +86,22 @@ pub fn run_video(trials: usize, rounds: usize, budget: usize, all_rounds: bool) 
     )
 }
 
-/// Runs the AV experiment (Figure 4b / 9b).
-pub fn run_av(trials: usize, rounds: usize, budget: usize, all_rounds: bool) -> String {
+/// Runs the AV experiment (Figure 4b / 9b), scoring on `pool`.
+pub fn run_av(
+    trials: usize,
+    rounds: usize,
+    budget: usize,
+    all_rounds: bool,
+    pool: &ThreadPool,
+) -> String {
     let mut series = Vec::new();
     for (name, mut strategy) in strategies() {
         let mut per_trial = Vec::new();
         for &seed in &trial_seeds(trials) {
             strategy.reset();
             let scenario = avx::AvScenario::standard(seed);
-            let mut learner = scenario_learner(scenario, avx::pretrained_camera(seed ^ 1));
+            let mut learner = ScenarioLearner::new(scenario, avx::pretrained_camera(seed ^ 1))
+                .with_runtime(pool.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB2);
             let records = run_rounds(&mut learner, strategy.as_mut(), rounds, budget, &mut rng);
             per_trial.push(records.into_iter().map(|r| r.metric).collect());
@@ -103,14 +119,21 @@ pub fn run_av(trials: usize, rounds: usize, budget: usize, all_rounds: bool) -> 
 }
 
 /// The paper's headline label-efficiency claim: labels needed by BAL vs
-/// random sampling to reach a fixed mAP target.
-pub fn label_savings(trials: usize, rounds: usize, budget: usize, target: f64) -> String {
+/// random sampling to reach a fixed mAP target, scoring on `pool`.
+pub fn label_savings(
+    trials: usize,
+    rounds: usize,
+    budget: usize,
+    target: f64,
+    pool: &ThreadPool,
+) -> String {
     let needed = |strategy: &mut dyn SelectionStrategy| -> Vec<f64> {
         let mut out = Vec::new();
         for &seed in &trial_seeds(trials) {
             strategy.reset();
             let scenario = video::VideoScenario::standard(seed);
-            let mut learner = scenario_learner(scenario, video::pretrained_detector(seed ^ 1));
+            let mut learner = ScenarioLearner::new(scenario, video::pretrained_detector(seed ^ 1))
+                .with_runtime(pool.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xC3);
             let records = run_rounds(&mut learner, strategy, rounds, budget, &mut rng);
             let labels = records
@@ -135,7 +158,7 @@ mod tests {
     #[test]
     fn video_experiment_renders() {
         // One tiny trial keeps the test fast; the real binary uses more.
-        let s = super::run_video(1, 2, 20, true);
+        let s = super::run_video(1, 2, 20, true, &super::ThreadPool::sequential());
         assert!(s.contains("BAL") && s.contains("Random"));
         assert!(s.contains("Round 1") && s.contains("Round 2"));
     }

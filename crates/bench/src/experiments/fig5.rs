@@ -6,8 +6,10 @@ use omg_eval::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use omg_core::runtime::ThreadPool;
+use omg_scenario::ScenarioLearner;
+
 use crate::experiments::trial_seeds;
-use crate::scenarios::learner as scenario_learner;
 use crate::{ecgx, summarize_series};
 
 /// Figure 5 compares only random, uncertainty, and BAL ("due to the
@@ -26,8 +28,8 @@ fn strategies() -> Vec<(&'static str, Box<dyn SelectionStrategy>)> {
 
 /// Runs the ECG active-learning experiment: `rounds` rounds × `budget`
 /// windows, averaged over `trials` trials (the paper runs 8 trials of
-/// 5 rounds × 100 examples).
-pub fn run(trials: usize, rounds: usize, budget: usize) -> String {
+/// 5 rounds × 100 examples). The learners score on `pool`.
+pub fn run(trials: usize, rounds: usize, budget: usize, pool: &ThreadPool) -> String {
     let mut series = Vec::new();
     for (name, mut strategy) in strategies() {
         let mut per_trial = Vec::new();
@@ -35,7 +37,7 @@ pub fn run(trials: usize, rounds: usize, budget: usize) -> String {
             strategy.reset();
             let scenario = ecgx::EcgScenario::standard(seed);
             let classifier = ecgx::pretrained_classifier(&scenario, seed ^ 1);
-            let mut learner = scenario_learner(scenario, classifier);
+            let mut learner = ScenarioLearner::new(scenario, classifier).with_runtime(pool.clone());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD4);
             let records = run_rounds(&mut learner, strategy.as_mut(), rounds, budget, &mut rng);
             per_trial.push(records.into_iter().map(|r| r.metric).collect());
@@ -64,7 +66,7 @@ pub fn run(trials: usize, rounds: usize, budget: usize) -> String {
 mod tests {
     #[test]
     fn renders_three_strategies() {
-        let s = super::run(1, 2, 40);
+        let s = super::run(1, 2, 40, &super::ThreadPool::sequential());
         assert!(s.contains("Random") && s.contains("Uncertainty") && s.contains("BAL"));
     }
 }

@@ -52,9 +52,9 @@ struct Rung {
 }
 
 /// Runs one rung: `sessions` concurrent sessions round-robin over the
-/// stream, drained on `workers` workers, with backpressure honored
+/// stream, drained on `pool`, with backpressure honored
 /// (a full queue pauses that session's feed until the next drain).
-fn run_rung(seed: u64, sessions: usize, workers: usize) -> Rung {
+fn run_rung(seed: u64, sessions: usize, pool: &ThreadPool) -> Rung {
     let config = ServiceConfig::default()
         .with_queue_capacity(QUEUE_CAPACITY)
         .with_retention(RETAINED_SAMPLES);
@@ -62,7 +62,6 @@ fn run_rung(seed: u64, sessions: usize, workers: usize) -> Rung {
     let stream_len = svc.stream_len();
     let per_session = ITEMS_PER_SESSION.min(stream_len);
     let assertions = svc.assertion_names().len();
-    let pool = ThreadPool::new(workers);
 
     let mut cursors = vec![0usize; sessions];
     let mut delivered: Vec<Scores> = vec![(omg_core::SeverityMatrix::new(), Vec::new()); sessions];
@@ -87,7 +86,7 @@ fn run_rung(seed: u64, sessions: usize, workers: usize) -> Rung {
             }
         }
         let d0 = Instant::now();
-        svc.drain(&pool);
+        svc.drain(pool);
         drain_ms.push(d0.elapsed().as_secs_f64() * 1e3);
         max_resident = max_resident.max(svc.resident_records());
         for (s, out) in delivered.iter_mut().enumerate() {
@@ -156,9 +155,9 @@ fn write_service_json(workers: usize, rungs: &[Rung]) {
     crate::write_archive("service", &fields, &rows);
 }
 
-/// Runs the soak ladder and returns the rendered table.
-pub fn run(seed: u64) -> String {
-    let workers = crate::runtime().threads();
+/// Runs the soak ladder on `pool` and returns the rendered table.
+pub fn run(seed: u64, pool: &ThreadPool) -> String {
+    let workers = pool.threads();
     let mut out = String::new();
     out.push_str(&format!(
         "== multi-tenant service soak: video scenario, {workers} workers ==\n\
@@ -171,7 +170,7 @@ pub fn run(seed: u64) -> String {
     ));
     let mut rungs = Vec::new();
     for sessions in SESSION_LADDER {
-        let rung = run_rung(seed, sessions, workers);
+        let rung = run_rung(seed, sessions, pool);
         out.push_str(&format!(
             "{:>10} {:>10} {:>14.0} {:>14.3} {:>15} ({:>5})\n",
             rung.sessions,

@@ -8,6 +8,7 @@
 //! still means the flag surfaced an error), and counting model-output
 //! errors only.
 
+use omg_core::runtime::ThreadPool;
 use omg_core::AssertionSet;
 use omg_domains::helpers::track_window;
 use omg_domains::{av_assertion_set, video_assertion_set, VideoWindow};
@@ -172,16 +173,11 @@ fn av_agree_row(seed: u64) -> Row {
     }
 }
 
-fn ecg_row(seed: u64) -> Row {
+fn ecg_row(seed: u64, pool: &ThreadPool) -> Row {
     let scenario = ecgx::EcgScenario::standard(seed);
     let classifier = ecgx::pretrained_classifier(&scenario, 1);
     let items = scenario.run_model(&classifier);
-    let (sev, _) = score_scenario(
-        &scenario,
-        &scenario.assertion_set(),
-        &items,
-        &crate::runtime(),
-    );
+    let (sev, _) = score_scenario(&scenario, &scenario.assertion_set(), &items, pool);
     let flagged: Vec<usize> = (0..scenario.pool.len())
         .filter(|&i| sev[i][0] > 0.0)
         .collect();
@@ -203,9 +199,9 @@ fn ecg_row(seed: u64) -> Row {
     }
 }
 
-fn news_row(seed: u64) -> Row {
+fn news_row(seed: u64, pool: &ThreadPool) -> Row {
     let scenario = newsx::NewsScenario::standard(seed);
-    let flagged = newsx::flagged_groups(&scenario, &crate::runtime());
+    let flagged = newsx::flagged_groups(&scenario, pool);
     let sampled: Vec<bool> = flagged.iter().map(|g| g.is_real_error).collect();
     let sampled = sample_up_to(&sampled, 50);
     let p = omg_eval::stats::proportion(&sampled, |&e| e);
@@ -217,9 +213,9 @@ fn news_row(seed: u64) -> Row {
     }
 }
 
-/// Renders Table 3.
-pub fn run(seed: u64) -> String {
-    let mut rows = vec![news_row(seed), ecg_row(seed)];
+/// Renders Table 3, scoring the news and ECG rows on `pool`.
+pub fn run(seed: u64, pool: &ThreadPool) -> String {
+    let mut rows = vec![news_row(seed, pool), ecg_row(seed, pool)];
     let video = video_rows(seed);
     // Consistency assertions first (news, ecg, flicker, appear), then
     // custom (multibox, agree) — the paper's layout.
@@ -263,7 +259,7 @@ fn copy_row(r: &Row) -> Row {
 mod tests {
     #[test]
     fn renders_all_assertions_with_high_precision() {
-        let s = super::run(2024);
+        let s = super::run(2024, &omg_core::runtime::ThreadPool::sequential());
         for a in ["news", "ecg", "flicker", "appear", "multibox", "agree"] {
             assert!(s.contains(a), "missing {a} in:\n{s}");
         }

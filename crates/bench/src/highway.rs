@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 
 /// The temporal threshold for `fusion-flicker`, seconds (the video
 /// scenario's `T`; the highway stream runs at the same 10 fps).
-pub const FUSION_FLICKER_T: f64 = 0.45;
+const FUSION_FLICKER_T: f64 = 0.45;
 
 /// Frames of context on each side of a window's center frame.
 pub const FUSION_WINDOW_HALF: usize = 2;
@@ -119,7 +119,7 @@ fn shared_secondary() -> &'static SimDetector {
 /// same rules as the video scenario, §4.2) fine-tune the primary camera
 /// with no human labels. The secondary sensor is not involved — it has
 /// no training access, like the paper's LIDAR.
-pub fn highway_weak_supervision(
+fn highway_weak_supervision(
     scenario: &HighwayScenario,
     primary: &SimDetector,
     epochs: usize,

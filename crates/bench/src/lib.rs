@@ -35,127 +35,7 @@ pub mod newsx;
 pub mod scenarios;
 pub mod video;
 
-use std::sync::OnceLock;
-
-use omg_core::runtime::ThreadPool;
 use omg_eval::stats;
-
-/// The worker count the experiment binaries run scoring fan-outs with.
-/// Pinned once by [`set_threads`] / [`init_runtime_from_args`], or by
-/// the first [`threads`] read (from `OMG_THREADS`, else 1).
-static THREADS: OnceLock<usize> = OnceLock::new();
-
-/// Why a requested worker count was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadsError {
-    /// Zero workers requested (`--threads 0` / `OMG_THREADS=0` /
-    /// `set_threads(0)`); scoring needs at least one.
-    Zero {
-        /// Which knob carried the zero.
-        source: &'static str,
-    },
-    /// The worker count is already pinned to a different value — by an
-    /// earlier [`set_threads`] or by the first [`threads`] read. (The
-    /// old `set_threads` silently dropped the new value here.)
-    Conflict {
-        /// The value already pinned.
-        current: usize,
-        /// The conflicting new request.
-        requested: usize,
-    },
-    /// `OMG_THREADS` held something other than an unsigned integer.
-    Invalid {
-        /// The unparsable value.
-        value: String,
-    },
-}
-
-impl std::fmt::Display for ThreadsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadsError::Zero { source } => {
-                write!(f, "{source} must be at least 1 (0 workers cannot score)")
-            }
-            ThreadsError::Conflict { current, requested } => write!(
-                f,
-                "worker count is already pinned to {current}; cannot re-pin to {requested} \
-                 (set --threads once, before any scoring runs)"
-            ),
-            ThreadsError::Invalid { value } => {
-                write!(f, "OMG_THREADS expects a positive integer, got {value:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ThreadsError {}
-
-/// Pins the harness-wide worker count. Idempotent for the same value;
-/// a *different* value after the count is pinned (by an earlier call or
-/// a first [`threads`] read) is reported as [`ThreadsError::Conflict`]
-/// instead of being silently dropped, and zero is rejected as
-/// [`ThreadsError::Zero`].
-pub fn set_threads(threads: usize) -> Result<(), ThreadsError> {
-    if threads == 0 {
-        return Err(ThreadsError::Zero {
-            source: "--threads",
-        });
-    }
-    match THREADS.set(threads) {
-        Ok(()) => Ok(()),
-        Err(_) => {
-            let current = *THREADS.get().expect("set failed, so a value is pinned");
-            if current == threads {
-                Ok(())
-            } else {
-                Err(ThreadsError::Conflict {
-                    current,
-                    requested: threads,
-                })
-            }
-        }
-    }
-}
-
-/// The `OMG_THREADS` environment variable, validated: `Ok(None)` when
-/// unset, [`ThreadsError`] when set to zero or garbage.
-pub fn env_threads() -> Result<Option<usize>, ThreadsError> {
-    match std::env::var("OMG_THREADS") {
-        Err(_) => Ok(None),
-        Ok(v) => match v.parse::<usize>() {
-            Ok(0) => Err(ThreadsError::Zero {
-                source: "OMG_THREADS",
-            }),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(ThreadsError::Invalid { value: v }),
-        },
-    }
-}
-
-/// The configured worker count: `--threads` / [`set_threads`] if given,
-/// else the `OMG_THREADS` environment variable, else 1 (sequential, the
-/// deterministic default every test runs with — results are identical at
-/// any setting, only wall-clock changes). The first read pins the value;
-/// see [`set_threads`] for the conflict rules.
-///
-/// # Panics
-///
-/// Panics if `OMG_THREADS` is set to zero or garbage — binaries validate
-/// it up front in [`init_runtime_from_args`] and exit with a friendly
-/// message instead.
-pub fn threads() -> usize {
-    *THREADS.get_or_init(|| match env_threads() {
-        Ok(n) => n.unwrap_or(1),
-        // PANIC: documented — a garbage OMG_THREADS is a startup
-        // config error; binaries validate it before scoring starts.
-        Err(e) => panic!("{e}"),
-    })
-}
-
-/// The scoring runtime sized by [`threads`].
-pub fn runtime() -> ThreadPool {
-    ThreadPool::new(threads())
-}
 
 /// Finds a `--flag N` / `--flag=N` occurrence in an argument list:
 /// `None` if the flag is absent, `Some(None)` if it is present with no
@@ -211,8 +91,8 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
 
 /// The command-line contract of an experiment binary: which
 /// `--flag <value>` options and bare `--flag` switches it accepts, and
-/// how many positional arguments. [`validate_args`] rejects anything
-/// else.
+/// how many positional arguments. [`validate_args_or_exit`] rejects
+/// anything else.
 #[derive(Debug, Clone, Copy)]
 pub struct CliSpec {
     /// Flags that take a value (`--flag N` or `--flag=N`).
@@ -228,10 +108,12 @@ pub struct CliSpec {
 /// must carry a value, bare switches must not (`--stream=yes` is an
 /// error, not a silently dropped no-op), and at most
 /// `max_positionals` positional arguments may appear. A typo'd flag
-/// (`--thread 8`) is rejected up front instead of silently running the
-/// wrong configuration.
-pub fn validate_args(args: &[String], spec: &CliSpec) -> Result<(), String> {
+/// (`--thread 8`) or a repeated one (`--seed 1 --seed 2`, of which the
+/// parsers would read only the first) is rejected up front instead of
+/// silently running the wrong configuration.
+fn validate_args(args: &[String], spec: &CliSpec) -> Result<(), String> {
     let mut positionals = 0usize;
+    let mut seen: Vec<String> = Vec::new();
     let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
         if let Some(body) = arg.strip_prefix("--") {
@@ -240,6 +122,10 @@ pub fn validate_args(args: &[String], spec: &CliSpec) -> Result<(), String> {
                 None => (body, None),
             };
             let dashed = format!("--{name}");
+            if seen.contains(&dashed) {
+                return Err(format!("{dashed} given more than once"));
+            }
+            seen.push(dashed.clone());
             if spec.value_flags.contains(&dashed.as_str()) {
                 if eq_value.is_none() && it.next().is_none() {
                     return Err(format!("{dashed} expects a value"));
@@ -261,9 +147,9 @@ pub fn validate_args(args: &[String], spec: &CliSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// [`validate_args`] for binary `main`s: on any violation, prints the
-/// error plus a usage line to stderr and exits with status 2 (a CLI
-/// mistake, not a crash — no backtrace).
+/// Validates `args` against `spec` for binary `main`s: on any
+/// violation, prints the error plus a usage line to stderr and exits
+/// with status 2 (a CLI mistake, not a crash — no backtrace).
 pub fn validate_args_or_exit(args: &[String], spec: &CliSpec, usage: &str) {
     if let Err(e) = validate_args(args, spec) {
         eprintln!("error: {e}\nusage: {usage}");
@@ -275,39 +161,6 @@ pub fn validate_args_or_exit(args: &[String], spec: &CliSpec, usage: &str) {
 fn cli_error(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
-}
-
-/// Parses `--threads N` (or `--threads=N`) from the process arguments
-/// and pins the harness-wide worker count; with no flag, validates (and
-/// pins) `OMG_THREADS` instead. Every experiment binary calls this
-/// first. Precedence: `--threads` beats `OMG_THREADS` beats the
-/// sequential default of 1.
-///
-/// All misconfigurations — `--threads 0`, `OMG_THREADS=0`, garbage in
-/// either, a value conflicting with an already-pinned count — exit with
-/// a one-line error and status 2 instead of panicking or being silently
-/// dropped.
-pub fn init_runtime_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    let env = match env_threads() {
-        Ok(n) => n,
-        Err(e) => cli_error(e),
-    };
-    let cli = match raw_flag_value(&args, "--threads") {
-        None => None,
-        Some(None) => cli_error("--threads expects a value"),
-        Some(Some(v)) => match v.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => cli_error(format_args!(
-                "--threads expects an unsigned integer, got {v:?}"
-            )),
-        },
-    };
-    if let Some(n) = cli.or(env) {
-        if let Err(e) = set_threads(n) {
-            cli_error(e);
-        }
-    }
 }
 
 /// Mean and standard error of one experiment series across trials.
@@ -447,49 +300,6 @@ mod tests {
         assert!(!has_flag(&args(&["bin", "--streams"]), "--stream"));
     }
 
-    #[test]
-    fn set_threads_rejects_zero_and_conflicts() {
-        if std::env::var("OMG_THREADS").is_ok() {
-            return; // the environment already pins a different count
-        }
-        assert_eq!(
-            set_threads(0),
-            Err(ThreadsError::Zero {
-                source: "--threads"
-            })
-        );
-        // Pin to 1 — identical to the lazy sequential default, so this
-        // test cannot perturb the other tests in this process.
-        assert_eq!(set_threads(1), Ok(()));
-        assert_eq!(set_threads(1), Ok(()), "re-pinning the same value is fine");
-        assert_eq!(
-            set_threads(9),
-            Err(ThreadsError::Conflict {
-                current: 1,
-                requested: 9
-            }),
-            "a conflicting value must be reported, not silently dropped"
-        );
-        assert_eq!(threads(), 1);
-    }
-
-    #[test]
-    fn threads_errors_render_their_knob() {
-        let zero = ThreadsError::Zero {
-            source: "OMG_THREADS",
-        };
-        assert!(zero.to_string().contains("OMG_THREADS"));
-        let conflict = ThreadsError::Conflict {
-            current: 2,
-            requested: 8,
-        };
-        assert!(conflict.to_string().contains('2') && conflict.to_string().contains('8'));
-        let invalid = ThreadsError::Invalid {
-            value: "lots".into(),
-        };
-        assert!(invalid.to_string().contains("lots"));
-    }
-
     const SPEC: CliSpec = CliSpec {
         value_flags: &["--threads", "--seed"],
         bare_flags: &["--stream"],
@@ -520,6 +330,18 @@ mod tests {
             (vec!["bin", "--streams"], "unrecognized flag"),
             (vec!["bin", "--threads"], "expects a value"),
             (vec!["bin", "a", "b"], "unexpected argument"),
+            (
+                vec!["bin", "--seed", "1", "--seed", "2"],
+                "--seed given more than once",
+            ),
+            (
+                vec!["bin", "--threads=2", "--threads", "8"],
+                "--threads given more than once",
+            ),
+            (
+                vec!["bin", "--stream", "--stream"],
+                "--stream given more than once",
+            ),
         ];
         for (argv, want) in cases {
             let err = validate_args(&args(&argv), &SPEC).expect_err(&format!("{argv:?}"));

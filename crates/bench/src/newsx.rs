@@ -105,16 +105,6 @@ pub fn flagged_groups(scenario: &NewsScenario, runtime: &ThreadPool) -> Vec<Flag
         .collect()
 }
 
-/// Number of scenes on which the combined news assertion fires.
-pub fn scenes_fired(scenario: &NewsScenario) -> usize {
-    let assertion = news_assertion();
-    scenario
-        .scenes
-        .iter()
-        .filter(|s| omg_core::Assertion::check(&assertion, s).fired())
-        .count()
-}
-
 impl Scenario for NewsScenario {
     type Item = NewsScene;
     type Sample = NewsScene;
@@ -186,6 +176,17 @@ impl Scenario for NewsScenario {
 mod tests {
     use super::*;
     use omg_scenario::{score_scenario, stream_score_scenario};
+
+    /// Number of scenes on which the combined news assertion fires,
+    /// checked scene by scene without the scenario engine.
+    fn scenes_fired(scenario: &NewsScenario) -> usize {
+        let assertion = news_assertion();
+        scenario
+            .scenes
+            .iter()
+            .filter(|s| omg_core::Assertion::check(&assertion, s).fired())
+            .count()
+    }
 
     #[test]
     fn assertion_fires_on_some_scenes() {

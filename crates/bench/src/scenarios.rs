@@ -8,7 +8,7 @@
 //! prepare-once probes, and `exp_throughput --stream`'s
 //! `BENCH_stream_<name>.json` archive — no edits to any of them.
 
-use omg_scenario::{DynScenario, Scenario, ScenarioHarness, ScenarioLearner};
+use omg_scenario::{DynScenario, Scenario, ScenarioHarness};
 use omg_service::{DynService, ServiceConfig, ServiceHarness};
 
 /// Every registered scenario's name, in registry order — the cheap
@@ -136,12 +136,6 @@ pub fn standard_scenarios(seed: u64) -> Vec<Box<dyn DynScenario>> {
         standard_entry(NewsScenario::standard(seed), seed),
         standard_entry(HighwayScenario::standard(seed), seed),
     ]
-}
-
-/// Builds a [`ScenarioLearner`] scoring on the harness-wide runtime
-/// (`--threads`) — the constructor the experiment modules use.
-pub fn learner<Sc: Scenario>(scenario: Sc, model: Sc::Model) -> ScenarioLearner<Sc> {
-    ScenarioLearner::new(scenario, model).with_runtime(crate::runtime())
 }
 
 #[cfg(test)]

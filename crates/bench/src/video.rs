@@ -104,7 +104,7 @@ pub fn window_at(frames: &[GtFrame], dets: &[Vec<Detection>], center: usize) -> 
 }
 
 /// Builds `n` sliding monitor windows over a fresh night-street stream —
-/// the shared input of the engine benchmarks and `exp_throughput`.
+/// the shared input of the engine benchmark's monitor rows.
 pub fn monitor_windows(n: usize, seed: u64) -> Vec<VideoWindow> {
     let mut world = TrafficWorld::new(TrafficConfig::night_street(), seed);
     let frames = world.steps(n);
@@ -140,7 +140,7 @@ pub fn label_frame_into(batch: &mut TrainingBatch, frame: &GtFrame) {
 /// The weak-supervision experiment for video (Table 4, row 1): corrections
 /// from the consistency assertions fine-tune the pretrained detector with
 /// no human labels.
-pub fn video_weak_supervision(
+fn video_weak_supervision(
     scenario: &VideoScenario,
     detector: &SimDetector,
     epochs: usize,

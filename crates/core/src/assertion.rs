@@ -58,16 +58,6 @@ impl<S> FnAssertion<S> {
             func: Box::new(func),
         }
     }
-
-    /// Wraps a Boolean predicate as an assertion (`true` means the
-    /// assertion fires).
-    pub fn from_predicate<N, F>(name: N, pred: F) -> Self
-    where
-        N: Into<String>,
-        F: Fn(&S) -> bool + Send + Sync + 'static,
-    {
-        Self::new(name, move |s| Severity::from_bool(pred(s)))
-    }
 }
 
 impl<S> Assertion<S> for FnAssertion<S> {
@@ -99,14 +89,6 @@ mod tests {
         });
         assert_eq!(a.check(&vec![1, 2, 4]).value(), 2.0);
         assert!(!a.check(&vec![1, 3]).fired());
-    }
-
-    #[test]
-    fn predicate_assertion_is_boolean() {
-        let a =
-            FnAssertion::from_predicate("has-negative", |xs: &Vec<i32>| xs.iter().any(|&x| x < 0));
-        assert_eq!(a.check(&vec![1, -1]), Severity::FIRED);
-        assert_eq!(a.check(&vec![1, 1]), Severity::ABSTAIN);
     }
 
     #[test]

@@ -32,22 +32,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// The textual payload, if this is a `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            AttrValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The Boolean payload, if this is a `Flag`.
-    pub fn as_flag(&self) -> Option<bool> {
-        match self {
-            AttrValue::Flag(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AttrValue {
@@ -85,17 +69,13 @@ mod tests {
     #[test]
     fn constructors_and_accessors() {
         assert_eq!(AttrValue::class(3).as_int(), Some(3));
-        assert_eq!(AttrValue::text("red").as_text(), Some("red"));
-        assert_eq!(AttrValue::from(true).as_flag(), Some(true));
         assert_eq!(AttrValue::from(7i64), AttrValue::Int(7));
         assert_eq!(AttrValue::from("x"), AttrValue::Text("x".into()));
     }
 
     #[test]
     fn cross_type_accessors_are_none() {
-        assert_eq!(AttrValue::Int(1).as_text(), None);
         assert_eq!(AttrValue::text("a").as_int(), None);
-        assert_eq!(AttrValue::Int(1).as_flag(), None);
     }
 
     #[test]

@@ -30,11 +30,10 @@ pub struct Record {
 /// # Retention
 ///
 /// A long-lived monitor records forever, so the database supports an
-/// explicit retention policy: [`AssertionDb::evict_before`] drops the
-/// rows of samples older than a watermark and
-/// [`AssertionDb::retain_recent`] keeps a fixed-size suffix of recent
-/// samples — the memory-flatness lever of the multi-tenant service
-/// layer. Eviction only ever touches rows *below* the watermark: every
+/// explicit retention policy: [`AssertionDb::retain_recent`] keeps a
+/// fixed-size suffix of recent samples, dropping the rows of samples
+/// older than a watermark — the memory-flatness lever of the
+/// multi-tenant service layer. Eviction only ever touches rows *below* the watermark: every
 /// query about retained ("live") samples answers exactly as if nothing
 /// had been evicted, and the lifetime counters
 /// ([`AssertionDb::lifetime_len`], [`AssertionDb::lifetime_fire_counts`])
@@ -120,11 +119,11 @@ impl AssertionDb {
     /// advances the retention watermark to it; returns the number of
     /// rows dropped. The watermark is monotonic — re-evicting below it
     /// is a no-op. Queries over retained samples are unaffected:
-    /// [`AssertionDb::fire_count`], [`AssertionDb::fired_samples`], and
-    /// friends answer exactly as a never-evicting database filtered to
+    /// [`AssertionDb::fire_count`], `fired_samples` and friends answer
+    /// exactly as a never-evicting database filtered to
     /// `sample >= evicted_before()` would, while the lifetime counters
     /// keep the full-history totals.
-    pub fn evict_before(&mut self, min_sample: usize) -> usize {
+    fn evict_before(&mut self, min_sample: usize) -> usize {
         if min_sample <= self.evicted_before {
             return 0;
         }
@@ -226,7 +225,7 @@ impl AssertionDb {
 
     /// Sample indices that fired the given assertion, in recording order,
     /// with their severities. Scans only that assertion's shard.
-    pub fn fired_samples(&self, assertion: AssertionId) -> Vec<(usize, Severity)> {
+    fn fired_samples(&self, assertion: AssertionId) -> Vec<(usize, Severity)> {
         self.shards.get(assertion.0).map_or_else(Vec::new, |shard| {
             shard.iter().filter(|(_, s)| s.fired()).copied().collect()
         })

@@ -213,12 +213,6 @@ impl ThreadPool {
         Self::new(1)
     }
 
-    /// A pool sized to the machine's available parallelism (1 if the
-    /// runtime cannot tell).
-    pub fn available() -> Self {
-        Self::new(thread::available_parallelism())
-    }
-
     /// The worker count (including the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
@@ -560,7 +554,6 @@ mod tests {
     fn sequential_and_default_are_one_thread() {
         assert_eq!(ThreadPool::sequential().threads(), 1);
         assert_eq!(ThreadPool::default(), ThreadPool::sequential());
-        assert!(ThreadPool::available().threads() >= 1);
         assert_eq!(ThreadPool::sequential().spawned_workers(), 0);
     }
 

@@ -53,17 +53,6 @@ pub mod thread {
 
     #[cfg(omg_model)]
     pub use omg_verify::thread::spawn_named;
-
-    /// The machine's available parallelism (1 if unknown). Under the
-    /// model this is a fixed small count so core-count capping in the
-    /// code under test is deterministic on any host.
-    #[cfg(not(omg_model))]
-    pub fn available_parallelism() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-
-    #[cfg(omg_model)]
-    pub use omg_verify::thread::available_parallelism;
 }
 
 /// Liveness hooks around the pool's lifetime-erased job cell. No-ops
@@ -128,5 +117,9 @@ pub fn mutation_enabled(_name: &str) -> bool {
     false
 }
 
+/// The model build's switch: asks the running `omg_verify::Config`.
 #[cfg(omg_model)]
-pub use omg_verify::mutations::enabled as mutation_enabled;
+#[inline(always)]
+pub fn mutation_enabled(name: &str) -> bool {
+    omg_verify::mutations::enabled(name)
+}

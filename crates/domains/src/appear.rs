@@ -17,7 +17,7 @@ use crate::VideoWindow;
 /// the core of `appear`, shared by the self-contained reference path and
 /// the prepared streaming path (one tracking per window for the whole
 /// assertion set).
-pub fn appear_severity(tracked: &ConsistencyWindow<TrackedBox>, t: f64) -> Severity {
+fn appear_severity(tracked: &ConsistencyWindow<TrackedBox>, t: f64) -> Severity {
     let engine = ConsistencyEngine::new(VideoTrackSpec).with_temporal_threshold(t);
     let blips = engine
         .check(tracked)

@@ -14,7 +14,7 @@ use omg_core::{FnAssertion, Severity};
 use crate::EcgWindow;
 
 /// The guideline persistence threshold, seconds.
-pub const ECG_T_SECS: f64 = 30.0;
+const ECG_T_SECS: f64 = 30.0;
 
 // BEGIN ASSERTION
 /// The ECG consistency spec: identifier = predicted rhythm class, no

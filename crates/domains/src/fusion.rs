@@ -29,7 +29,7 @@ use crate::{flicker, VideoFrame, VideoPrep, VideoWindow};
 
 /// IoU at or above which a secondary box counts as confirmed by a
 /// primary detection (mirrors [`crate::agree::AGREE_IOU`]).
-pub const FUSION_IOU: f64 = 0.10;
+const FUSION_IOU: f64 = 0.10;
 
 /// One time-aligned frame of both sensors' model outputs.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +99,7 @@ pub fn primary_view(window: &FusionWindow) -> VideoWindow {
 /// Counts secondary boxes on the center frame that no primary detection
 /// overlaps — the core of `fusion-agree`, shared by the reference and
 /// prepared paths.
-pub fn fusion_agree_severity(frame: &FusionFrame) -> Severity {
+fn fusion_agree_severity(frame: &FusionFrame) -> Severity {
     let primary_boxes: Vec<_> = frame.primary.iter().map(|d| d.bbox).collect();
     let secondary_boxes: Vec<_> = frame.secondary.iter().map(|s| s.bbox).collect();
     Severity::from_count(count_no_overlap(
@@ -111,7 +111,7 @@ pub fn fusion_agree_severity(frame: &FusionFrame) -> Severity {
 
 /// Builds the `fusion-agree` assertion (cross-sensor agreement on the
 /// window's center frame).
-pub fn fusion_agree_assertion() -> FnAssertion<FusionWindow> {
+fn fusion_agree_assertion() -> FnAssertion<FusionWindow> {
     FnAssertion::new("fusion-agree", |w: &FusionWindow| {
         fusion_agree_severity(w.center_frame())
     })
@@ -120,7 +120,7 @@ pub fn fusion_agree_assertion() -> FnAssertion<FusionWindow> {
 /// Builds the `fusion-flicker` assertion: the video `flicker` severity
 /// (gap-type temporal consistency violations at threshold `t` seconds)
 /// over the primary channel.
-pub fn fusion_flicker_assertion(t: f64) -> FnAssertion<FusionWindow> {
+fn fusion_flicker_assertion(t: f64) -> FnAssertion<FusionWindow> {
     FnAssertion::new("fusion-flicker", move |w: &FusionWindow| {
         flicker::flicker_severity(&track_window(&primary_view(w)), t)
     })

@@ -81,15 +81,6 @@ pub fn scene_window(scene: &NewsScene) -> ConsistencyWindow<NewsFace> {
 }
 // END HELPER scene_window
 
-/// The three per-attribute assertions OMG generates from [`NewsSpec`]
-/// (`news-identity`, `news-gender`, `news-hair`) — the granular view of
-/// the same checks.
-pub fn news_generated_assertions() -> Vec<Box<dyn omg_core::Assertion<NewsScene>>> {
-    use std::sync::Arc;
-    let engine = Arc::new(ConsistencyEngine::new(NewsSpec));
-    engine.generate_assertions("news", scene_window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +160,10 @@ mod tests {
 
     #[test]
     fn generated_assertions_split_by_attribute() {
-        let assertions = news_generated_assertions();
+        // The three per-attribute assertions OMG generates from NewsSpec:
+        // the granular view of the same checks.
+        let engine = std::sync::Arc::new(ConsistencyEngine::new(NewsSpec));
+        let assertions = engine.generate_assertions("news", scene_window);
         let names: Vec<&str> = assertions.iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["news-identity", "news-gender", "news-hair"]);
         let scene = NewsScene {

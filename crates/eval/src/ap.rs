@@ -1,6 +1,6 @@
 /// One point on a precision-recall curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrPoint {
+struct PrPoint {
     /// Recall in `[0, 1]`.
     pub recall: f64,
     /// Precision in `[0, 1]`.
@@ -28,7 +28,7 @@ pub fn average_precision(records: &[(f64, bool)], n_gt: usize) -> f64 {
 /// The raw precision-recall curve (one point per detection, in descending
 /// score order). Exposed so experiments can plot or inspect the curve, not
 /// just its area (C-INTERMEDIATE).
-pub fn pr_curve(records: &[(f64, bool)], n_gt: usize) -> Vec<PrPoint> {
+fn pr_curve(records: &[(f64, bool)], n_gt: usize) -> Vec<PrPoint> {
     let mut sorted: Vec<(f64, bool)> = records.to_vec();
     sorted.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut tp = 0usize;

@@ -145,7 +145,7 @@ impl DetectionEvaluator {
     }
 
     /// Average precision for each class with at least one ground-truth box.
-    pub fn ap_per_class(&self) -> BTreeMap<usize, f64> {
+    fn ap_per_class(&self) -> BTreeMap<usize, f64> {
         self.gt_counts
             .iter()
             .filter(|&(_, &n)| n > 0)

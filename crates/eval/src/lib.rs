@@ -6,12 +6,9 @@
 //!   [`DetectionEvaluator`]: greedy confidence-ordered matching at an IoU
 //!   threshold and all-point interpolated average precision, the convention
 //!   used by MS-COCO-style evaluation at a fixed IoU.
-//! * **Accuracy / confusion matrices** for classification (Figure 5,
-//!   Table 4) via [`ConfusionMatrix`] and [`accuracy`].
 //! * **Order statistics** ([`stats`]) — percentile ranks for the
 //!   high-confidence-error analysis (Figure 3), means and standard errors
-//!   for multi-trial experiment reporting, and bootstrap confidence
-//!   intervals.
+//!   for multi-trial experiment reporting.
 //! * **Precision of assertions** (Table 3) is a straight proportion and is
 //!   computed with [`stats::proportion`].
 //! * A fixed-width [`table::Table`] renderer shared by every experiment
@@ -36,11 +33,9 @@
 #![warn(missing_docs)]
 
 mod ap;
-mod classification;
 mod detection;
 pub mod stats;
 pub mod table;
 
-pub use ap::{average_precision, PrPoint};
-pub use classification::{accuracy, ConfusionMatrix};
+pub use ap::average_precision;
 pub use detection::{match_frame, DetectionEvaluator, FrameMatch, GtBox, MatchOutcome, ScoredBox};

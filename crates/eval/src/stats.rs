@@ -1,7 +1,7 @@
 //! Order statistics and small-sample summaries used by the experiment
 //! harness: percentile ranks (Figure 3), means ± standard errors
-//! (Figures 4/5/9 report multi-trial averages), proportions (Table 3),
-//! and bootstrap confidence intervals.
+//! (Figures 4/5/9 report multi-trial averages) and proportions
+//! (Table 3).
 
 /// Arithmetic mean; `0.0` for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -14,7 +14,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Unbiased sample variance (`n - 1` denominator); `0.0` for fewer than two
 /// samples.
-pub fn variance(xs: &[f64]) -> f64 {
+fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -23,7 +23,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
+fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
@@ -107,44 +107,6 @@ pub fn proportion<T>(items: &[T], pred: impl Fn(&T) -> bool) -> Proportion {
     }
 }
 
-/// Percentile bootstrap confidence interval for the mean.
-///
-/// Resamples `xs` with replacement `resamples` times using a deterministic
-/// xorshift generator seeded by `seed`, and returns the
-/// `(lo_quantile, hi_quantile)` of the resampled means.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or the quantile bounds are invalid.
-pub fn bootstrap_mean_ci(
-    xs: &[f64],
-    resamples: usize,
-    lo_q: f64,
-    hi_q: f64,
-    seed: u64,
-) -> (f64, f64) {
-    assert!(!xs.is_empty(), "bootstrap of empty slice");
-    assert!(lo_q < hi_q, "lower quantile must be below upper quantile");
-    // A tiny xorshift64* generator keeps this module dependency-free.
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..xs.len() {
-            let idx = (next() % xs.len() as u64) as usize;
-            sum += xs[idx];
-        }
-        means.push(sum / xs.len() as f64);
-    }
-    (quantile(&means, lo_q), quantile(&means, hi_q))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,31 +158,6 @@ mod tests {
         assert!((p.percent() - 50.0).abs() < 1e-12);
         let empty: [i32; 0] = [];
         assert_eq!(proportion(&empty, |_| true).fraction(), 0.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_true_mean_for_tight_data() {
-        let xs = vec![10.0; 50];
-        let (lo, hi) = bootstrap_mean_ci(&xs, 200, 0.025, 0.975, 42);
-        assert_eq!(lo, 10.0);
-        assert_eq!(hi, 10.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_is_ordered_and_reasonable() {
-        let xs: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let (lo, hi) = bootstrap_mean_ci(&xs, 500, 0.025, 0.975, 7);
-        assert!(lo <= hi);
-        let m = mean(&xs);
-        assert!(lo <= m && m <= hi, "CI [{lo}, {hi}] should contain {m}");
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_per_seed() {
-        let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let a = bootstrap_mean_ci(&xs, 100, 0.1, 0.9, 5);
-        let b = bootstrap_mean_ci(&xs, 100, 0.1, 0.9, 5);
-        assert_eq!(a, b);
     }
 
     #[test]

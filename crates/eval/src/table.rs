@@ -142,12 +142,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with the given number of decimal places — a convenience
-/// for building table rows.
-pub fn fmt_f(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,12 +180,6 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn empty_headers_panic() {
         Table::new(Vec::<String>::new());
-    }
-
-    #[test]
-    fn fmt_f_rounds() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(1.0, 1), "1.0");
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl BBox2D {
     /// disjoint (touching edges count as an empty, `None` intersection only
     /// when the overlap has zero area on both axes is still returned as a
     /// degenerate box; strictly separated boxes return `None`).
-    pub fn intersection(&self, other: &BBox2D) -> Option<BBox2D> {
+    fn intersection(&self, other: &BBox2D) -> Option<BBox2D> {
         let x1 = self.x1.max(other.x1);
         let y1 = self.y1.max(other.y1);
         let x2 = self.x2.min(other.x2);
@@ -134,7 +134,7 @@ impl BBox2D {
     /// where zero-area boxes can never match anything.
     ///
     /// The overlap's width and height are taken once, as
-    /// [`BBox2D::intersection`] takes them; a negative one means the
+    /// the intersection takes them; a negative one means the
     /// boxes are disjoint, which for finite coordinates is exactly when
     /// [`BBox2D::intersects`] fails. The result is bit for bit that of
     /// testing `intersects` and then taking
@@ -163,11 +163,6 @@ impl BBox2D {
         } else {
             self.intersection_area(other) / a
         }
-    }
-
-    /// Whether the point `(x, y)` lies inside the box (inclusive).
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
-        x >= self.x1 && x <= self.x2 && y >= self.y1 && y <= self.y2
     }
 
     /// Whether `other` lies entirely within `self` (inclusive).
@@ -399,11 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn contains_point_and_box() {
+    fn contains_box_is_inclusive() {
         let b = bb(0.0, 0.0, 10.0, 10.0);
-        assert!(b.contains_point(0.0, 0.0));
-        assert!(b.contains_point(10.0, 10.0));
-        assert!(!b.contains_point(10.01, 5.0));
         assert!(b.contains_box(&bb(1.0, 1.0, 9.0, 9.0)));
         assert!(!b.contains_box(&bb(1.0, 1.0, 11.0, 9.0)));
     }

@@ -12,7 +12,6 @@ use crate::{BBox2D, GeomError, Vec3};
 /// use omg_geom::{BBox3D, Vec3};
 ///
 /// let b = BBox3D::new(Vec3::new(10.0, 0.0, 1.0), Vec3::new(4.0, 2.0, 1.6), 0.0)?;
-/// assert_eq!(b.volume(), 4.0 * 2.0 * 1.6);
 /// assert_eq!(b.corners().len(), 8);
 /// # Ok::<(), omg_geom::GeomError>(())
 /// ```
@@ -65,11 +64,6 @@ impl BBox3D {
     /// Yaw about the up axis, radians.
     pub fn yaw(&self) -> f64 {
         self.yaw
-    }
-
-    /// Box volume.
-    pub fn volume(&self) -> f64 {
-        self.size.x * self.size.y * self.size.z
     }
 
     /// The eight corners in world coordinates.
@@ -202,9 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn volume_and_accessors() {
+    fn size_and_yaw_accessors() {
         let b = boxed(0.0, 0.0, 4.0, 2.0);
-        assert_eq!(b.volume(), 16.0);
         assert_eq!(b.size().x, 4.0);
         assert_eq!(b.yaw(), 0.0);
     }

@@ -85,7 +85,7 @@ pub struct CameraModel {
 impl CameraModel {
     /// Default near-plane distance in meters; points closer than this are
     /// considered unprojectable.
-    pub const DEFAULT_NEAR: f64 = 0.1;
+    const DEFAULT_NEAR: f64 = 0.1;
 
     /// Creates a camera at `position` with heading `yaw` (radians about Z).
     pub fn new(intrinsics: CameraIntrinsics, position: Vec3, yaw: f64) -> Self {
@@ -97,11 +97,6 @@ impl CameraModel {
         }
     }
 
-    /// The camera intrinsics.
-    pub fn intrinsics(&self) -> &CameraIntrinsics {
-        &self.intrinsics
-    }
-
     /// The camera position in the world frame.
     pub fn position(&self) -> Vec3 {
         self.position
@@ -109,7 +104,7 @@ impl CameraModel {
 
     /// Transforms a world point into the camera frame
     /// (x right, y down, z forward).
-    pub fn world_to_camera(&self, p: Vec3) -> Vec3 {
+    fn world_to_camera(&self, p: Vec3) -> Vec3 {
         let rel = (p - self.position).rotated_z(-self.yaw);
         // World (fwd, left, up) -> camera (right, down, fwd).
         Vec3::new(-rel.y, -rel.z, rel.x)
@@ -161,11 +156,6 @@ impl CameraModel {
         } else {
             Some(clipped)
         }
-    }
-
-    /// Whether any part of the box projects into the image.
-    pub fn sees(&self, b: &BBox3D) -> bool {
-        self.project_box(b).is_some()
     }
 }
 
@@ -229,7 +219,7 @@ mod tests {
     #[test]
     fn box_behind_camera_is_invisible() {
         let b = BBox3D::new(Vec3::new(-20.0, 0.0, 1.0), Vec3::new(4.0, 2.0, 1.5), 0.0).unwrap();
-        assert!(!cam().sees(&b));
+        assert!(cam().project_box(&b).is_none());
     }
 
     #[test]
@@ -246,15 +236,15 @@ mod tests {
             std::f64::consts::FRAC_PI_2, // looking along +Y (left)
         );
         let b = BBox3D::new(Vec3::new(0.0, 20.0, 1.0), Vec3::new(4.0, 2.0, 1.5), 0.0).unwrap();
-        assert!(side_cam.sees(&b));
+        assert!(side_cam.project_box(&b).is_some());
         // And the forward camera does not see it.
-        assert!(!cam().sees(&b));
+        assert!(cam().project_box(&b).is_none());
     }
 
     #[test]
     fn projection_is_consistent_under_camera_translation() {
         let c1 = cam();
-        let c2 = CameraModel::new(*c1.intrinsics(), Vec3::new(5.0, 1.0, 1.5), 0.0);
+        let c2 = CameraModel::new(c1.intrinsics, Vec3::new(5.0, 1.0, 1.5), 0.0);
         let p = Vec3::new(15.0, 1.0, 1.5); // 10 m ahead of c2, on its axis
         let (u, v) = c2.project_point(p).unwrap();
         assert!((u - 960.0).abs() < 1e-9);

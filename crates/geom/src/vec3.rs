@@ -42,42 +42,14 @@ impl Vec3 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
-    /// Cross product.
-    pub fn cross(&self, other: &Vec3) -> Vec3 {
-        Vec3 {
-            x: self.y * other.z - self.z * other.y,
-            y: self.z * other.x - self.x * other.z,
-            z: self.x * other.y - self.y * other.x,
-        }
-    }
-
     /// Euclidean norm.
     pub fn norm(&self) -> f64 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root).
-    pub fn norm_sq(&self) -> f64 {
-        self.dot(self)
-    }
-
     /// Euclidean distance to another point.
     pub fn distance(&self, other: &Vec3) -> f64 {
         (*self - *other).norm()
-    }
-
-    /// Unit vector in the same direction, or `None` for the zero vector.
-    pub fn normalized(&self) -> Option<Vec3> {
-        let n = self.norm();
-        if n == 0.0 {
-            None
-        } else {
-            Some(Vec3 {
-                x: self.x / n,
-                y: self.y / n,
-                z: self.z / n,
-            })
-        }
     }
 
     /// Rotates the vector about the Z (up) axis by `yaw` radians
@@ -135,29 +107,17 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross() {
+    fn dot_of_orthogonal_axes_is_zero() {
         let x = Vec3::new(1.0, 0.0, 0.0);
         let y = Vec3::new(0.0, 1.0, 0.0);
-        let z = Vec3::new(0.0, 0.0, 1.0);
         assert_eq!(x.dot(&y), 0.0);
-        assert_eq!(x.cross(&y), z);
-        assert_eq!(y.cross(&x), -z);
     }
 
     #[test]
     fn norm_and_distance() {
         let v = Vec3::new(3.0, 4.0, 12.0);
         assert_eq!(v.norm(), 13.0);
-        assert_eq!(v.norm_sq(), 169.0);
         assert_eq!(Vec3::ZERO.distance(&v), 13.0);
-    }
-
-    #[test]
-    fn normalized_unit_and_zero() {
-        let v = Vec3::new(0.0, 3.0, 4.0);
-        let u = v.normalized().unwrap();
-        assert!((u.norm() - 1.0).abs() < 1e-12);
-        assert!(Vec3::ZERO.normalized().is_none());
     }
 
     #[test]

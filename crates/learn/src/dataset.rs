@@ -82,18 +82,6 @@ impl Dataset {
         self.weights.push(weight);
     }
 
-    /// Appends every example of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(self.dim, other.dim, "feature dimension mismatch");
-        self.features.extend(other.features.iter().cloned());
-        self.labels.extend_from_slice(&other.labels);
-        self.weights.extend_from_slice(&other.weights);
-    }
-
     /// Features of example `i`.
     pub fn features(&self, i: usize) -> &[f64] {
         &self.features[i]
@@ -112,12 +100,6 @@ impl Dataset {
     /// All labels.
     pub fn labels(&self) -> &[usize] {
         &self.labels
-    }
-
-    /// Largest label value plus one (0 for an empty dataset) — a lower
-    /// bound on the number of classes.
-    pub fn num_classes_seen(&self) -> usize {
-        self.labels.iter().copied().max().map_or(0, |m| m + 1)
     }
 
     /// Returns a random permutation of example indices.
@@ -144,19 +126,6 @@ impl Dataset {
         }
         (a, b)
     }
-
-    /// Returns a dataset containing only the given example indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.dim);
-        for &i in indices {
-            out.push_weighted(self.features[i].clone(), self.labels[i], self.weights[i]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +150,6 @@ mod tests {
         assert_eq!(d.features(3), &[3.0, 7.0]);
         assert_eq!(d.label(4), 1);
         assert_eq!(d.weight(0), 1.0);
-        assert_eq!(d.num_classes_seen(), 3);
         assert!(!d.is_empty());
     }
 
@@ -219,33 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_picks_rows() {
-        let d = sample();
-        let s = d.subset(&[9, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.features(0), &[9.0, 1.0]);
-        assert_eq!(s.features(1), &[0.0, 10.0]);
-    }
-
-    #[test]
     fn shuffled_indices_is_permutation() {
         let d = sample();
         let mut rng = StdRng::seed_from_u64(1);
         let mut idx = d.shuffled_indices(&mut rng);
         idx.sort_unstable();
         assert_eq!(idx, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = sample();
-        let b = sample();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 20);
-    }
-
-    #[test]
-    fn empty_dataset_classes() {
-        assert_eq!(Dataset::new(1).num_classes_seen(), 0);
     }
 }

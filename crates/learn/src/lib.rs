@@ -6,12 +6,11 @@
 //! architectures do not exist, so this crate provides genuinely trainable
 //! replacements that exercise the same code paths at laptop scale:
 //!
-//! * [`Matrix`] — minimal dense linear algebra (row-major `f64`).
 //! * [`SoftmaxRegression`] — multinomial logistic regression trained with
 //!   mini-batch SGD; used as the trainable head of the simulated detector.
 //! * [`Mlp`] — a multi-layer perceptron with ReLU hidden layers, softmax
 //!   output, and backprop; used as the ECG rhythm classifier.
-//! * [`optim`] — SGD (with momentum) and Adam optimizers.
+//! * [`optim`] — the SGD (with momentum) optimizer.
 //! * [`uncertainty`] — least-confidence / margin / entropy scores, the
 //!   competing data-selection signals of the paper's active-learning
 //!   baselines ("uncertainty sampling with least confident", §5.4).
@@ -47,7 +46,6 @@ pub mod optim;
 pub mod uncertainty;
 
 pub use dataset::Dataset;
-pub use linalg::Matrix;
 pub use logreg::SoftmaxRegression;
-pub use loss::{cross_entropy, softmax, softmax_in_place};
+pub use loss::{cross_entropy, softmax};
 pub use mlp::{Mlp, MlpConfig};

@@ -1,192 +1,3 @@
-/// A dense row-major matrix of `f64`.
-///
-/// Deliberately minimal: the workspace's models are small (tens of features,
-/// a few classes), so a naive implementation is both fast enough and easy
-/// to audit.
-///
-/// # Example
-///
-/// ```
-/// use omg_learn::Matrix;
-///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl Matrix {
-    /// Creates a `rows × cols` matrix of zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        assert!(!rows.is_empty(), "need at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "need at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        assert!(rows > 0 && cols > 0);
-        Self { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        // PANIC: in bounds by the assert; data holds rows * cols.
-        self.data[r * self.cols + c]
-    }
-
-    /// Sets the element at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrow of row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        assert!(r < self.rows);
-        // PANIC: r + 1 <= rows, so the slice stays inside data.
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Flat row-major view of all elements.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.data[k * other.cols + j];
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// In-place `self += other * scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f64) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b * scale;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-}
-
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -200,89 +11,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn construction_and_access() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.get(1, 2), 6.0);
-        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_vec_round_trip() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "data length mismatch")]
-    fn from_vec_rejects_bad_length() {
-        Matrix::from_vec(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    fn identity_is_matmul_neutral() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(2)), a);
-        assert_eq!(Matrix::identity(2).matmul(&a), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn matmul_rectangular() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[1.0], &[1.0], &[1.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.rows(), 1);
-        assert_eq!(c.cols(), 1);
-        assert_eq!(c.get(0, 0), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        a.matmul(&b);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
-        a.add_scaled(&b, 3.0);
-        assert_eq!(a.get(0, 0), 3.0);
-        assert_eq!(a.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
-    }
 
     #[test]
     fn dot_basic() {

@@ -16,7 +16,7 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `values` is empty.
-pub fn softmax_in_place(values: &mut [f64]) {
+fn softmax_in_place(values: &mut [f64]) {
     assert!(!values.is_empty(), "softmax of empty slice");
     let max = values
         .iter()

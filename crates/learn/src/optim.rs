@@ -1,7 +1,7 @@
-//! First-order optimizers over flat parameter slices.
+//! The first-order optimizer over flat parameter slices.
 //!
-//! Each optimizer owns its state (momentum / moment estimates) for a single
-//! parameter tensor; models hold one optimizer per tensor.
+//! An optimizer owns its state (the momentum) for a single parameter
+//! tensor; models hold one optimizer per tensor.
 
 /// Plain SGD with optional momentum.
 #[derive(Debug, Clone)]
@@ -57,59 +57,6 @@ impl Sgd {
     }
 }
 
-/// Adam (Kingma & Ba, 2015) with the standard bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    t: u64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the customary defaults
-    /// (`beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn new(len: usize, lr: f64) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: vec![0.0; len],
-            v: vec![0.0; len],
-        }
-    }
-
-    /// Applies one Adam update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree with the construction length.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), self.m.len(), "parameter length changed");
-        assert_eq!(params.len(), grads.len(), "grad length mismatch");
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grads[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grads[i] * grads[i];
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,17 +89,6 @@ mod tests {
             (x[0] - 3.0).abs()
         };
         assert!(run(0.9, 60) < run(0.0, 60));
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(1, 0.3);
-        let mut x = [0.0];
-        for _ in 0..300 {
-            let g = [quad_grad(x[0])];
-            opt.step(&mut x, &g);
-        }
-        assert!((x[0] - 3.0).abs() < 1e-2, "got {}", x[0]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! generics, `where` clauses) are all covered by fixture tests.
 
 use crate::lexer::{lex, Tok, TokKind};
+use std::collections::BTreeSet;
 
 /// One extracted function (or method) definition.
 #[derive(Debug, Clone)]
@@ -203,6 +204,97 @@ pub fn extract_fns(file: &FileModel, file_idx: usize) -> Vec<FnDef> {
     out
 }
 
+/// One `pub` item definition: a `fn`, `struct`, `enum`, `trait`,
+/// `type`, `const`, `static` or `mod` declared plain `pub` (restricted
+/// `pub(crate)`/`pub(super)`/`pub(in …)` items are not public surface).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubItem {
+    /// The item's name.
+    pub name: String,
+    /// Its keyword (`fn`, `struct`, …).
+    pub kind: &'static str,
+    /// 1-based line of the `pub` keyword.
+    pub line: u32,
+}
+
+/// The item keywords whose `pub` definitions count as public surface.
+const PUB_KINDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+];
+
+/// Extracts every plain-`pub` item defined in `file` before the test
+/// cutoff, methods and associated consts included (fields are not
+/// items).
+pub fn extract_pub_items(file: &FileModel) -> Vec<PubItem> {
+    let mut out = Vec::new();
+    for i in 0..file.cut {
+        if file.kind(i) != TokKind::Ident || file.t(i) != "pub" {
+            continue;
+        }
+        // Skip qualifiers: `pub const fn`, `pub unsafe extern "C" fn`.
+        let mut j = i + 1;
+        let mut saw_const = false;
+        loop {
+            match file.t(j) {
+                "const" => saw_const = true,
+                "async" | "unsafe" | "extern" => {}
+                _ if file.kind(j) == TokKind::Str => {}
+                _ => break,
+            }
+            j += 1;
+        }
+        let (kind, mut name_at) = match PUB_KINDS.iter().find(|k| **k == file.t(j)) {
+            Some(&kw) => (kw, j + 1),
+            // `pub const NAME: T` — the qualifier loop consumed `const`.
+            None if saw_const => ("const", j),
+            None => continue,
+        };
+        if kind == "static" && file.t(name_at) == "mut" {
+            name_at += 1;
+        }
+        if file.kind(name_at) == TokKind::Ident {
+            out.push(PubItem {
+                name: file.t(name_at).trim_start_matches("r#").to_string(),
+                kind,
+                line: file.toks[i].line,
+            });
+        }
+    }
+    out
+}
+
+/// Every identifier the code of `file` names, test module included,
+/// minus the tokens of `pub use` re-exports (a re-export alone does not
+/// use an item).
+pub fn named_idents(file: &FileModel) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut i = 0;
+    while i < file.toks.len() {
+        if file.t(i) == "pub" {
+            // `pub use …;` and `pub(crate) use …;`: skip to the `;`.
+            let mut j = i + 1;
+            if file.t(j) == "(" {
+                while j < file.toks.len() && file.t(j) != ")" {
+                    j += 1;
+                }
+                j += 1;
+            }
+            if file.t(j) == "use" {
+                while j < file.toks.len() && file.t(j) != ";" {
+                    j += 1;
+                }
+                i = j + 1;
+                continue;
+            }
+        }
+        if file.kind(i) == TokKind::Ident {
+            names.insert(file.t(i).trim_start_matches("r#").to_string());
+        }
+        i += 1;
+    }
+    names
+}
+
 /// Parses an `impl`/`trait` header starting at token `i`; returns the
 /// self-type name and the token index of the opening `{`.
 fn parse_typed_header(file: &FileModel, i: usize, end: usize) -> Option<(String, usize)> {
@@ -349,6 +441,36 @@ mod tests {
         let (b0, b1) = fns[0].body.unwrap();
         let body: Vec<&str> = (b0..=b1).map(|i| m.t(i)).collect();
         assert!(body.contains(&"body_call"), "{body:?}");
+    }
+
+    #[test]
+    fn pub_items_are_found_with_their_qualifiers() {
+        let src = concat!(
+            "pub const fn a() {}\npub unsafe extern \"C\" fn b() {}\npub const C: u8 = 0;\n",
+            "pub static mut D: u8 = 0;\npub struct E { pub field: u8 }\npub(crate) fn f() {}\n",
+            "pub(super) struct G;\npub use x::H;\npub mod i;\npub type J = u8;\n",
+            "pub trait K {}\npub enum L {}\n#[cfg(test)]\nmod tests { pub fn m() {} }\n",
+        );
+        let got: Vec<(String, &str)> = extract_pub_items(&model(src))
+            .into_iter()
+            .map(|p| (p.name, p.kind))
+            .collect();
+        let want = [
+            ("a", "fn"),
+            ("b", "fn"),
+            ("C", "const"),
+            ("D", "static"),
+            ("E", "struct"),
+            ("i", "mod"),
+            ("J", "type"),
+            ("K", "trait"),
+            ("L", "enum"),
+        ];
+        let want: Vec<(String, &str)> = want.iter().map(|(n, k)| (n.to_string(), *k)).collect();
+        assert_eq!(got, want);
+        // A re-export's names are no use; the test module's are.
+        let names = named_idents(&model(src));
+        assert!(!names.contains("H") && names.contains("m"), "{names:?}");
     }
 
     #[test]

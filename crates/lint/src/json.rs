@@ -1,5 +1,5 @@
 //! Hand-rolled JSON rendering for `omg-lint --json` (the workspace
-//! vendors no serialization crate, and the report shape is four keys).
+//! vendors no serialization crate, and the report shape is a few keys).
 
 use crate::rules::Violation;
 use crate::Summary;
@@ -35,13 +35,21 @@ fn violation(v: &Violation) -> String {
 }
 
 /// Renders the full machine-readable report: scan size, reachable-set
-/// size, cleanliness, and every violation.
+/// size, library `pub` items per crate and in total, cleanliness, and
+/// every violation.
 pub fn render(s: &Summary) -> String {
     let vs: Vec<String> = s.violations.iter().map(violation).collect();
+    let per_crate: Vec<String> = s
+        .pub_items
+        .iter()
+        .map(|(krate, n)| format!("\"{}\": {n}", escape(krate)))
+        .collect();
     format!(
-        "{{\n  \"tool\": \"omg-lint\",\n  \"files_scanned\": {},\n  \"reachable_fns\": {},\n  \"clean\": {},\n  \"violations\": [{}]\n}}",
+        "{{\n  \"tool\": \"omg-lint\",\n  \"files_scanned\": {},\n  \"reachable_fns\": {},\n  \"pub_items\": {{{}}},\n  \"pub_items_total\": {},\n  \"clean\": {},\n  \"violations\": [{}]\n}}",
         s.files_scanned,
         s.reachable_fns,
+        per_crate.join(", "),
+        s.pub_items.values().sum::<usize>(),
         s.violations.is_empty(),
         if vs.is_empty() {
             String::new()
@@ -74,10 +82,16 @@ mod tests {
                 message: "say \"why\"".into(),
             }],
             files: vec![],
+            pub_items: [("crates/a".to_string(), 3), ("crates/b".to_string(), 4)].into(),
         };
         let j = render(&s);
         assert!(j.contains("\"files_scanned\": 2"), "{j}");
         assert!(j.contains("\"reachable_fns\": 7"), "{j}");
+        assert!(
+            j.contains("\"pub_items\": {\"crates/a\": 3, \"crates/b\": 4}"),
+            "{j}"
+        );
+        assert!(j.contains("\"pub_items_total\": 7"), "{j}");
         assert!(j.contains("\"clean\": false"), "{j}");
         assert!(j.contains("\"line\":3"), "{j}");
         assert!(j.contains("say \\\"why\\\""), "{j}");
@@ -86,6 +100,7 @@ mod tests {
             reachable_fns: 0,
             violations: vec![],
             files: vec![],
+            pub_items: Default::default(),
         };
         assert!(render(&clean).contains("\"violations\": []"));
     }

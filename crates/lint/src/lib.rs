@@ -50,6 +50,7 @@ pub mod lexer;
 pub mod rules;
 
 use items::FileModel;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use rules::Violation;
@@ -72,19 +73,23 @@ pub struct Summary {
     pub violations: Vec<Violation>,
     /// The scanned workspace-relative paths (for coverage checks).
     pub files: Vec<String>,
+    /// Library `pub` items per crate directory (`crates/core`).
+    pub pub_items: BTreeMap<String, usize>,
 }
 
-/// Runs every rule over the given sources.
+/// Runs every rule over the given sources. Files under `perfbench/`
+/// are read for the names they use only: no rule runs on them.
 pub fn analyze(files: Vec<SourceFile>) -> Summary {
-    let models: Vec<FileModel> = files
+    let (name_only, models): (Vec<FileModel>, Vec<FileModel>) = files
         .into_iter()
         .map(|s| FileModel::new(s.path, s.text))
-        .collect();
+        .partition(|m| m.path.starts_with(NAME_ONLY_ROOT));
     let mut violations = Vec::new();
     for m in &models {
         rules::lexical(m, &mut violations);
     }
     let reachable_fns = rules::graph_pass(&models, &mut violations);
+    let pub_items = rules::pub_pass(&models, &name_only, &mut violations);
     violations
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Summary {
@@ -92,13 +97,24 @@ pub fn analyze(files: Vec<SourceFile>) -> Summary {
         reachable_fns,
         violations,
         files: models.iter().map(|m| m.path.clone()).collect(),
+        pub_items,
     }
 }
 
 /// Source roots scanned relative to the workspace root. `crates/`
 /// recursion covers `src/`, `benches/`, and `src/bin/` alike;
 /// `vendor/` and fixture directories are skipped by the walker.
-const SCAN_ROOTS: &[&str] = &["crates", "examples", "tests"];
+const SCAN_ROOTS: &[&str] = &[
+    "crates",
+    "examples",
+    "tests",
+    "perfbench/src",
+    "perfbench/tests",
+];
+
+/// The benchmark package, outside the workspace: its sources count as
+/// uses of library items, and nothing else is checked there.
+const NAME_ONLY_ROOT: &str = "perfbench/";
 
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
@@ -213,6 +229,17 @@ pub const RULES: &[(&str, &str)] = &[
          reductions must merge in index order (ThreadPool::map_indexed already does).",
     ),
     (
+        "unreferenced-pub",
+        "Every plain `pub` fn, struct, enum, trait, type, const, static or mod in a \
+         library crate's src/ (bins and omg-lint excluded) must be named as an \
+         identifier by another scanned file or by perfbench's sources; comments and \
+         `pub use` re-exports do not count. Otherwise delete it or drop `pub`. An item \
+         that must stay public although nothing else names it goes in PUB_ALLOWED with \
+         one of three reasons: a public signature names it, the paper's API names it, \
+         or a ROADMAP item names it. An entry whose item is gone or now named elsewhere \
+         fails, so the ledger only shrinks.",
+    ),
+    (
         "hot-path-root-missing",
         "Each declared hot-path root must resolve to at least one function in the \
          call graph. If a root resolves to nothing (an entry point was renamed or a \
@@ -286,9 +313,12 @@ pub fn run_cli(args: &[String]) -> i32 {
             }
             if summary.violations.is_empty() {
                 println!(
-                    "omg-lint: clean ({} files, {} hot-path-reachable fns; lexical rules + \
-                     panic-freedom + float-determinism over the reachable set)",
-                    summary.files_scanned, summary.reachable_fns
+                    "omg-lint: clean ({} files, {} hot-path-reachable fns, {} library pub \
+                     items; lexical rules + panic-freedom + float-determinism over the \
+                     reachable set + the surface rule)",
+                    summary.files_scanned,
+                    summary.reachable_fns,
+                    summary.pub_items.values().sum::<usize>()
                 );
                 0
             } else {
@@ -693,6 +723,115 @@ mod tests {
         assert_eq!(count_rule(&s.violations, "float-order-on-hot-path"), 0);
     }
 
+    // ---- the public surface is named elsewhere -------------------------
+
+    /// The `unreferenced-pub` findings of a mini workspace, as
+    /// `file:line: message` strings.
+    fn orphans(files: &[(&str, &str)]) -> Vec<String> {
+        analyze_files(files)
+            .violations
+            .iter()
+            .filter(|v| v.rule == "unreferenced-pub")
+            .map(|v| format!("{}:{}: {}", v.file, v.line, v.message))
+            .collect()
+    }
+
+    #[test]
+    fn unreferenced_pub_fires_on_an_orphan() {
+        let got = orphans(&[
+            (
+                "crates/toy/src/a.rs",
+                concat!(
+                    "pub fn lonely() {}\n",
+                    "pub fn used() {}\n",
+                    "pub(crate) fn crate_only() {}\n",
+                    "pub struct Shape;\n",
+                    "impl Shape { pub const fn area(&self) -> u8 { 0 } }\n",
+                    "#[cfg(test)]\n",
+                    "mod tests { pub fn helper() { super::lonely(); } }\n",
+                ),
+            ),
+            (
+                "crates/toy/src/b.rs",
+                "// lonely() in a comment is no use.\nfn f() -> u8 { used(); Shape.area() }\n",
+            ),
+            // Binaries are read for names, never checked.
+            ("crates/toy/src/bin/tool.rs", "pub fn bin_only() {}\n"),
+        ]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(
+            got[0].starts_with("crates/toy/src/a.rs:1: `pub fn lonely`"),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn a_pub_use_re_export_alone_still_fires() {
+        let got = orphans(&[
+            ("crates/toy/src/lib.rs", "mod a;\npub use a::lonely;\n"),
+            ("crates/toy/src/a.rs", "pub fn lonely() {}\n"),
+        ]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].contains("`pub fn lonely`"), "{got:?}");
+    }
+
+    #[test]
+    fn a_use_from_tests_or_perfbench_clears_it() {
+        let item = (
+            "crates/toy/src/a.rs",
+            "pub fn lonely() {}\npub fn spare() {}\n",
+        );
+        let test = ("tests/tests/t.rs", "#[test]\nfn t() { lonely(); }\n");
+        let from_tests = orphans(&[item, test]);
+        assert_eq!(from_tests.len(), 1, "{from_tests:?}");
+        assert!(from_tests[0].contains("`pub fn spare`"), "{from_tests:?}");
+        // perfbench is read for names only: the thread spawn in it trips
+        // no rule, and its use of `spare` clears that item too.
+        let bench = (
+            "perfbench/src/main.rs",
+            "fn main() { spare(); std::thread::spawn(|| {}); }\n",
+        );
+        let s = analyze_files(&[item, test, bench]);
+        assert!(
+            !s.violations
+                .iter()
+                .any(|v| v.file.starts_with("perfbench/")),
+            "{:?}",
+            s.violations
+        );
+        assert_eq!(count_rule(&s.violations, "unreferenced-pub"), 0);
+        assert!(!s.files.iter().any(|f| f.starts_with("perfbench/")));
+    }
+
+    #[test]
+    fn stale_pub_ledger_entries_fire() {
+        let files = [
+            (
+                "crates/toy/src/a.rs",
+                "pub struct Kept;\npub fn named() {}\n",
+            ),
+            ("crates/toy/src/b.rs", "fn f() { named(); }\n"),
+        ]
+        .map(|(p, s)| FileModel::new(p.to_string(), s.to_string()));
+        let reason = rules::PubReason::Signature("test pin");
+        let mut out = Vec::new();
+        let per_crate = rules::pub_pass_with(
+            &files,
+            &[],
+            &[
+                ("crates/toy/src/a.rs", "Kept", reason),
+                ("crates/toy/src/a.rs", "named", reason),
+                ("crates/toy/src/a.rs", "gone", reason),
+            ],
+            &mut out,
+        );
+        let messages: Vec<&str> = out.iter().map(|v| v.message.as_str()).collect();
+        assert_eq!(messages.len(), 2, "{messages:?}");
+        assert!(messages[0].contains("`named`: another file now names it"));
+        assert!(messages[1].contains("`gone`: no `pub` item"));
+        assert_eq!(per_crate.get("crates/toy"), Some(&2));
+    }
+
     // ---- root integrity ------------------------------------------------
 
     #[test]
@@ -718,11 +857,12 @@ mod tests {
             "pairwise-iou-outside-geom",
             "panic-on-hot-path",
             "float-order-on-hot-path",
+            "unreferenced-pub",
             "hot-path-root-missing",
         ] {
             assert!(explain(rule).is_some(), "missing catalog entry for {rule}");
         }
-        assert_eq!(RULES.len(), 9);
+        assert_eq!(RULES.len(), 10);
     }
 
     // ---- the real workspace is clean and fully covered -----------------
@@ -761,11 +901,13 @@ mod tests {
         // saw, so a renamed or deleted file with a stale ledger entry
         // must be caught here instead.
         let summary = scan_workspace(real_root()).expect("scan");
-        for (path, _, _) in rules::PANIC_ALLOWED.iter().chain(rules::FLOAT_ALLOWED) {
+        let counted = rules::PANIC_ALLOWED.iter().chain(rules::FLOAT_ALLOWED);
+        let named = rules::PUB_ALLOWED.iter().map(|(path, _, _)| path);
+        for path in counted.map(|(path, _, _)| path).chain(named) {
             assert!(
                 summary.files.iter().any(|f| f == path),
                 "ledger entry for `{path}` does not match any scanned file — \
-                 re-audit the PANIC_ALLOWED/FLOAT_ALLOWED ledgers"
+                 re-audit the PANIC_ALLOWED/FLOAT_ALLOWED/PUB_ALLOWED ledgers"
             );
         }
     }

@@ -5,7 +5,7 @@
 //! audit records themselves — changing one is a reviewable diff.
 
 use crate::graph;
-use crate::items::{is_keyword, FileModel};
+use crate::items::{self, is_keyword, FileModel};
 use crate::lexer::TokKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -197,16 +197,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "envelope scan bounded by saturating_sub'd range",
     ),
     (
-        "crates/eval/src/classification.rs",
-        1,
-        "n*n confusion matrix read under the accessor contract (classes < n)",
-    ),
-    (
-        "crates/learn/src/linalg.rs",
-        1,
-        "matrix accessors indexed under dimension asserts",
-    ),
-    (
         "crates/scenario/src/drivers.rs",
         3,
         "clamped_window keeps lo <= i < hi <= n for every index i < n its callers pass",
@@ -261,6 +251,122 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
 /// Count-pinned ledger of justified float-ordering sites reachable
 /// from the hot-path roots (`// FLOAT:`-justified).
 pub const FLOAT_ALLOWED: &[(&str, usize, &str)] = &[];
+
+/// Why a `pub` item that no other file names stays public. These are
+/// the only three reasons the surface rule accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PubReason {
+    /// A public signature names it (a `pub fn`'s parameter or return
+    /// type, a `pub` field, a trait's associated type), so dropping
+    /// `pub` would leak a private type; the text names the signature.
+    Signature(&'static str),
+    /// The paper's assertion API names it; the text cites the section.
+    Paper(&'static str),
+    /// A ROADMAP item names it; the text cites the item.
+    Roadmap(&'static str),
+}
+
+/// Deliberately public items that no other scanned file names: (file,
+/// item name, reason). An entry goes stale, and fails the rule, once
+/// the item is gone or something else names it, so the ledger can only
+/// shrink.
+pub const PUB_ALLOWED: &[(&str, &str, PubReason)] = &[
+    (
+        "crates/active/src/pool.rs",
+        "PoolShapeError",
+        PubReason::Signature("the error of CandidatePool::new"),
+    ),
+    (
+        "crates/active/src/runner.rs",
+        "RoundRecord",
+        PubReason::Signature("run_rounds returns it"),
+    ),
+    (
+        "crates/bench/src/ecgx.rs",
+        "EcgItem",
+        PubReason::Signature("EcgScenario's Scenario::Item"),
+    ),
+    (
+        "crates/bench/src/highway.rs",
+        "HighwayItem",
+        PubReason::Signature("HighwayScenario's Scenario::Item"),
+    ),
+    (
+        "crates/bench/src/loc.rs",
+        "LocEntry",
+        PubReason::Signature("table2_entries returns it"),
+    ),
+    (
+        "crates/bench/src/newsx.rs",
+        "FlaggedGroup",
+        PubReason::Signature("flagged_groups returns it"),
+    ),
+    (
+        "crates/bench/src/video.rs",
+        "VideoItem",
+        PubReason::Signature("VideoScenario's Scenario::Item"),
+    ),
+    (
+        "crates/core/src/database.rs",
+        "Record",
+        PubReason::Signature("AssertionDb::iter yields it"),
+    ),
+    (
+        "crates/core/src/taxonomy.rs",
+        "AssertionClass",
+        PubReason::Signature("a field of TaxonomyEntry"),
+    ),
+    (
+        "crates/core/src/taxonomy.rs",
+        "AssertionSubclass",
+        PubReason::Signature("a field of TaxonomyEntry"),
+    ),
+    (
+        "crates/core/src/taxonomy.rs",
+        "TaxonomyEntry",
+        PubReason::Signature("taxonomy returns it"),
+    ),
+    (
+        "crates/domains/src/label_check.rs",
+        "LabelCheckReport",
+        PubReason::Signature("check_labels returns it"),
+    ),
+    (
+        "crates/eval/src/detection.rs",
+        "FrameMatch",
+        PubReason::Signature("match_frame returns it"),
+    ),
+    (
+        "crates/scenario/src/tests_support.rs",
+        "CountedItem",
+        PubReason::Signature("the clone-counting toy scenario's Scenario::Item"),
+    ),
+    (
+        "crates/service/src/service.rs",
+        "SessionReport",
+        PubReason::Signature("MonitorService::finish returns it"),
+    ),
+    (
+        "crates/service/src/service.rs",
+        "session_fire_counts",
+        PubReason::Roadmap("item 3's telemetry snapshot reads the per-session fire counts"),
+    ),
+    (
+        "crates/sim/src/av.rs",
+        "LidarDetection",
+        PubReason::Signature("the AvSample::lidar field"),
+    ),
+    (
+        "crates/verify/src/sched.rs",
+        "Report",
+        PubReason::Signature("model and model_with return it"),
+    ),
+    (
+        "crates/verify/src/sync.rs",
+        "NeverPoisoned",
+        PubReason::Signature("the error type of the model Mutex::lock"),
+    ),
+];
 
 fn lookup<'a>(table: &'a [(&str, &str)], file: &str) -> Option<&'a str> {
     table.iter().find(|(f, _)| *f == file).map(|(_, why)| *why)
@@ -631,6 +737,109 @@ fn float_site(fm: &FileModel, k: usize) -> Option<String> {
             }
         }
         _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Surface rule: every library `pub` item is named by another file
+// ---------------------------------------------------------------------------
+
+/// Whether the surface rule checks `fm`'s `pub` items: library crate
+/// sources, minus the linter itself and binaries.
+fn pub_scope(fm: &FileModel) -> bool {
+    fm.path.starts_with("crates/")
+        && fm.path.contains("/src/")
+        && !fm.path.starts_with("crates/lint/")
+        && !fm.path.contains("/src/bin/")
+        && !fm.is_test
+}
+
+/// The crate directory (`crates/core`) a library source sits in.
+fn crate_of(path: &str) -> &str {
+    let end = path
+        .match_indices('/')
+        .nth(1)
+        .map_or(path.len(), |(i, _)| i);
+    &path[..end]
+}
+
+/// Runs the `unreferenced-pub` rule: a `pub` item of a library source
+/// file passes when its name is an identifier in the code of another
+/// file of `files` or of `name_only` (read for names, never checked),
+/// and otherwise needs a `ledger` entry. Returns the public-item count
+/// per crate. Production callers pass [`PUB_ALLOWED`].
+pub fn pub_pass_with(
+    files: &[FileModel],
+    name_only: &[FileModel],
+    ledger: &[(&str, &str, PubReason)],
+    out: &mut Vec<Violation>,
+) -> BTreeMap<String, usize> {
+    let names: Vec<BTreeSet<String>> = files.iter().map(items::named_idents).collect();
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for set in &names {
+        for nm in set {
+            *files_naming.entry(nm.as_str()).or_default() += 1;
+        }
+    }
+    let outside: BTreeSet<String> = name_only.iter().flat_map(items::named_idents).collect();
+    let mut per_crate: BTreeMap<String, usize> = BTreeMap::new();
+    let mut defined: BTreeSet<(&str, String)> = BTreeSet::new();
+    for (fi, fm) in files.iter().enumerate() {
+        if !pub_scope(fm) {
+            continue;
+        }
+        let found = items::extract_pub_items(fm);
+        *per_crate.entry(crate_of(&fm.path).to_string()).or_default() += found.len();
+        for item in found {
+            let own = usize::from(names[fi].contains(&item.name));
+            let named_elsewhere = files_naming.get(item.name.as_str()).copied().unwrap_or(0) > own
+                || outside.contains(&item.name);
+            let ledgered = ledger
+                .iter()
+                .any(|(f, n, _)| *f == fm.path && *n == item.name);
+            if !named_elsewhere && !ledgered {
+                out.push(Violation {
+                    file: fm.path.clone(),
+                    line: item.line as usize,
+                    rule: "unreferenced-pub",
+                    message: format!(
+                        "`pub {} {}` is named by no other file: delete it, drop `pub`, or \
+                         give it a reason in omg-lint's PUB_ALLOWED",
+                        item.kind, item.name
+                    ),
+                });
+            } else if named_elsewhere && ledgered {
+                out.push(stale_pub(&fm.path, &item.name, "another file now names it"));
+            }
+            defined.insert((fm.path.as_str(), item.name));
+        }
+    }
+    // Judged against the files this scan saw, as the count ledgers are;
+    // the lint crate's ledger_files_exist self-test catches the rest.
+    for (path, name, _) in ledger {
+        let seen = files.iter().any(|fm| fm.path == *path);
+        if seen && !defined.contains(&(*path, name.to_string())) {
+            out.push(stale_pub(path, name, "no `pub` item of that name is left"));
+        }
+    }
+    per_crate
+}
+
+/// Production entry: the pinned [`PUB_ALLOWED`] ledger.
+pub fn pub_pass(
+    files: &[FileModel],
+    name_only: &[FileModel],
+    out: &mut Vec<Violation>,
+) -> BTreeMap<String, usize> {
+    pub_pass_with(files, name_only, PUB_ALLOWED, out)
+}
+
+fn stale_pub(file: &str, name: &str, why: &str) -> Violation {
+    Violation {
+        file: file.to_string(),
+        line: 0,
+        rule: "unreferenced-pub",
+        message: format!("stale PUB_ALLOWED entry for `{name}`: {why}; remove the entry"),
     }
 }
 

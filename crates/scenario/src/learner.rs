@@ -17,7 +17,7 @@ use crate::{stream_score_scenario, Scenario};
 /// # Panics
 ///
 /// Panics if a selection position is out of range of `unlabeled`.
-pub fn claim_selection(unlabeled: &mut Vec<usize>, selection: &[usize]) -> Vec<usize> {
+fn claim_selection(unlabeled: &mut Vec<usize>, selection: &[usize]) -> Vec<usize> {
     let mut chosen: Vec<usize> = selection.iter().map(|&p| unlabeled[p]).collect();
     chosen.sort_unstable();
     chosen.dedup();

@@ -47,7 +47,7 @@ pub(crate) mod tests_support;
 pub use drivers::{clamped_window, score_scenario, score_window, stream_score_scenario};
 pub use errors::{dedup_errors, errors_by_assertion, FoundError};
 pub use harness::{DynScenario, ScenarioHarness, Scores};
-pub use learner::{claim_selection, ScenarioLearner};
+pub use learner::ScenarioLearner;
 pub use scenario::{detection_uncertainty, Scenario};
 
 // Re-exported so scenario implementations and harness callers can name

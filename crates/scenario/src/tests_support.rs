@@ -170,7 +170,7 @@ pub struct CloneProbeScenario {
 
 /// The probe's sample: (window sum, center value) — derived from the
 /// borrowed window, owning no items.
-pub type ProbeSample = (i64, i64);
+type ProbeSample = (i64, i64);
 
 impl CloneProbeScenario {
     pub fn new(n: usize) -> Self {

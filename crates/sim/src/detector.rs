@@ -226,13 +226,6 @@ impl TrainingBatch {
     pub fn is_empty(&self) -> bool {
         self.det.is_empty() && self.cls.is_empty() && self.dup.is_empty()
     }
-
-    /// Merges another batch into this one.
-    pub fn merge(&mut self, other: &TrainingBatch) {
-        self.det.extend_from(&other.det);
-        self.cls.extend_from(&other.cls);
-        self.dup.extend_from(&other.dup);
-    }
 }
 
 impl Default for TrainingBatch {
@@ -253,7 +246,7 @@ pub struct SimDetector {
 impl SimDetector {
     /// Creates an *untrained* detector (uniform heads). Most callers want
     /// [`SimDetector::pretrained`].
-    pub fn untrained(config: DetectorConfig) -> Self {
+    fn untrained(config: DetectorConfig) -> Self {
         let lr = config.lr;
         Self {
             det_head: SoftmaxRegression::new(APP_DIM, 2, lr),
@@ -347,7 +340,7 @@ impl SimDetector {
 
     /// Class distribution the detector would assign to one signal, with
     /// [`DetectorConfig::cls_temperature`] applied (argmax-invariant).
-    pub fn class_probabilities(&self, signal: &ObjectSignal) -> Vec<f64> {
+    fn class_probabilities(&self, signal: &ObjectSignal) -> Vec<f64> {
         let probs = self.cls_head.predict_proba(&signal.appearance);
         let t = self.config.cls_temperature;
         if (t - 1.0).abs() < 1e-12 {
@@ -364,7 +357,7 @@ impl SimDetector {
     }
 
     /// Duplicate probability for one signal.
-    pub fn duplicate_probability(&self, signal: &ObjectSignal) -> f64 {
+    fn duplicate_probability(&self, signal: &ObjectSignal) -> f64 {
         self.dup_head.predict_proba(&signal.appearance)[1]
     }
 
@@ -744,9 +737,6 @@ mod tests {
         assert_eq!(b.len_det(), 2);
         assert_eq!(b.len_cls(), 3);
         assert_eq!(b.len_dup(), 2);
-        let mut b2 = TrainingBatch::new();
-        b2.merge(&b);
-        assert_eq!(b2.len_det(), 2);
     }
 
     #[test]

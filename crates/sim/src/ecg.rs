@@ -140,7 +140,7 @@ impl EcgWorld {
     }
 
     /// Generates the next window.
-    pub fn next_window(&mut self) -> EcgPoint {
+    fn next_window(&mut self) -> EcgPoint {
         // Sticky Markov chain with a minimum dwell: switch with
         // probability 1/(mean - min) once the minimum has elapsed.
         self.dwell_remaining = self.dwell_remaining.saturating_sub(1);

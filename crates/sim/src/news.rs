@@ -30,7 +30,7 @@ pub struct Host {
 }
 
 /// Number of distinct hair-color classes.
-pub const NUM_HAIR_COLORS: u8 = 4;
+const NUM_HAIR_COLORS: u8 = 4;
 
 /// One face-pipeline output: the model's identity/gender/hair predictions
 /// for a face box in one sampled frame.

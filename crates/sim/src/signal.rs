@@ -222,7 +222,7 @@ mod rand_distr_shim {
     use rand::Rng;
 
     /// Standard normal via Box–Muller.
-    pub fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
+    pub(crate) fn sample_normal<R: Rng>(rng: &mut R) -> f64 {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

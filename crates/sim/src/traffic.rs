@@ -103,11 +103,6 @@ impl GtFrame {
             })
             .collect()
     }
-
-    /// The signal for a given track id, if present in this frame.
-    pub fn signal_for_track(&self, track_id: u64) -> Option<&ObjectSignal> {
-        self.signals.iter().find(|s| s.track_id == track_id)
-    }
 }
 
 /// The evolving traffic world. Call [`TrafficWorld::step`] once per frame.
@@ -423,19 +418,6 @@ mod tests {
                 assert!(cx > -200.0 && cx < 1480.0, "cx {cx}");
             }
         }
-    }
-
-    #[test]
-    fn signal_for_track_lookup() {
-        let mut w = world(7);
-        let frames = w.steps(200);
-        let f = frames
-            .iter()
-            .find(|f| f.signals.iter().any(|s| !s.is_clutter()))
-            .expect("some traffic");
-        let s = f.signals.iter().find(|s| !s.is_clutter()).unwrap();
-        assert_eq!(f.signal_for_track(s.track_id).unwrap().track_id, s.track_id);
-        assert!(f.signal_for_track(123_456_789).is_none());
     }
 
     #[test]

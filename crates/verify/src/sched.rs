@@ -377,28 +377,11 @@ impl Exec {
         self.schedule_inner("condvar.wait", true);
     }
 
-    pub(crate) fn condvar_notify(&self, cv_addr: usize, all: bool) {
-        self.schedule(if all {
-            "condvar.notify_all"
-        } else {
-            "condvar.notify_one"
-        });
+    pub(crate) fn condvar_notify(&self, cv_addr: usize) {
+        self.schedule("condvar.notify_all");
         let mut st = self.lock_state();
-        if all {
-            if let Some(waiters) = st.cv_waiters.remove(&cv_addr) {
-                for w in waiters {
-                    st.status[w] = Status::Runnable;
-                }
-            }
-        } else if let Some(waiters) = st.cv_waiters.get_mut(&cv_addr) {
-            // Deterministic stand-in for "some waiter": the lowest id.
-            if let Some(pos) = waiters
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| **w)
-                .map(|(p, _)| p)
-            {
-                let w = waiters.swap_remove(pos);
+        if let Some(waiters) = st.cv_waiters.remove(&cv_addr) {
+            for w in waiters {
                 st.status[w] = Status::Runnable;
             }
         }

@@ -20,14 +20,15 @@
 use crate::sched::with_exec;
 use std::sync::atomic::Ordering;
 
-/// Error half of [`LockResult`]; never constructed (see module docs).
+/// Error half of what [`Mutex::lock`] and [`Condvar::wait`] return;
+/// never constructed (see module docs).
 #[derive(Debug)]
 pub struct NeverPoisoned;
 
 /// What model [`Mutex::lock`] and [`Condvar::wait`] return: always
 /// `Ok`, but `Result`-shaped so production `.expect(...)` calls compile
 /// unchanged.
-pub type LockResult<T> = Result<T, NeverPoisoned>;
+type LockResult<T> = Result<T, NeverPoisoned>;
 
 fn addr_of<T: ?Sized>(x: &T) -> usize {
     std::ptr::from_ref(x) as *const () as usize
@@ -133,15 +134,9 @@ impl Condvar {
         lock.lock()
     }
 
-    /// Wakes one parked waiter (the lowest thread id, as a
-    /// deterministic stand-in for "some waiter").
-    pub fn notify_one(&self) {
-        with_exec(|e| e.condvar_notify(addr_of(self), false));
-    }
-
     /// Wakes every parked waiter.
     pub fn notify_all(&self) {
-        with_exec(|e| e.condvar_notify(addr_of(self), true));
+        with_exec(|e| e.condvar_notify(addr_of(self)));
     }
 }
 
@@ -176,12 +171,6 @@ impl AtomicUsize {
     pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
         with_exec(|e| e.schedule("atomic.fetch_add"));
         self.inner.fetch_add(value, order)
-    }
-
-    /// Atomic subtract, returning the previous value (visible step).
-    pub fn fetch_sub(&self, value: usize, order: Ordering) -> usize {
-        with_exec(|e| e.schedule("atomic.fetch_sub"));
-        self.inner.fetch_sub(value, order)
     }
 }
 

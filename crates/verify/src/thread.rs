@@ -24,13 +24,6 @@ where
     spawn(f)
 }
 
-/// What the model reports for `available_parallelism`: a fixed small
-/// count, so core-count capping in the code under test is deterministic
-/// on any host.
-pub fn available_parallelism() -> usize {
-    4
-}
-
 /// Handle to a model thread; `join` blocks (a free scheduler switch)
 /// until the thread finishes.
 #[derive(Debug)]

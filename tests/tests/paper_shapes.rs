@@ -1,6 +1,7 @@
 //! The paper's qualitative claims, asserted as tests against the
 //! simulated evaluation (the shapes, not the absolute numbers).
 
+use omg_bench::video::{detect_all, pretrained_detector, window_at, VideoScenario, FLICKER_T};
 use omg_domains::video_assertion_set;
 use omg_sim::detector::{Detection, DetectorConfig, Provenance, SimDetector};
 use omg_sim::traffic::{TrafficConfig, TrafficWorld};
@@ -116,4 +117,63 @@ fn flagged_frames_contain_more_errors_than_random_frames() {
         flagged_rate > clean_rate,
         "flagged frames must be error-richer: {flagged_rate:.2} vs {clean_rate:.2}"
     );
+}
+
+#[test]
+fn night_street_detector_holds_its_calibration() {
+    // The simulator's operating point, which the shape tests above and
+    // Table 3's precisions rest on: seed 11, 400 pool frames, the
+    // pretrained detector of seed 1.
+    let scenario = VideoScenario::night_street(11, 400, 200);
+    let det = pretrained_detector(1);
+    let frames = &scenario.pool_frames;
+    let dets = detect_all(&det, frames);
+    let (mut dark, mut clutter) = (Vec::new(), Vec::new());
+    for s in frames.iter().flat_map(|f| &f.signals) {
+        if s.is_clutter() {
+            clutter.push(det.detect_probability(s));
+        } else if s.quality < 0.55 {
+            dark.push(det.detect_probability(s));
+        }
+    }
+    let dark_p = omg_eval::stats::mean(&dark);
+    assert!(
+        (0.70..=0.80).contains(&dark_p),
+        "dark objects' detection probability left [0.70, 0.80]: {dark_p:.3} (n = {})",
+        dark.len()
+    );
+    let clutter_p = omg_eval::stats::mean(&clutter);
+    assert!(
+        clutter_p <= 0.07,
+        "clutter's detection probability rose above 0.07: {clutter_p:.3} (n = {})",
+        clutter.len()
+    );
+
+    // §5.3: the most confident error reaches the 100th percentile of all
+    // detections' confidences, rounded to a whole percentile (99.66 at
+    // this seed: a few correct detections score higher).
+    let all_conf: Vec<f64> = dets.iter().flatten().map(|d| d.scored.score).collect();
+    let top_err = dets
+        .iter()
+        .flatten()
+        .filter(|d| d.is_error())
+        .map(|d| d.scored.score)
+        .max_by(f64::total_cmp)
+        .expect("the night detector makes errors");
+    let pct = omg_eval::stats::percentile_rank(&all_conf, top_err);
+    assert_eq!(
+        pct.round(),
+        100.0,
+        "the most confident error ({top_err:.3}) sits at the {pct:.2}th percentile"
+    );
+
+    // §3: enough windows on which no assertion fires to contrast with.
+    let set = video_assertion_set(FLICKER_T);
+    let clean = (0..frames.len())
+        .filter(|&c| {
+            let window = window_at(frames, &dets, c);
+            !set.check_all(&window).iter().any(|(_, s)| s.fired())
+        })
+        .count();
+    assert!(clean >= 20, "only {clean} of 400 windows fire no assertion");
 }
