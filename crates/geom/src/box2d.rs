@@ -100,10 +100,14 @@ impl BBox2D {
     /// Whether the two boxes intersect at all (touching edges count).
     ///
     /// This is the cheap fast-reject the grid index runs on its
-    /// candidates: four comparisons, no arithmetic.
+    /// candidates: four comparisons, no arithmetic, joined by
+    /// non-short-circuit `&` so the test compiles without branches.
     #[inline]
     pub fn intersects(&self, other: &BBox2D) -> bool {
-        self.x1 <= other.x2 && other.x1 <= self.x2 && self.y1 <= other.y2 && other.y1 <= self.y2
+        (self.x1 <= other.x2)
+            & (other.x1 <= self.x2)
+            & (self.y1 <= other.y2)
+            & (other.y1 <= self.y2)
     }
 
     /// Intersection box of `self` and `other`, or `None` if they are

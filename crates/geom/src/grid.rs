@@ -38,7 +38,11 @@
 //! column, or (the entry's first-column mark) the box's. The same holds
 //! for rows. So every box sharing a cell with the query is looked at
 //! exactly once, and a [`BBox2D::intersects`] check keeps the ones whose
-//! AABB intersects the query. [`GridIndex2D::candidates_overlapping`]
+//! AABB intersects the query. The walk joins the mark test and the four
+//! comparisons with non-short-circuit `&` and writes every visited id,
+//! keeping it by advancing the output's length (`write_kept`): on
+//! crowd frames a query keeps about 15 of its candidates in no pattern a
+//! branch predictor can learn. [`GridIndex2D::candidates_overlapping`]
 //! therefore returns **exactly** those boxes, each once, in the order
 //! the walk meets them: row by row and, within a visited row, cell by
 //! cell. That order is fixed by the input but is not ascending, and no
@@ -265,16 +269,49 @@ impl<'a> GridIndex2D<'a> {
         self.entries.get(lo..hi).unwrap_or_default()
     }
 
-    /// Pushes the ids of the `entries` that carry every mark in `need`
-    /// and whose box intersects `query`.
+    /// Appends the ids of the `entries` that carry every mark in `need`
+    /// and whose box intersects `query`, without a branch on either test
+    /// (see [`extend_kept`]).
     fn push_hits(&self, entries: &[u32], need: u32, query: &BBox2D, out: &mut Vec<usize>) {
-        for &entry in entries {
+        let hits = entries.iter().map(|&entry| {
             let id = (entry >> ID_SHIFT) as usize;
-            if entry & need == need && self.boxes.get(id).is_some_and(|b| b.intersects(query)) {
-                out.push(id);
-            }
-        }
+            let meets = self.boxes.get(id).is_some_and(|b| b.intersects(query));
+            (id, (entry & need == need) & meets)
+        });
+        extend_kept(out, hits);
     }
+}
+
+/// Appends to `out`, in order, the items of `items` whose flag is set:
+/// `out` grows by `items`' length, [`write_kept`] fills the new slots,
+/// and the slots past the kept ones are cut off again.
+pub(crate) fn extend_kept<T, I>(out: &mut Vec<T>, items: I)
+where
+    T: Copy + Default,
+    I: ExactSizeIterator<Item = (T, bool)>,
+{
+    let from = out.len();
+    out.resize(from + items.len(), T::default());
+    let kept = write_kept(out.get_mut(from..).unwrap_or_default(), items);
+    out.truncate(from + kept);
+}
+
+/// Writes the items of `items` whose flag is set to the front of `out`,
+/// in order, and returns how many there are, without branching on the
+/// flag: each item is written at the kept count, which then advances by
+/// `usize::from(flag)`. A crowded filter keeps few of its candidates in
+/// no predictable pattern, so a branch per candidate mispredicts often
+/// and the unconditional write is cheaper. `out` needs a slot for every
+/// item; the slots past the returned count hold rejected items.
+pub(crate) fn write_kept<T>(out: &mut [T], items: impl Iterator<Item = (T, bool)>) -> usize {
+    let mut kept = 0;
+    for (item, keep) in items {
+        if let Some(slot) = out.get_mut(kept) {
+            *slot = item;
+        }
+        kept += usize::from(keep);
+    }
+    kept
 }
 
 /// Number of cells along an axis for `span` world units.
@@ -379,6 +416,23 @@ mod tests {
         let mut out = vec![7usize];
         grid.candidates_overlapping(&bb(0.0, 0.0, 10.0), &mut out);
         assert!(out.is_empty(), "query must clear the scratch vec");
+    }
+
+    #[test]
+    fn stale_ids_in_out_never_survive_a_query() {
+        // The walk writes every entry it visits and keeps few of them,
+        // so the buffer must end at the kept ids whatever it held.
+        let boxes: Vec<BBox2D> = (0..40)
+            .map(|i| bb(f64::from(i % 8) * 4.0, f64::from(i / 8) * 4.0, 6.0))
+            .collect();
+        let grid = GridIndex2D::build(&boxes);
+        let q = bb(9.0, 9.0, 2.0);
+        let want = brute_overlapping(&boxes, &q);
+        assert!(!want.is_empty() && want.len() < boxes.len());
+        let mut out = vec![usize::MAX; 3 * boxes.len()];
+        grid.candidates_overlapping(&q, &mut out);
+        out.sort_unstable();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -38,7 +38,10 @@
 //!
 //! The grid's cost on crowd frames is its own candidate walk, not the
 //! IoU it saves, and a self-join through it queries every box and then
-//! drops the candidates below it. `overlap_triples` instead sorts each
+//! drops the candidates below it. (That walk's cost was mispredicted
+//! branches, not memory layout: each of the grid walk, `iou_pairs`' keep
+//! and the sweep's two filters now writes every candidate and advances
+//! its length on the keep, with no branch on it.) `overlap_triples` instead sorts each
 //! class's boxes by lower edge along the axis the boxes cover more
 //! sparsely (summed extent over the bounds' span), visits each pair that
 //! overlaps along it once, keeps the matching pairs as edges in a CSR
@@ -48,7 +51,7 @@
 //! x. Between two sets the sweep measured slower than the grid, so
 //! `iou_pairs` and `count_unmatched` keep the grid.
 
-use crate::grid::GridIndex2D;
+use crate::grid::{extend_kept, write_kept, GridIndex2D};
 use crate::{reference, BBox2D};
 
 /// Below this many boxes the matchers skip their indexed paths (the
@@ -93,13 +96,13 @@ pub fn iou_pairs(
     for (ai, a) in anchors.iter().enumerate() {
         grid.candidates_overlapping(a, &mut cands);
         let from = pairs.len();
-        for &qi in &cands {
-            let Some(q) = queries.get(qi) else { continue };
-            let iou = a.iou(q);
-            if iou >= iou_threshold {
-                pairs.push((iou, ai, qi));
-            }
-        }
+        // A missing query (none: the grid reports indices into
+        // `queries`) scores NaN, which no threshold keeps.
+        let scored = cands.iter().map(|&qi| {
+            let iou = queries.get(qi).map_or(f64::NAN, |q| a.iou(q));
+            ((iou, ai, qi), iou >= iou_threshold)
+        });
+        extend_kept(pairs, scored);
         // The grid's candidates come in no set order; this anchor's few
         // matches are put in query order here.
         if let Some(matched) = pairs.get_mut(from..) {
@@ -226,20 +229,27 @@ fn matching_edges(boxes: &[BBox2D], classes: &[usize], thr: f64) -> Vec<(usize, 
         .collect();
     order.sort_unstable_by(|a, b| a.class.cmp(&b.class).then(a.lo.total_cmp(&b.lo)));
     let mut edges = Vec::new();
+    // Box `a`'s partners that overlap it across the axis too, at the
+    // front; one slot per box covers any box's partners.
+    let mut near = vec![0; boxes.len()];
     for class in order.chunk_by(|a, b| a.class == b.class) {
         let mut firsts = class.iter();
         while let Some(a) = firsts.next() {
-            for b in firsts.clone().take_while(|b| b.lo <= a.hi) {
-                if b.across.0 > a.across.1 || a.across.0 > b.across.1 {
-                    continue;
-                }
+            // Two filters, neither branching on its keep: first across
+            // the axis, then IoU on the few partners that survive it.
+            let partners = firsts.as_slice().iter().take_while(|b| b.lo <= a.hi);
+            let across = partners.map(|b| {
+                let overlaps = (b.across.0 <= a.across.1) & (a.across.0 <= b.across.1);
+                (b.id, overlaps)
+            });
+            let kept = write_kept(&mut near, across);
+            let matching = near.get(..kept).unwrap_or_default().iter().map(|&id| {
                 // The lower id is the receiver, as in the reference scan.
-                let (lo, hi) = (a.id.min(b.id), a.id.max(b.id));
+                let (lo, hi) = (a.id.min(id), a.id.max(id));
                 let pair = boxes.get(lo).zip(boxes.get(hi));
-                if pair.is_some_and(|(p, q)| p.iou(q) >= thr) {
-                    edges.push((lo, hi));
-                }
-            }
+                ((lo, hi), pair.is_some_and(|(p, q)| p.iou(q) >= thr))
+            });
+            extend_kept(&mut edges, matching);
         }
     }
     edges

@@ -48,13 +48,14 @@ pub struct FileModel {
     pub toks: Vec<Tok>,
     /// Comment tokens, in order.
     pub comments: Vec<Tok>,
-    /// Code-token index of the first `#[cfg(test)]` attribute; tokens
-    /// from here on are the file's test module (repo convention keeps
-    /// it last) and are exempt from every rule.
+    /// Code-token index of the first `#[cfg(test)]` attribute that gates
+    /// an inline module; tokens from here on are the file's test module
+    /// (repo convention keeps it last) and are exempt from every rule.
     pub cut: usize,
-    /// True for integration-test sources (`tests/` directories): their
-    /// code is scanned by the lexical rules but never enters the
-    /// call graph (test helpers may unwrap freely).
+    /// True for integration-test sources (`tests/` directories) and for
+    /// files a `#[cfg(test)] mod name;` declares: their code is scanned
+    /// by the lexical rules but never enters the call graph (test
+    /// helpers may unwrap freely) or the public surface.
     pub is_test: bool,
 }
 
@@ -107,23 +108,80 @@ impl FileModel {
     pub fn justified(&self, line: u32, marker: &str, lookback: u32) -> bool {
         self.comment_in(line.saturating_sub(lookback), line, marker)
     }
+
+    /// The paths a `#[cfg(test)] mod name;` declaration before the cut
+    /// may load: `name.rs` and `name/mod.rs` in the declaring file's
+    /// module directory (its own directory for `lib.rs`, `main.rs` and
+    /// `mod.rs`, else the directory named after it). Those files compile
+    /// only under test, so they are test code.
+    pub fn gated_mod_files(&self) -> Vec<String> {
+        let (dir, file) = self.path.rsplit_once('/').unwrap_or(("", &self.path));
+        let dir = match file {
+            "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+            _ => self.path.trim_end_matches(".rs").to_string(),
+        };
+        let txt = |i: usize| self.t(i);
+        (0..self.cut)
+            .filter_map(|i| gated_mod(txt, i))
+            .flat_map(|(name, _)| [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")])
+            .collect()
+    }
 }
 
-/// Code-token index of the first `#[cfg(test)]` attribute.
+/// Code-token index of the first `#[cfg(test)]` attribute that gates an
+/// inline module (`mod name { … }`). A gated declaration (`mod name;`)
+/// is no cut: the code after it is live, and the file it declares is
+/// test code instead (see [`FileModel::gated_mod_files`]).
 fn find_cfg_test(toks: &[Tok], src: &str) -> usize {
     let txt = |i: usize| toks.get(i).map(|t: &Tok| t.text(src)).unwrap_or("");
-    for i in 0..toks.len() {
-        if txt(i) == "#"
-            && txt(i + 1) == "["
-            && txt(i + 2) == "cfg"
-            && txt(i + 3) == "("
-            && txt(i + 4) == "test"
-            && txt(i + 5) == ")"
-        {
-            return i;
+    (0..toks.len())
+        .find(|&i| gated_mod(txt, i).is_some_and(|(_, inline)| inline))
+        .unwrap_or(toks.len())
+}
+
+/// If a `#[cfg(test)]` attribute opens at code token `i` and gates a
+/// module (after any further attributes, optionally `pub` or `pub(…)`):
+/// the module's name, and whether it is inline (`{`) rather than
+/// declared (`;`).
+fn gated_mod<'s>(txt: impl Fn(usize) -> &'s str, i: usize) -> Option<(&'s str, bool)> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    if !ATTR.iter().enumerate().all(|(k, tok)| txt(i + k) == *tok) {
+        return None;
+    }
+    let mut j = i + ATTR.len();
+    while txt(j) == "#" && txt(j + 1) == "[" {
+        j += 1;
+        let mut depth = 0;
+        loop {
+            match txt(j) {
+                "[" => depth += 1,
+                "]" => depth -= 1,
+                "" => return None,
+                _ => {}
+            }
+            j += 1;
+            if depth == 0 {
+                break;
+            }
         }
     }
-    toks.len()
+    if txt(j) == "pub" {
+        j += 1;
+        if txt(j) == "(" {
+            while !matches!(txt(j), ")" | "") {
+                j += 1;
+            }
+            j += 1;
+        }
+    }
+    if txt(j) != "mod" {
+        return None;
+    }
+    match txt(j + 2) {
+        "{" => Some((txt(j + 1), true)),
+        ";" => Some((txt(j + 1), false)),
+        _ => None,
+    }
 }
 
 /// Rust keywords that can never be call names or expression tails.
@@ -477,6 +535,29 @@ mod tests {
     fn test_modules_are_cut() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn dead() {} }";
         assert_eq!(names(src), vec![("live".into(), None)]);
+        let src = "fn live() {}\n#[cfg(test)]\n#[allow(unused)]\npub(crate) mod t { fn dead() {} }";
+        assert_eq!(names(src), vec![("live".into(), None)]);
+    }
+
+    #[test]
+    fn a_gated_mod_declaration_is_no_cut_but_names_test_files() {
+        let src = "#[cfg(test)]\npub(crate) mod support;\nfn live() {}\n#[cfg(test)]\nmod tests { fn dead() {} }";
+        assert_eq!(names(src), vec![("live".into(), None)]);
+        assert_eq!(
+            model(src).gated_mod_files(),
+            ["crates/x/src/support.rs", "crates/x/src/support/mod.rs"]
+        );
+        // A non-root file's modules live in the directory named after it;
+        // an ungated declaration or one past the cut names nothing.
+        let src = "mod live;\n#[cfg(test)]\nmod fixtures;\n#[cfg(test)]\nmod tests { #[cfg(test)] mod inner; }";
+        let m = FileModel::new("crates/x/src/a.rs".into(), src.into());
+        assert_eq!(
+            m.gated_mod_files(),
+            [
+                "crates/x/src/a/fixtures.rs",
+                "crates/x/src/a/fixtures/mod.rs"
+            ]
+        );
     }
 
     #[test]

@@ -80,10 +80,14 @@ pub struct Summary {
 /// Runs every rule over the given sources. Files under `perfbench/`
 /// are read for the names they use only: no rule runs on them.
 pub fn analyze(files: Vec<SourceFile>) -> Summary {
-    let (name_only, models): (Vec<FileModel>, Vec<FileModel>) = files
+    let (name_only, mut models): (Vec<FileModel>, Vec<FileModel>) = files
         .into_iter()
         .map(|s| FileModel::new(s.path, s.text))
         .partition(|m| m.path.starts_with(NAME_ONLY_ROOT));
+    let gated: Vec<String> = models.iter().flat_map(FileModel::gated_mod_files).collect();
+    for m in &mut models {
+        m.is_test |= gated.contains(&m.path);
+    }
     let mut violations = Vec::new();
     for m in &models {
         rules::lexical(m, &mut violations);
@@ -763,6 +767,61 @@ mod tests {
             got[0].starts_with("crates/toy/src/a.rs:1: `pub fn lonely`"),
             "{got:?}"
         );
+    }
+
+    #[test]
+    fn code_after_a_gated_mod_declaration_is_checked() {
+        let s = analyze_files(&[
+            (
+                "crates/toy/src/lib.rs",
+                concat!(
+                    "#[cfg(test)]\n",
+                    "pub(crate) mod support;\n",
+                    "pub fn go() {\n",
+                    "    std::thread::spawn(|| {});\n",
+                    "}\n",
+                ),
+            ),
+            ("crates/toy/src/support.rs", "pub(crate) fn helper() {}\n"),
+        ]);
+        let got: Vec<(usize, &str)> = s
+            .violations
+            .iter()
+            .filter(|v| v.file == "crates/toy/src/lib.rs")
+            .map(|v| (v.line, v.rule))
+            .collect();
+        assert_eq!(got, [(3, "unreferenced-pub"), (4, "ad-hoc-thread")]);
+    }
+
+    #[test]
+    fn a_gated_mod_declaration_keeps_its_file_out_of_graph_and_surface() {
+        let in_support = |decl: &str| {
+            let s = analyze_files(&[
+                (
+                    "crates/scenario/src/toy.rs",
+                    "pub fn toy_assertion() { helper(); }\n",
+                ),
+                ("crates/scenario/src/lib.rs", decl),
+                (
+                    "crates/scenario/src/support.rs",
+                    "pub fn helper(v: &[u8]) -> u8 { v[0] }\npub struct Orphan;\n",
+                ),
+            ]);
+            let rules: Vec<&str> = s
+                .violations
+                .iter()
+                .filter(|v| v.file == "crates/scenario/src/support.rs")
+                .map(|v| v.rule)
+                .collect();
+            rules
+        };
+        // Declared plainly, the file is library code: its index is
+        // reachable from the root and its orphan is public surface.
+        assert_eq!(
+            in_support("mod toy;\nmod support;\n"),
+            ["panic-on-hot-path", "unreferenced-pub"]
+        );
+        assert!(in_support("mod toy;\n#[cfg(test)]\nmod support;\n").is_empty());
     }
 
     #[test]

@@ -207,11 +207,6 @@ pub const PANIC_ALLOWED: &[(&str, usize, &str)] = &[
         "assertion ids index their own set",
     ),
     (
-        "crates/scenario/src/tests_support.rs",
-        4,
-        "toy scenarios uphold the driver's center-in-window contract",
-    ),
-    (
         "crates/service/src/service.rs",
         4,
         "shard lock poisoning means a scorer already panicked; propagate",
@@ -335,11 +330,6 @@ pub const PUB_ALLOWED: &[(&str, &str, PubReason)] = &[
         "crates/eval/src/detection.rs",
         "FrameMatch",
         PubReason::Signature("match_frame returns it"),
-    ),
-    (
-        "crates/scenario/src/tests_support.rs",
-        "CountedItem",
-        PubReason::Signature("the clone-counting toy scenario's Scenario::Item"),
     ),
     (
         "crates/service/src/service.rs",
