@@ -38,10 +38,11 @@
 //!
 //! The grid's cost on crowd frames is its own candidate walk, not the
 //! IoU it saves, and a self-join through it queries every box and then
-//! drops the candidates below it. (That walk's cost was mispredicted
-//! branches, not memory layout: each of the grid walk, `iou_pairs`' keep
-//! and the sweep's two filters now writes every candidate and advances
-//! its length on the keep, with no branch on it.) `overlap_triples` instead sorts each
+//! drops the candidates below it. Such a filter keeps few of its
+//! candidates in no predictable pattern, so its cost is mispredicted
+//! branches rather than memory: the grid walk, `iou_pairs`' keep and the
+//! sweep's two filters write every candidate and advance their length on
+//! the keep, with no branch on it. `overlap_triples` instead sorts each
 //! class's boxes by lower edge along the axis the boxes cover more
 //! sparsely (summed extent over the bounds' span), visits each pair that
 //! overlaps along it once, keeps the matching pairs as edges in a CSR
