@@ -23,6 +23,7 @@ use omg_domains::{
 use omg_geom::grid::GridIndex2D;
 use omg_geom::{matchers, BBox2D};
 use omg_scenario::{clamped_window, Scenario};
+use omg_track::IouAssociator;
 
 fn make_windows(n: usize) -> Vec<omg_domains::VideoWindow> {
     monitor_windows(n, 3)
@@ -133,7 +134,12 @@ fn consistency_scaling(c: &mut Criterion) {
 }
 
 /// Tracker-assignment cost per frame (the identification function behind
-/// the video consistency assertions).
+/// the video consistency assertions). `tracker/displacement_chain/<n>`
+/// assigns the association's worst case, a frame pair of `n` boxes each
+/// in which every pair clears the threshold, every track ranks query 0
+/// first and every query the highest track, so each new track in live
+/// order displaces a chain of every earlier one (`dense_oracle.rs` pins
+/// its ids).
 fn tracker_cost(c: &mut Criterion) {
     let windows = make_windows(100);
     c.bench_function("tracker/window5", |b| {
@@ -143,6 +149,30 @@ fn tracker_cost(c: &mut Criterion) {
             }
         });
     });
+    const CHAIN: usize = 500;
+    let frame = |corners: fn(f64) -> [f64; 4]| -> Vec<BBox2D> {
+        (0..CHAIN)
+            .map(|i| {
+                let [x1, y1, x2, y2] = corners(i as f64);
+                BBox2D::new(x1, y1, x2, y2).unwrap()
+            })
+            .collect()
+    };
+    let frames = [
+        frame(|a| [0.0, 0.0, 100.0 + 0.05 * a, 100.0]),
+        frame(|q| [0.02 * q, 0.0, 200.0 + 0.02 * q, 100.0]),
+    ];
+    let mut group = c.benchmark_group("tracker/displacement_chain");
+    group.bench_with_input(BenchmarkId::from_parameter(CHAIN), &frames, |b, frames| {
+        let mut associator = IouAssociator::new(TRACK_IOU, 1);
+        b.iter(|| {
+            associator.reset();
+            for (frame, boxes) in frames.iter().enumerate() {
+                criterion::black_box(associator.assign(frame, boxes.iter().copied()));
+            }
+        });
+    });
+    group.finish();
 }
 
 /// A scenario's item stream under `model`.

@@ -54,7 +54,7 @@ pub fn build(files: &[FileModel], eligible: &[bool]) -> Graph {
             None => continue,
         };
         let fm = &files[fns[i].file];
-        let lets = let_scopes(fm, b0, b1);
+        let lets = binding_scopes(fm, b0, b1);
         for k in b0..=b1 {
             if fm.kind(k) != TokKind::Ident {
                 continue;
@@ -102,12 +102,15 @@ pub fn build(files: &[FileModel], eligible: &[bool]) -> Graph {
 /// - bare `name:` — a struct-literal/pattern field name, parameter,
 ///   or binding annotation; never a value. No edge.
 /// - bare `name` bound by the caller itself — a parameter, which is in
-///   scope over the whole body, or a `let` statement that ended before
-///   `k` in a block still open at `k` (see [`let_scopes`]) — or the
-///   `let` pattern's own name: a local, never a fn. A free fn of the
-///   same name is then reachable only through a path, which the first
-///   branch resolves. No edge. Closure parameters and `match`/`if
-///   let`/`for` patterns are not tracked, so their names keep edges.
+///   scope over the whole body, a `let` statement that ended before
+///   `k` in a block still open at `k`, or a `for` loop whose body
+///   holds `k` (see [`binding_scopes`]) — or the `let` or `for`
+///   pattern's own name: a local, never a fn. A free fn of the same
+///   name is then reachable only through a path, which the first
+///   branch resolves. No edge. A `for` loop's iterator expression and
+///   the code after the loop are outside its binding's scope, so their
+///   names keep edges. Closure parameters and `match`/`if let` patterns
+///   are not tracked, so their names keep edges.
 /// - any other bare `name` — a possible fn-as-value reference
 ///   (`map(helper)`, `fold(acc, merge)`) or direct call `name(…)`;
 ///   both resolve only to free functions, since naming a method
@@ -116,7 +119,7 @@ fn resolve(
     fm: &FileModel,
     k: usize,
     caller: &FnDef,
-    lets: &[LetScope],
+    lets: &[BindingScope],
     cands: &[usize],
     fns: &[FnDef],
     files: &[FileModel],
@@ -170,21 +173,32 @@ fn resolve(
     }
 }
 
-/// A `let name` statement's `(name, ;, })` token indices: the binding
-/// is in scope strictly between its `;` and the `}` closing its block.
-type LetScope = (usize, usize, usize);
+/// A plain-name binding's `(name, open, close)` token indices: the
+/// binding is in scope strictly between `open` and `close`. For a `let`
+/// statement they are its `;` and the `}` closing its block; for a
+/// `for` loop, the braces of the loop body.
+type BindingScope = (usize, usize, usize);
 
-/// The `let name` and `let mut name` statements of the body `b0..=b1`.
-/// A `let` counts only where a statement starts (after `;`, `{` or `}`,
-/// so not `if let` or `while let`) and only with a plain name pattern;
-/// any other binds nothing here, so its names keep their edges.
-fn let_scopes(fm: &FileModel, b0: usize, b1: usize) -> Vec<LetScope> {
+/// The plain-name bindings of the body `b0..=b1`: `let name` and `let
+/// mut name` statements, and `for name in` and `for mut name in`
+/// loops. A `let` counts only where a statement starts (after `;`, `{`
+/// or `}`, so not `if let` or `while let`); a `for` loop's body is the
+/// first `{` after `in` outside parentheses and brackets (an iterator
+/// expression cannot be a bare struct literal). Any other pattern binds
+/// nothing here, so its names keep their edges.
+fn binding_scopes(fm: &FileModel, b0: usize, b1: usize) -> Vec<BindingScope> {
     let mut out = Vec::new();
     for l in b0 + 1..b1 {
         let name = if fm.t(l + 1) == "mut" { l + 2 } else { l + 1 };
+        if fm.kind(name) != TokKind::Ident {
+            continue;
+        }
+        if fm.t(l) == "for" && fm.t(name + 1) == "in" {
+            out.extend(for_body(fm, name + 2, b1).map(|(open, close)| (name, open, close)));
+            continue;
+        }
         if fm.t(l) != "let"
             || !matches!(fm.t(l - 1), ";" | "{" | "}")
-            || fm.kind(name) != TokKind::Ident
             || !matches!(fm.t(name + 1), ":" | "=" | ";")
         {
             continue;
@@ -206,14 +220,32 @@ fn let_scopes(fm: &FileModel, b0: usize, b1: usize) -> Vec<LetScope> {
     out
 }
 
+/// The `{` and `}` of the body of a `for` loop whose iterator
+/// expression starts at `from`, if both lie before `b1`.
+fn for_body(fm: &FileModel, from: usize, b1: usize) -> Option<(usize, usize)> {
+    let (mut depth, mut open) = (0i32, None);
+    for j in from..=b1 {
+        match (fm.t(j), open) {
+            ("(" | "[", None) => depth += 1,
+            (")" | "]", None) => depth -= 1,
+            ("{", None) if depth == 0 => open = Some(j),
+            ("{", Some(_)) => depth += 1,
+            ("}", Some(open)) if depth == 0 => return Some((open, j)),
+            ("}", Some(_)) => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Whether bare reference `k` names a binding of `caller` rather than a
-/// function: one of its parameters, a `let` pattern's own name, or a
-/// `let` binding in scope at `k`.
-fn binds_local(fm: &FileModel, k: usize, caller: &FnDef, lets: &[LetScope]) -> bool {
+/// function: one of its parameters, a `let` or `for` pattern's own
+/// name, or a `let` or `for` binding in scope at `k`.
+fn binds_local(fm: &FileModel, k: usize, caller: &FnDef, lets: &[BindingScope]) -> bool {
     let nm = fm.t(k).trim_start_matches("r#");
     caller.params.iter().any(|p| p == nm)
-        || lets.iter().any(|&(name, semi, close)| {
-            k == name || (semi < k && k < close && fm.t(name).trim_start_matches("r#") == nm)
+        || lets.iter().any(|&(name, open, close)| {
+            k == name || (open < k && k < close && fm.t(name).trim_start_matches("r#") == nm)
         })
 }
 
@@ -455,7 +487,10 @@ mod tests {
              fn mut_local() { let mut run = 0; run += 1; }\n\
              fn block() { { let run = || 1; } run(1); }\n\
              fn init() { let run = run(1); }\n\
-             fn if_let(x: Option<u8>) { if let Some(run) = x { run(); } }",
+             fn if_let(x: Option<u8>) { if let Some(run) = x { run(); } }\n\
+             fn loop_body(v: Vec<fn()>) { for run in v { run(); } }\n\
+             fn loop_iter() { for run in run(1) {} }\n\
+             fn after_loop(v: Vec<u8>) { for run in v { let _ = run; } run(1); }",
         )]);
         let run = idx(&g, "run");
         let edges = |f: &str| g.edges[idx(&g, f)].contains(&run);
@@ -469,6 +504,12 @@ mod tests {
         assert!(edges("block"), "the let's block closed before the call");
         assert!(edges("init"), "the initializer still sees the free fn");
         assert!(edges("if_let"), "untracked patterns keep their edges");
+        assert!(!edges("loop_body"), "a for binding shadows it in the body");
+        assert!(edges("loop_iter"), "the iterator still sees the free fn");
+        assert!(
+            edges("after_loop"),
+            "the loop's body closed before the call"
+        );
     }
 
     #[test]

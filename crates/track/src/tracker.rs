@@ -21,7 +21,10 @@ impl std::fmt::Display for TrackId {
 /// On every [`assign`](IouAssociator::assign), boxes are associated to
 /// live tracks by descending IoU against each track's most recent box; a
 /// box that matches no live track above `iou_threshold` starts a new
-/// track. Tracks unseen for more than `max_age` frames are retired.
+/// track. Tracks unseen for more than `max_age` frames are retired. The
+/// matching is the greedy one (best pair first, ties to the earlier live
+/// track, then to the earlier box), found by deferred acceptance over
+/// each track's candidate pairs rather than by sorting them all.
 ///
 /// Association is class-agnostic on purpose: the paper's assertions are
 /// precisely about objects whose *class labels* are inconsistent over
@@ -56,12 +59,14 @@ pub struct IouAssociator {
     anchors: Vec<BBox2D>,
     /// The current frame's boxes.
     queries: Vec<BBox2D>,
-    /// Candidate `(iou, live position, query index)` pairs.
+    /// Candidate `(iou, live position, query index)` pairs, each live
+    /// track's in one contiguous run.
     pairs: Vec<(f64, usize, usize)>,
-    /// `free[p]` holds while live track `p` is unclaimed this frame.
-    free: Vec<bool>,
-    /// The live position each query was assigned to, if any.
-    assigned: Vec<Option<usize>>,
+    /// `sorted[p]` holds once live track `p`'s run is sorted by
+    /// [`pair_rank`], which it is from the track's first displacement.
+    sorted: Vec<bool>,
+    /// The pair each query holds, as an index into `pairs`, if any.
+    held: Vec<Option<usize>>,
     /// The ids issued for the current frame, aligned with `queries`.
     ids: Vec<TrackId>,
     /// On a split step, the live positions of the previous call's
@@ -114,8 +119,8 @@ impl IouAssociator {
             anchors: Vec::with_capacity(FRAME_CAPACITY),
             queries: Vec::with_capacity(FRAME_CAPACITY),
             pairs: Vec::with_capacity(FRAME_CAPACITY),
-            free: Vec::with_capacity(FRAME_CAPACITY),
-            assigned: Vec::with_capacity(FRAME_CAPACITY),
+            sorted: Vec::with_capacity(FRAME_CAPACITY),
+            held: Vec::with_capacity(FRAME_CAPACITY),
             ids: Vec::with_capacity(FRAME_CAPACITY),
             positions: Vec::new(),
             older_pairs: Vec::new(),
@@ -151,7 +156,8 @@ impl IouAssociator {
     /// must do what it does: replace the contents of its buffer with
     /// every `(iou, anchor index, query index)` pair whose IoU, computed
     /// as `anchor.iou(query)`, is at or above the threshold it is given,
-    /// each pair once, in any order.
+    /// each pair once, each anchor's pairs contiguous, in any order
+    /// otherwise.
     ///
     /// It is called at most once per call, and only on a *split* step:
     /// when the previous call's tracks are still live and its boxes
@@ -165,8 +171,8 @@ impl IouAssociator {
     /// placed exactly one track, and those tracks share one last frame,
     /// so they are live together or retired together. The associator
     /// re-keys the pairs from box index to live position, scans the
-    /// older live tracks itself, and sorts the union as a single scan's
-    /// pairs are sorted. Below the cutoff a step is one scan of every
+    /// older live tracks itself, and matches the union as a single
+    /// scan's pairs are matched. Below the cutoff a step is one scan of every
     /// live track, made with `matchers::iou_pairs`, and `scan` is not
     /// called.
     ///
@@ -196,15 +202,9 @@ impl IouAssociator {
         self.queries.extend(boxes);
 
         // Candidate pairs via the spatial matcher (grid-indexed in
-        // crowded frames, pairwise otherwise), matched greedily by
-        // descending IoU, then ascending live position and query index.
-        // Every kept pair has `iou >= iou_threshold > 0` (`new` asserts
-        // the threshold, and a NaN never passes `>=`), so every IoU is a
-        // positive float, and the bit patterns of positive floats order
-        // like their values: the integer key gives `total_cmp`'s order
-        // exactly. (live position, query index) is unique per pair, so
-        // an unstable sort is exact, and a split step's union sorts
-        // into the single scan's order.
+        // crowded frames, pairwise otherwise), each track's pairs in one
+        // contiguous run, matched as the greedy scan of every pair in
+        // `pair_rank` order would match them.
         if !self.split_scan(scan) {
             self.anchors.clear();
             self.anchors.extend(self.live.iter().map(|t| t.bbox));
@@ -215,31 +215,26 @@ impl IouAssociator {
                 &mut self.pairs,
             );
         }
-        self.pairs
-            .sort_unstable_by_key(|&(iou, p, qi)| (Reverse(iou.to_bits()), p, qi));
-
-        // A pair assigns only if its query is unassigned and its track
-        // still free.
-        self.free.clear();
-        self.free.resize(self.live.len(), true);
-        self.assigned.clear();
-        self.assigned.resize(self.queries.len(), None);
-        for &(_, p, qi) in &self.pairs {
-            if let (Some(slot @ None), Some(free @ true)) =
-                (self.assigned.get_mut(qi), self.free.get_mut(p))
-            {
-                *free = false;
-                *slot = Some(p);
-            }
-        }
+        self.sorted.clear();
+        self.sorted.resize(self.live.len(), false);
+        self.held.clear();
+        self.held.resize(self.queries.len(), None);
+        defer_accept(&mut self.pairs, &mut self.sorted, &mut self.held);
 
         if !self.queries.is_empty() {
             self.latest = Some(self.latest.map_or(frame, |last| last.max(frame)));
         }
         let call = self.calls;
         self.ids.clear();
-        for (box_index, (&bbox, assigned)) in self.queries.iter().zip(&self.assigned).enumerate() {
-            let id = match assigned.and_then(|p| self.live.get_mut(p)) {
+        for (box_index, (&bbox, held)) in self.queries.iter().zip(&self.held).enumerate() {
+            // A track this call has placed is not placed again, so a
+            // frame's ids stay distinct even if a scan breaks the
+            // contract and splits one anchor's pairs into two runs.
+            let track = held
+                .and_then(|i| self.pairs.get(i))
+                .and_then(|&(_, p, _)| self.live.get_mut(p))
+                .filter(|track| track.call != call);
+            let id = match track {
                 Some(track) => {
                     track.last_frame = frame;
                     track.bbox = bbox;
@@ -352,6 +347,127 @@ impl IouAssociator {
     }
 }
 
+/// The order association ranks candidate pairs in, best first:
+/// descending IoU, then ascending live position and query index. Every
+/// kept pair has `iou >= iou_threshold > 0` (`new` asserts the
+/// threshold, and a NaN never passes `>=`), so every IoU is a positive
+/// float, and the bit patterns of positive floats order like their
+/// values: the integer key gives `total_cmp`'s order exactly. (live
+/// position, query index) is unique per pair, so the order is strict.
+fn pair_rank(&(iou, p, qi): &(f64, usize, usize)) -> (Reverse<u64>, usize, usize) {
+    (Reverse(iou.to_bits()), p, qi)
+}
+
+/// Matches each live track to at most one query exactly as the greedy
+/// scan of every pair in [`pair_rank`] order would, without sorting
+/// every pair: by deferred acceptance (Gale and Shapley, 1962), each
+/// track proposing down its run of pairs and each query holding the
+/// best pair proposed to it. Tracks and queries alike rank pairs by the
+/// one strict order, under which the greedy matching is the only stable
+/// matching, and deferred acceptance always ends in a stable one; so
+/// the matching is the greedy one whatever order the runs come in.
+///
+/// Each run proposes once as it comes, unsorted: the best pair of the
+/// run whose query holds no better pair, found in one pass. A query
+/// that takes a better pair displaces the track it held, which walks on
+/// down its run, sorted by [`pair_rank`] at its first displacement,
+/// from the pair it lost to the next query that holds no better pair,
+/// and that query may displace another track in turn. A query that
+/// turned a track away holds a better pair from then on, so the walk
+/// skips no pair the track could still win.
+///
+/// On return `held[qi]` is the index in `pairs` of the pair that
+/// matches query `qi`, if any. `sorted` holds one `false` per live
+/// track; a run whose track is out of its range proposes nothing.
+fn defer_accept(
+    pairs: &mut [(f64, usize, usize)],
+    sorted: &mut [bool],
+    held: &mut [Option<usize>],
+) {
+    let mut start = 0;
+    while let Some(&(_, p, _)) = pairs.get(start) {
+        let mut best = None;
+        let mut end = start;
+        let run = pairs.iter().enumerate().skip(start);
+        for (i, pair) in run.take_while(|(_, pair)| pair.1 == p) {
+            end = i + 1;
+            let rank = pair_rank(pair);
+            if best.map_or(true, |(best, _)| rank < best) && is_open(pairs, held, pair) {
+                best = Some((rank, i));
+            }
+        }
+        if let Some((_, i)) = best.filter(|_| p < sorted.len()) {
+            propose(pairs, sorted, held, i);
+        }
+        start = end;
+    }
+}
+
+/// Whether `pair`'s query holds no pair that ranks before it; a query
+/// out of range is never open.
+fn is_open(
+    pairs: &[(f64, usize, usize)],
+    held: &[Option<usize>],
+    pair: &(f64, usize, usize),
+) -> bool {
+    match held.get(pair.2) {
+        Some(Some(h)) => pairs
+            .get(*h)
+            .map_or(true, |h| pair_rank(pair) < pair_rank(h)),
+        Some(None) => true,
+        None => false,
+    }
+}
+
+/// Hands pair `i` to its query, which holds no better pair, and walks
+/// the chain of displaced tracks on (see [`defer_accept`]).
+fn propose(
+    pairs: &mut [(f64, usize, usize)],
+    sorted: &mut [bool],
+    held: &mut [Option<usize>],
+    mut i: usize,
+) {
+    loop {
+        let Some(slot) = pairs.get(i).and_then(|&(_, _, qi)| held.get_mut(qi)) else {
+            return;
+        };
+        let Some(lost) = slot.replace(i) else {
+            return;
+        };
+        let Some(&displaced) = pairs.get(lost) else {
+            return;
+        };
+        let p = displaced.1;
+        let mut next = lost + 1;
+        if let Some(run_sorted @ false) = sorted.get_mut(p) {
+            // The first displacement: the run's bounds, found once, and
+            // the run sorted, so that the track walks on in rank order.
+            *run_sorted = true;
+            let own = |pair: &&(f64, usize, usize)| pair.1 == p;
+            let before = pairs
+                .get(..lost)
+                .map_or(0, |head| head.iter().rev().take_while(own).count());
+            let after = pairs
+                .get(lost..)
+                .map_or(0, |tail| tail.iter().take_while(own).count());
+            let run = pairs
+                .get_mut(lost - before..lost + after)
+                .unwrap_or_default();
+            run.sort_unstable_by_key(pair_rank);
+            let lost_rank = pair_rank(&displaced);
+            next = lost - before + run.partition_point(|pair| pair_rank(pair) <= lost_rank);
+        }
+        let walk = pairs.iter().enumerate().skip(next);
+        let Some((k, _)) = walk
+            .take_while(|(_, pair)| pair.1 == p)
+            .find(|(_, pair)| is_open(pairs, held, pair))
+        else {
+            return;
+        };
+        i = k;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +545,7 @@ mod tests {
     #[test]
     fn tie_breaking_is_deterministic() {
         // Two tracks with *identical* last boxes compete for one box: the
-        // greedy matcher's total-order sort must always hand it to the
+        // greedy matching's total order must always hand it to the
         // earlier live track, every run.
         for _ in 0..10 {
             let mut tr = IouAssociator::new(0.3, 2);

@@ -5,15 +5,17 @@
 //! a `BTreeMap` of tracks keyed by id, each holding its last frame and
 //! latest box, and the latest frame recomputed from every track on each
 //! update; it is kept as the one oracle. It finds candidate pairs with
-//! the O(n²) reference scan and sorts them with a `total_cmp`
-//! comparator, so it shares neither the grid index nor the integer sort
-//! key with the associator. The prepared scoring path and its
+//! the O(n²) reference scan, sorts all of them with a `total_cmp`
+//! comparator and matches them in one greedy pass, so it shares neither
+//! the grid index, the integer rank key nor the deferred acceptance with
+//! the associator. The prepared scoring path and its
 //! self-contained reference (`track_window`) both run the associator,
 //! so the stream==batch suites cannot see an association change; these
 //! properties are the check that can. The prepared path calls
 //! `assign_with`, whose crowded steps take the previous call's pairs
 //! from a caller's scan; the properties drive it with a scan that
-//! answers from the reference and checks what it is asked.
+//! answers from the reference and checks what it is asked, and with one
+//! that also reorders its answer as far as the scan contract allows.
 
 use std::collections::BTreeMap;
 
@@ -21,6 +23,7 @@ use omg_geom::{reference, BBox2D};
 use omg_track::{IouAssociator, TrackId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The earlier track, reduced to what association reads of it: its last
@@ -39,6 +42,9 @@ struct OracleTracker {
     next_id: u64,
     tracks: BTreeMap<TrackId, OracleTrack>,
     live: Vec<TrackId>,
+    /// Tracks so far whose best candidate query went to a better pair:
+    /// a track the associator's deferred acceptance may see displaced.
+    displacements: usize,
 }
 
 impl OracleTracker {
@@ -49,6 +55,7 @@ impl OracleTracker {
             next_id: 0,
             tracks: BTreeMap::new(),
             live: Vec::new(),
+            displacements: 0,
         }
     }
 
@@ -61,16 +68,22 @@ impl OracleTracker {
             frame.saturating_sub(t.last_frame) <= self.max_age
         });
         let track_boxes: Vec<BBox2D> = self.live.iter().map(|id| self.tracks[id].bbox).collect();
-        // The O(n²) reference scan and a `total_cmp` comparator sort: the
-        // grid index and the associator's integer sort key are both code
-        // under test, so the oracle uses neither.
+        // The O(n²) reference scan, a `total_cmp` comparator sort of every
+        // pair and one greedy pass: the grid index, the associator's
+        // integer rank key and its deferred acceptance are all code under
+        // test, so the oracle uses none of them.
         let mut pairs = Vec::new();
         omg_geom::reference::iou_pairs(&track_boxes, boxes, self.iou_threshold, &mut pairs);
         pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let mut track_taken = vec![false; self.live.len()];
+        let mut track_seen = vec![false; self.live.len()];
         let mut box_assignment: Vec<Option<TrackId>> = vec![None; boxes.len()];
         for (_, ti, bi) in pairs {
+            // A track's first pair is its best; its track is still free,
+            // so only a better pair's claim on the query can skip it.
+            let best = !std::mem::replace(&mut track_seen[ti], true);
             if track_taken[ti] || box_assignment[bi].is_some() {
+                self.displacements += usize::from(best);
                 continue;
             }
             track_taken[ti] = true;
@@ -207,15 +220,32 @@ fn same_bits(a: &[BBox2D], b: &[BBox2D]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(a, b)| bits(a) == bits(b))
 }
 
+/// Reorders one scan's pairs as far as the scan contract allows: the
+/// anchor groups in a random order, and the pairs inside each group
+/// shuffled.
+fn regroup(pairs: &mut Vec<(f64, usize, usize)>, rng: &mut StdRng) {
+    let mut groups: Vec<&[(f64, usize, usize)]> = pairs.chunk_by(|a, b| a.1 == b.1).collect();
+    groups.shuffle(rng);
+    let mut out: Vec<(f64, usize, usize)> = Vec::with_capacity(pairs.len());
+    for group in groups {
+        let from = out.len();
+        out.extend_from_slice(group);
+        out[from..].shuffle(rng);
+    }
+    *pairs = out;
+}
+
 /// `assign_with` over one frame, with a scan that answers from the
 /// reference and asserts that it is asked for `previous` (the previous
-/// call's boxes, bit for bit) against this frame's boxes. Returns the
-/// ids and the number of anchors the scan was given, if it was called.
+/// call's boxes, bit for bit) against this frame's boxes; with `rng`, it
+/// then reorders its answer (`regroup`). Returns the ids and the number
+/// of anchors the scan was given, if it was called.
 fn assign_with_reference_scan(
     associator: &mut IouAssociator,
     frame: usize,
     boxes: &[BBox2D],
     previous: &[BBox2D],
+    rng: Option<&mut StdRng>,
 ) -> (Vec<TrackId>, Option<usize>) {
     let mut scanned = None;
     let ids = associator
@@ -233,6 +263,9 @@ fn assign_with_reference_scan(
                 );
                 scanned = Some(anchors.len());
                 reference::iou_pairs(anchors, queries, thr, out);
+                if let Some(rng) = rng {
+                    regroup(out, rng);
+                }
             },
         )
         .to_vec();
@@ -260,7 +293,7 @@ proptest! {
 
     /// The associator with a caller's scan, which answers from the
     /// reference, issues the oracle's ids frame by frame: a split step's
-    /// re-keyed pairs plus the older tracks' sort as one scan's do.
+    /// re-keyed pairs plus the older tracks' match as one scan's do.
     #[test]
     fn associator_with_a_reference_scan_matches_btree_oracle(
         seed in any::<u64>(),
@@ -272,7 +305,38 @@ proptest! {
         let mut oracle = OracleTracker::new(threshold, max_age);
         let mut previous: Vec<BBox2D> = Vec::new();
         for (frame, dets) in frame_sequence(seed, max_age) {
-            let (got, _) = assign_with_reference_scan(&mut associator, frame, &dets, &previous);
+            let (got, _) =
+                assign_with_reference_scan(&mut associator, frame, &dets, &previous, None);
+            prop_assert_eq!(got, oracle.update(frame, &dets));
+            previous = dets;
+        }
+        prop_assert_eq!(associator.num_tracks(), oracle.tracks.len());
+    }
+
+    /// The associator with a scan that answers from the reference and
+    /// then reorders its answer as the scan contract allows (anchor
+    /// groups and the pairs inside each group permuted) issues the
+    /// oracle's ids frame by frame: the matching reads no order the
+    /// contract does not promise.
+    #[test]
+    fn associator_with_a_regrouped_scan_matches_btree_oracle(
+        seed in any::<u64>(),
+        threshold in 0usize..THRESHOLDS.len(),
+        max_age in 0usize..4,
+    ) {
+        let threshold = THRESHOLDS[threshold];
+        let mut associator = IouAssociator::new(threshold, max_age);
+        let mut oracle = OracleTracker::new(threshold, max_age);
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let mut previous: Vec<BBox2D> = Vec::new();
+        for (frame, dets) in frame_sequence(seed, max_age) {
+            let (got, _) = assign_with_reference_scan(
+                &mut associator,
+                frame,
+                &dets,
+                &previous,
+                Some(&mut rng),
+            );
             prop_assert_eq!(got, oracle.update(frame, &dets));
             previous = dets;
         }
@@ -308,8 +372,9 @@ proptest! {
 
 /// Whether `assign_with` over `seq` makes a split step while older
 /// tracks are live too, and a single-scan step with live tracks and
-/// boxes, at threshold 0.25.
-fn split_and_single_steps(seq: &[(usize, Vec<BBox2D>)], max_age: usize) -> [bool; 2] {
+/// boxes, and whether the oracle sees a displacement, at threshold
+/// 0.25.
+fn step_kinds(seq: &[(usize, Vec<BBox2D>)], max_age: usize) -> [bool; 3] {
     let mut associator = IouAssociator::new(0.25, max_age);
     let mut oracle = OracleTracker::new(0.25, max_age);
     let mut previous: Vec<BBox2D> = Vec::new();
@@ -320,33 +385,35 @@ fn split_and_single_steps(seq: &[(usize, Vec<BBox2D>)], max_age: usize) -> [bool
             .iter()
             .filter(|id| frame.saturating_sub(oracle.tracks[id].last_frame) <= max_age)
             .count();
-        match assign_with_reference_scan(&mut associator, *frame, dets, &previous).1 {
+        match assign_with_reference_scan(&mut associator, *frame, dets, &previous, None).1 {
             Some(recent) => split_with_older |= live > recent,
             None => single |= live > 0 && !dets.is_empty(),
         }
         oracle.update(*frame, dets);
         previous.clone_from(dets);
     }
-    [split_with_older, single]
+    [split_with_older, single, oracle.displacements > 0]
 }
 
 /// The sequence generator reaches the grid index (both sides of an
 /// association at or above 128 boxes), split steps with older tracks
-/// live and single-scan steps, and each promised edge case in a good
-/// share of sequences, so the properties' 64 random seeds cover them
-/// all.
+/// live, single-scan steps and displacements (a track whose best
+/// candidate query goes to a better pair), and each promised edge case
+/// in a good share of sequences, so the properties' 64 random seeds
+/// cover them all.
 #[test]
 fn frame_sequences_cover_the_promised_cases() {
-    let mut counts = [0usize; 7];
+    let mut counts = [0usize; 8];
     let seeds = 256;
     for seed in 0..seeds {
         let max_age = (seed % 4) as usize;
         let seq = frame_sequence(seed, max_age);
         let pairs = || seq.windows(2);
-        let [split_with_older, single] = split_and_single_steps(&seq, max_age);
+        let [split_with_older, single, displaced] = step_kinds(&seq, max_age);
         let has = [
             split_with_older,
             single,
+            displaced,
             pairs().any(|w| w[0].1.len() >= 128 && w[1].1.len() >= 128),
             seq.iter().any(|(_, d)| d.is_empty()),
             pairs().any(|w| w[0].0 == w[1].0),
@@ -389,7 +456,8 @@ fn thousand_box_frames_match_btree_oracle() {
             let got = associator.assign(frame, dets.iter().copied());
             let at = format!("at {threshold}, frame {frame}");
             assert_eq!(first_diff(got, &want), None, "associator {at}");
-            let (got, scanned) = assign_with_reference_scan(&mut split, frame, dets, &previous);
+            let (got, scanned) =
+                assign_with_reference_scan(&mut split, frame, dets, &previous, None);
             assert_eq!(scanned.is_some(), frame > 0, "split step {at}");
             assert_eq!(first_diff(&got, &want), None, "associator with a scan {at}");
             previous.clone_from(dets);
@@ -398,6 +466,47 @@ fn thousand_box_frames_match_btree_oracle() {
         assert_eq!(associator.num_tracks(), oracle.tracks.len());
         assert_eq!(split.num_tracks(), oracle.tracks.len());
     }
+}
+
+/// The worst case of deferred acceptance, pinned: frame 0 holds `n`
+/// boxes `[0, 0, 100 + 0.05a, 100]`, frame 1 `n` boxes
+/// `[0.02q, 0, 200 + 0.02q, 100]`. Every pair clears 0.25; the IoU falls
+/// with the query index and rises with the track's, so every track
+/// ranks query 0 first and every query ranks the highest track first.
+/// In live order, each new track takes query 0 and displaces a chain of
+/// every earlier track, each moving one query on, and the matching is
+/// the reversal: box `q` keeps track `n - 1 - q`.
+#[test]
+fn displacement_chain_matches_btree_oracle() {
+    const N: usize = 300;
+    let tracks: Vec<BBox2D> = (0..N)
+        .map(|a| BBox2D::new(0.0, 0.0, 100.0 + 0.05 * a as f64, 100.0).unwrap())
+        .collect();
+    let boxes: Vec<BBox2D> = (0..N)
+        .map(|q| {
+            let x = 0.02 * q as f64;
+            BBox2D::new(x, 0.0, 200.0 + x, 100.0).unwrap()
+        })
+        .collect();
+    let mut pairs = Vec::new();
+    reference::iou_pairs(&tracks, &boxes, 0.25, &mut pairs);
+    assert_eq!(pairs.len(), N * N, "every pair clears 0.25");
+    let mut oracle = OracleTracker::new(0.25, 1);
+    let mut associator = IouAssociator::new(0.25, 1);
+    let mut split = IouAssociator::new(0.25, 1);
+    let created = oracle.update(0, &tracks);
+    assert_eq!(associator.assign(0, tracks.iter().copied()), created);
+    assert_eq!(
+        assign_with_reference_scan(&mut split, 0, &tracks, &[], None).0,
+        created
+    );
+    let want = oracle.update(1, &boxes);
+    let reversal: Vec<TrackId> = (0..N as u64).rev().map(TrackId).collect();
+    assert_eq!(want, reversal, "box 0 keeps track {}", N - 1);
+    assert_eq!(associator.assign(1, boxes.iter().copied()), want);
+    let (got, scanned) = assign_with_reference_scan(&mut split, 1, &boxes, &tracks, None);
+    assert_eq!(scanned, Some(N), "a split step");
+    assert_eq!(got, want);
 }
 
 /// A frame earlier than one already recorded panics in the associator
